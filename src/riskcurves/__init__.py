@@ -6,14 +6,14 @@ of training points n (equivalently alpha = n/N = 1), with the risk falling
 again on both sides.  This package provides:
 
 * ``linalg``  – SVD-backed minimum-norm and ridge least squares,
-* ``learners`` – MNLR, PFLD, ridge, semi-supervised PFLD and a max-margin
-  classifier, with prediction and 0-1 / squared risk,
+* ``learners`` – MNLR, PFLD, ridge, semi-supervised PFLD and an exact
+  max-margin classifier, with prediction and 0-1 / squared risk,
 * ``data``    – a seeded two-Gaussian generator, feature slicing, random
   feature augmentation, stratified splits and CSV loading,
 * ``curves``  – the Monte Carlo sweep harness (feature / learning / alpha
   curves) plus peak detection,
 * ``oracle``  – independent checks: normal equations, brute-force minimum
-  norm, closed-form Gaussian risk,
+  norm, SMO soft-margin optimum, closed-form Gaussian risk,
 * ``io_cli``  – JSON config, CSV/JSON/SVG emission and the command line.
 """
 
@@ -80,6 +80,7 @@ from .oracle import (
     bayes_risk,
     min_norm_bruteforce,
     normal_equation_solve,
+    smo_max_margin,
     std_normal_cdf,
 )
 
@@ -99,5 +100,5 @@ __all__ = [
     "DEFAULT_REL_TOL", "SvdFactorization", "min_norm_least_squares",
     "numeric_rank", "ridge_least_squares", "thin_svd",
     "analytic_gaussian_risk", "bayes_risk", "min_norm_bruteforce",
-    "normal_equation_solve", "std_normal_cdf",
+    "normal_equation_solve", "smo_max_margin", "std_normal_cdf",
 ]

@@ -28,7 +28,7 @@ class SingleClassInput(RiskCurvesError, ValueError):
 
 
 class NonConvergence(RiskCurvesError, RuntimeError):
-    """The max-margin solver produced a non-finite objective."""
+    """The max-margin solver did not certify its optimum within max_iters."""
 
 
 class OddSampleSize(RiskCurvesError, ValueError):

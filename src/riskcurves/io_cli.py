@@ -136,11 +136,10 @@ def _learner_from_dict(entry, index: int):
                 name=entry.get("name"),
             )
         if kind == "max_margin":
-            _check_keys(entry, common | {"c", "max_iters", "step_decay"}, where)
+            _check_keys(entry, common | {"c", "max_iters"}, where)
             return MaxMargin(
                 c=float(_expect(entry.get("c", 100.0), (int, float), where, "'c'")),
                 max_iters=_expect(entry.get("max_iters", 20_000), (int,), where, "'max_iters'"),
-                step_decay=float(_expect(entry.get("step_decay", 1.0), (int, float), where, "'step_decay'")),
                 name=entry.get("name"),
             )
     except ConfigError:
@@ -289,12 +288,7 @@ def _learner_to_dict(spec) -> dict:
     elif isinstance(spec, SemiSupPfld):
         out = {"kind": "semisup_pfld", "unlabeled_count": spec.unlabeled_count, "rel_tol": spec.rel_tol}
     elif isinstance(spec, MaxMargin):
-        out = {
-            "kind": "max_margin",
-            "c": spec.c,
-            "max_iters": spec.max_iters,
-            "step_decay": spec.step_decay,
-        }
+        out = {"kind": "max_margin", "c": spec.c, "max_iters": spec.max_iters}
     else:
         raise TypeError(f"unknown learner spec {spec!r}")
     if spec.name is not None:
@@ -715,7 +709,7 @@ def cli_main(argv) -> int:
 
     try:
         result = run_sweep(sweep, keep_reps=keep_reps, workers=args.workers)
-    except RiskCurvesError as exc:
+    except (RiskCurvesError, ValueError) as exc:  # a fit failure names its learner, x and rep
         _perr(str(exc))
         return EXIT_NUMERICAL
     except OSError as exc:  # CSV data source reading

@@ -1,6 +1,6 @@
 """Linear two-class learners: minimum-norm regression, pseudo-Fisher,
-ridge, a semi-supervised pseudo-Fisher variant, and a subgradient-trained
-max-margin classifier.
+ridge, a semi-supervised pseudo-Fisher variant, and an exact soft-margin
+(max-margin) classifier.
 
 Labels are +-1 integers.  Every fit returns an immutable
 :class:`LinearModel`; prediction is ``sign(w @ x + b)`` with ``sign(0)``
@@ -107,11 +107,10 @@ class SemiSupPfld:
 
 @dataclass(frozen=True)
 class MaxMargin:
-    """Soft-margin linear classifier trained by averaged subgradient descent."""
+    """Exact soft-margin linear classifier; ``max_iters`` caps the solver."""
 
     c: float = 100.0
     max_iters: int = 20_000
-    step_decay: float = 1.0
     name: str | None = None
 
     def __post_init__(self):
@@ -119,8 +118,6 @@ class MaxMargin:
             raise ValueError(f"c must be > 0, got {self.c}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step_decay > 0:
-            raise ValueError(f"step_decay must be > 0, got {self.step_decay}")
 
     @property
     def label(self) -> str:
@@ -263,6 +260,12 @@ def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = DEFAULT_REL_TOL) -> Lin
     return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
 
 
+# Certified stop of the max-margin solver: (primal - dual) <= GAP_TOL * primal.
+GAP_TOL = 1e-8
+# Fraction of the distance to the nearest bound that an interior step takes.
+_TO_BOUNDARY = 0.99
+
+
 def hinge_objective(model: LinearModel, x, y, c: float) -> float:
     """Soft-margin objective ``0.5 ||w||^2 + c * sum hinge``."""
     xm, ym = _check_training_pair(x, y)
@@ -272,91 +275,90 @@ def hinge_objective(model: LinearModel, x, y, c: float) -> float:
     )
 
 
-def fit_max_margin(
-    x,
-    y,
-    c: float = 100.0,
-    max_iters: int = 20_000,
-    step_decay: float = 1.0,
-    collect_objectives: list | None = None,
-) -> LinearModel:
-    """Approximate minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` by
-    deterministic full-batch subgradient descent.
+def _duality_gap(q, yf, a, b, c) -> tuple[float, float]:
+    """``(primal - dual, primal)``: the hinge objective at ``w = X^T (a * y)``,
+    whose margins are ``Q a + b y``, and the dual value ``sum(a) - ||w||^2 / 2``."""
+    g = q @ a
+    norm2 = float(a @ g)
+    primal = 0.5 * norm2 + c * float(np.sum(np.maximum(0.0, 1.0 - g - b * yf)))
+    return primal - float(a.sum()) + 0.5 * norm2, primal
 
-    Steps are ``eta_t = 1 / (step_decay * t)``; iterates are projected onto
-    a ball that provably contains the minimizer, which keeps the early large
-    steps harmless.  Returns the average of the last half of the iterates;
-    if that average ever exceeds the best visited objective by more than 1%
-    (rare, tiny budgets only) the best iterate is returned instead, so the
-    result is always within 1% of the best objective seen.
 
-    ``collect_objectives``, when given a list, receives the objective value
-    of every iterate in order.
+def _crossover(q, yf, a, b, z, s, c):
+    """Solve the KKT equalities on the free set that the interior point's
+    complementarity pairs indicate; keep the result only if it lies in the
+    box and its duality gap is no worse."""
+    upper = c - a < s
+    free = np.flatnonzero((a > z) & ~upper)
+    ax = np.where(upper, c, 0.0)
+    system = np.block([[q[np.ix_(free, free)], yf[free, None]], [yf[free], 0.0]])
+    try:
+        sol = np.linalg.solve(system, np.append(1.0 - q[free] @ ax, -float(yf @ ax)))
+    except np.linalg.LinAlgError:
+        return a, b
+    ax[free], bx = sol[:-1], float(sol[-1])
+    if np.all((ax >= 0.0) & (ax <= c)) and _duality_gap(q, yf, ax, bx, c)[0] <= _duality_gap(q, yf, a, b, c)[0]:
+        return ax, bx
+    return a, b
 
-    Deterministic: no randomness, so curves built on it are reproducible.
+
+def fit_max_margin(x, y, c: float = 100.0, max_iters: int = 20_000) -> LinearModel:
+    """Exact minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` (bias unpenalized).
+
+    Solves the dual ``min 0.5 a^T Q a - sum(a)``, ``0 <= a <= c``,
+    ``y^T a = 0``, ``Q = (y y^T) * (X X^T)``, by Mehrotra's predictor-corrector
+    primal-dual interior-point method (Ferris & Munson 2002); the multiplier
+    of ``y^T a = 0`` is the bias and ``w = X^T (a * y)``.  Stops at a relative
+    duality gap of ``GAP_TOL``, then takes one crossover step to the exact
+    active-set solution when that is no worse.  Deterministic.  ``max_iters``
+    only caps the iterations: reaching it raises :class:`NonConvergence`.
     """
     if not c > 0:
         raise ValueError(f"c must be > 0, got {c}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not step_decay > 0:
-        raise ValueError(f"step_decay must be > 0, got {step_decay}")
     xm, ym = _check_training_pair(x, y)
     _require_both_classes(ym)
-    n, d = xm.shape
     yf = ym.astype(np.float64)
+    n = yf.shape[0]
+    q = (xm @ xm.T) * np.outer(yf, yf)
+    # Start inside the box with y^T a = 0, which every Newton step preserves;
+    # z and s are the multipliers of a >= 0 and a <= c.
+    pos = yf > 0
+    a = (c / 2) * min(pos.sum(), n - pos.sum()) / np.where(pos, pos.sum(), n - pos.sum())
+    b, z, s = 0.0, np.ones(n), np.ones(n)
 
-    # Any w with objective <= objective(0) = c*n satisfies 0.5||w||^2 <= c*n.
-    w_radius = np.sqrt(2.0 * c * n)
-    x_radius = float(np.max(np.linalg.norm(xm, axis=1))) if d else 0.0
-    b_radius = 1.0 + x_radius * w_radius
+    for it in range(max_iters + 1):
+        gap, primal = _duality_gap(q, yf, a, b, c)
+        if gap <= GAP_TOL * primal:
+            break
+        if it == max_iters or not np.isfinite(gap):
+            raise NonConvergence(f"relative duality gap {gap / primal:.3g} after {it} iterations")
+        t = c - a
+        dual_res = q @ a - 1.0 + b * yf - z + s
+        kkt = np.block([[q + np.diag(z / a + s / t), yf[:, None]], [yf, 0.0]])
 
-    w = np.zeros(d)
-    b = 0.0
-    best_obj = np.inf
-    best_w = w.copy()
-    best_b = b
-    tail_start = max_iters - max_iters // 2  # average over the last half
-    acc_w = np.zeros(d)
-    acc_b = 0.0
-    acc_n = 0
+        def direction(r_az, r_ts):  # Newton step toward a*z = r_az, t*s = r_ts
+            sol = np.linalg.solve(kkt, np.append(r_az / a - r_ts / t - dual_res, -float(yf @ a)))
+            da = sol[:n]
+            return da, sol[n], (r_az - z * da) / a, (r_ts + s * da) / t
 
-    for t in range(1, max_iters + 1):
-        margins = yf * (xm @ w + b)
-        viol = margins < 1.0
-        obj = 0.5 * float(w @ w) + c * float(np.sum(np.maximum(0.0, 1.0 - margins)))
-        if not np.isfinite(obj):
-            raise NonConvergence(f"objective became non-finite at iteration {t}")
-        if collect_objectives is not None:
-            collect_objectives.append(obj)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-            best_b = b
-        eta = 1.0 / (step_decay * t)
-        grad_w = w - c * (yf[viol] @ xm[viol])
-        grad_b = -c * float(np.sum(yf[viol]))
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        norm_w = float(np.linalg.norm(w))
-        if norm_w > w_radius:
-            w *= w_radius / norm_w
-        if b > b_radius:
-            b = b_radius
-        elif b < -b_radius:
-            b = -b_radius
-        if t >= tail_start:
-            acc_w += w
-            acc_b += b
-            acc_n += 1
+        def step(da, dz, ds):  # largest step in (0, 1] keeping a, t, z, s >= 0
+            v, dv = np.concatenate([a, t, z, s]), np.concatenate([da, -da, dz, ds])
+            neg = dv < 0
+            return min(1.0, float(np.min(-v[neg] / dv[neg]))) if neg.any() else 1.0
 
-    avg_w = acc_w / acc_n
-    avg_b = acc_b / acc_n
-    margins = yf * (xm @ avg_w + avg_b)
-    avg_obj = 0.5 * float(avg_w @ avg_w) + c * float(np.sum(np.maximum(0.0, 1.0 - margins)))
-    if avg_obj <= 1.01 * best_obj:
-        return LinearModel(weights=avg_w, bias=float(avg_b))
-    return LinearModel(weights=best_w, bias=float(best_b))
+        da, db, dz, ds = direction(-a * z, -t * s)
+        alpha = step(da, dz, ds)
+        mu = (a @ z + t @ s) / (2 * n)
+        mu_aff = ((a + alpha * da) @ (z + alpha * dz) + (t - alpha * da) @ (s + alpha * ds)) / (2 * n)
+        centering = (mu_aff / mu) ** 3 * mu
+        da, db, dz, ds = direction(-a * z - da * dz + centering, -t * s + da * ds + centering)
+        alpha = _TO_BOUNDARY * step(da, dz, ds)
+        a, b, z, s = a + alpha * da, b + alpha * db, z + alpha * dz, s + alpha * ds
+
+    a, b = _crossover(q, yf, a, b, z, s, c)
+    return LinearModel(weights=xm.T @ (a * yf), bias=b)
 
 
 def fit(spec: LearnerSpec, x, y, x_unlabeled=None) -> LinearModel:
@@ -378,7 +380,7 @@ def fit(spec: LearnerSpec, x, y, x_unlabeled=None) -> LinearModel:
         pool = np.asarray(x_unlabeled, dtype=np.float64)
         return fit_semisup_pfld(x, y, pool[: spec.unlabeled_count], spec.rel_tol)
     if isinstance(spec, MaxMargin):
-        return fit_max_margin(x, y, spec.c, spec.max_iters, spec.step_decay)
+        return fit_max_margin(x, y, spec.c, spec.max_iters)
     raise TypeError(f"unknown learner spec {spec!r}")
 
 

@@ -328,7 +328,7 @@ def test_c11_cli_runs_are_byte_identical(tmp_path):
           "kind": "alpha_curve",
           "grid": [0.5, 1.0, 1.5],
           "seed": 7,
-          "learners": [{"kind": "mnlr"}],
+          "learners": [{"kind": "mnlr"}, {"kind": "max_margin", "max_iters": 2000}],
           "fixed_N": 12,
           "test_size": 182,
           "reps": 6,

@@ -85,6 +85,8 @@ def test_config_learner_validation():
         config_from_dict(_minimal_config(learners=[{"kind": "nonsense"}]))
     with pytest.raises(UnknownKey):
         config_from_dict(_minimal_config(learners=[{"kind": "mnlr", "tol": 1e-3}]))
+    with pytest.raises(UnknownKey):  # the exact solver has no step size
+        config_from_dict(_minimal_config(learners=[{"kind": "max_margin", "step_decay": 1.0}]))
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[]))
     with pytest.raises(InvariantViolation):
@@ -404,6 +406,26 @@ def test_cli_io_failure_exit_code(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "missing-dir" / "x.csv"
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 4
+
+
+def test_cli_fit_value_error_exits_3_naming_the_cell(tmp_path, monkeypatch, capsys):
+    import riskcurves.curves as cv
+
+    def broken(spec, x, y, x_unlabeled=None):
+        raise ValueError("model parameters must be finite")
+
+    monkeypatch.setattr(cv, "fit", broken)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "'mnlr'" in err and "x=2" in err and "rep=0" in err and "must be finite" in err
+
+
+def test_cli_solver_iteration_cap_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, learners=[{"kind": "max_margin", "max_iters": 1}])
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "'max_margin'" in err and "duality gap" in err and "after 1 iterations" in err
 
 
 def test_cli_report(tmp_path, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from riskcurves.data import GaussianSpec, gen_two_gaussians
 from riskcurves.errors import (
     DimensionMismatch,
+    NonConvergence,
     NonPositiveLambda,
     SingleClassInput,
 )
@@ -303,23 +305,21 @@ def test_max_margin_feature_scaling_keeps_decisions():
     assert_array_equal(predict(scaled, 10.0 * xt), predict(base, xt))
 
 
-def test_max_margin_objective_quality():
-    rng = np.random.default_rng(13)
-    x, y = _balanced(rng, 20, 4)
-    objectives: list[float] = []
-    m = fit_max_margin(x, y, c=5.0, max_iters=3_000, collect_objectives=objectives)
-    assert len(objectives) == 3_000
-    best_so_far = np.minimum.accumulate(objectives)
-    assert np.all(np.diff(best_so_far) <= 0.0)
-    assert hinge_objective(m, x, y, 5.0) <= 1.01 * best_so_far[-1]
-
-
-def test_max_margin_default_budget_converges():
-    rng = np.random.default_rng(14)
-    x, y = _balanced(rng, 24, 5)
-    objectives: list[float] = []
-    m = fit_max_margin(x, y, collect_objectives=objectives)  # spec defaults
-    assert hinge_objective(m, x, y, 100.0) <= 1.01 * min(objectives)
+@pytest.mark.parametrize("dim, all_support", [(400, True), (1000, True), (120, False)])
+def test_max_margin_equals_pfld_when_every_point_is_a_support_vector(dim, all_support):
+    # With every point on the margin the soft-margin fit interpolates
+    # y = X w + b with minimum ||w|| and a free bias, which is the pseudo-Fisher fit.
+    ds = gen_two_gaussians(GaussianSpec(dim=dim, informative=10, separation=2.5, seed=40), 40)
+    svm = fit_max_margin(ds.x, ds.y)
+    margins = ds.y * decision_values(svm, ds.x)
+    pfld = fit_pfld(ds.x, ds.y)
+    gap = max(np.max(np.abs(svm.weights - pfld.weights)), abs(svm.bias - pfld.bias))
+    if all_support:
+        assert np.max(np.abs(margins - 1.0)) <= 1e-8
+        assert gap <= 1e-8
+    else:
+        assert np.sum(np.abs(margins - 1.0) <= 1e-8) < 40
+        assert gap > 1e-3
 
 
 def test_max_margin_validation():
@@ -330,7 +330,9 @@ def test_max_margin_validation():
     with pytest.raises(ValueError):
         MaxMargin(max_iters=0)
     with pytest.raises(ValueError):
-        MaxMargin(step_decay=0.0)
+        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=0)
+    with pytest.raises(NonConvergence):
+        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=1)
 
 
 def test_hinge_objective_hand_case():
@@ -359,7 +361,7 @@ def test_fit_dispatch_matches_direct_calls():
         (Pfld(), fit_pfld(x, y)),
         (Ridge(lam=0.5), fit_ridge(x, y, 0.5)),
         (SemiSupPfld(unlabeled_count=6), fit_semisup_pfld(x, y, pool[:6])),
-        (MaxMargin(max_iters=500), fit_max_margin(x, y, 100.0, 500, 1.0)),
+        (MaxMargin(max_iters=500), fit_max_margin(x, y, 100.0, 500)),
     ]
     for spec, direct in pairs:
         via = fit(spec, x, y, x_unlabeled=pool)

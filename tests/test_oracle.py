@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riskcurves.errors import DimensionMismatch, InconsistentSystem, SingularSystem
-from riskcurves.learners import LinearModel, predict, zero_one_risk
+from riskcurves.learners import LinearModel, fit_max_margin, hinge_objective, predict, zero_one_risk
 from riskcurves.linalg import min_norm_least_squares
 from riskcurves.oracle import (
+    SMO_TOL,
     analytic_gaussian_risk,
     bayes_risk,
     min_norm_bruteforce,
     normal_equation_solve,
+    smo_max_margin,
     std_normal_cdf,
 )
 
@@ -158,3 +162,54 @@ def test_bayes_risk_is_cdf_of_negative_norm():
     mu = np.array([0.3, -0.4])
     assert bayes_risk(mu) == std_normal_cdf(-0.5)
     assert bayes_risk(np.zeros(3)) == 0.5
+
+
+@st.composite
+def _soft_margin_problems(draw):
+    """Small two-class problems; often fewer columns than rows (rank-deficient
+    Gram matrix), with repeated points and all-zero columns allowed."""
+    rows = draw(st.integers(2, 10))
+    cols = draw(st.integers(1, 5))
+    cells = st.integers(-3, 3).map(float) | st.floats(-2.0, 2.0, allow_subnormal=False)
+    x = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=rows, max_size=rows)))
+    if np.all(y == y[0]):  # both classes are needed
+        y[draw(st.integers(0, rows - 1))] *= -1
+    return x, y, draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_soft_margin_problems())
+def test_max_margin_matches_smo_oracle(problem):
+    x, y, c = problem
+    oracle, a = smo_max_margin(x, y, c)
+    # The oracle's dual point is feasible and satisfies KKT: no pair of
+    # points can still trade dual mass with a gain.
+    err = x @ x.T @ (a * y) - y
+    up = np.where(y > 0, a < c, a > 0)
+    low = np.where(y > 0, a > 0, a < c)
+    assert np.all((a >= 0.0) & (a <= c)) and abs(float(y @ a)) <= 1e-9 * c * len(y)
+    assert err[low].max() - err[up].min() <= SMO_TOL
+    model = fit_max_margin(x, y, c)
+    primal = hinge_objective(model, x, y, c)
+    reference = hinge_objective(oracle, x, y, c)
+    # The oracle's dual value is an independent lower bound on the optimum.
+    dual = float(a.sum()) - 0.5 * float(oracle.weights @ oracle.weights)
+    assert primal - dual <= 1e-6 * primal
+    assert abs(primal - reference) <= 1e-6 * reference
+
+
+def test_smo_oracle_symmetric_pair():
+    model, a = smo_max_margin([[1.0], [-1.0]], [1, -1], 10.0)
+    assert_allclose(a, [0.5, 0.5], atol=1e-12)
+    assert_allclose(model.weights, [1.0], atol=1e-12)
+    assert abs(model.bias) <= 1e-12
+
+
+def test_smo_oracle_validation():
+    with pytest.raises(DimensionMismatch):
+        smo_max_margin([[1.0], [2.0]], [1], 1.0)
+    with pytest.raises(ValueError):
+        smo_max_margin([[1.0], [2.0]], [1, 1], 1.0)
+    with pytest.raises(ValueError):
+        smo_max_margin([[1.0], [2.0]], [1, -1], 0.0)
