@@ -37,8 +37,7 @@ from .data import (
     load_csv,
     split,
     standardize,
-    subsample,
-    take_features,
+    subsample_indices,
 )
 from .errors import (
     GridExceedsDimension,
@@ -47,14 +46,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import (
-    SemiSupPfld,
-    decision_values,
-    fit,
-    predict,
-    squared_risk,
-    zero_one_risk,
-)
+from .learners import LEARNERS, _risk, fit
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -122,7 +114,12 @@ class SweepSpec:
     risk_metric: str = "zero_one"
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", CurveKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", CurveKind(self.kind))
+        except ValueError:
+            raise InvariantViolation(
+                f"kind must be one of {[k.value for k in CurveKind]}, got {self.kind!r}"
+            ) from None
         object.__setattr__(self, "learners", tuple(self.learners))
         self._validate_grid()
         self._validate_fields()
@@ -131,7 +128,10 @@ class SweepSpec:
     # -- validation ------------------------------------------------------
 
     def _validate_grid(self):
-        raw = tuple(self.grid)
+        try:
+            raw = tuple(self.grid)
+        except TypeError:
+            raise InvariantViolation(f"grid must be a sequence, got {self.grid!r}") from None
         if not raw:
             raise InvariantViolation("grid must be nonempty")
         if self.kind is CurveKind.ALPHA:
@@ -157,13 +157,26 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
 
     def _validate_fields(self):
+        for name in ("fixed_n", "fixed_N", "test_size", "reps", "base_seed"):
+            value = getattr(self, name)
+            if value is None and name.startswith("fixed"):  # which one a kind needs: below
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.learners:
             raise InvariantViolation("at least one learner is required")
+        for spec in self.learners:
+            if type(spec) not in LEARNERS.values():
+                raise InvariantViolation(f"unknown learner spec {spec!r}")
         labels = [spec.label for spec in self.learners]
         if len(set(labels)) != len(labels):
             raise InvariantViolation(
                 f"learner names must be unique, got {labels}; set name= to disambiguate"
             )
+        for label in labels:
+            if "," in label or "\n" in label:
+                raise InvariantViolation(f"learner name {label!r} may not contain ',' or a newline")
         if self.kind is CurveKind.FEATURE:
             if self.fixed_n is None:
                 raise InvariantViolation("feature curves need fixed_n")
@@ -194,7 +207,11 @@ class SweepSpec:
             )
 
     def _validate_source(self):
-        if not isinstance(self.data_source, GaussianSpec):
+        if not isinstance(self.data_source, (GaussianSpec, CsvSource)):
+            raise InvariantViolation(
+                f"data_source must be a GaussianSpec or CsvSource, got {self.data_source!r}"
+            )
+        if isinstance(self.data_source, CsvSource):
             return
         dim = self.data_source.dim
         if self.kind is CurveKind.FEATURE:
@@ -299,73 +316,51 @@ class PeakReport:
 # Running sweeps.
 
 
-def run_feature_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """Sweep the feature count N at fixed training size.
+def _of_kind(spec: SweepSpec, kind: CurveKind) -> SweepSpec:
+    if spec.kind is not kind:
+        raise ValueError(f"expected a {kind.value} spec, got {spec.kind.value}")
+    return spec
 
-    Per rep: draw (or re-split) a pool, split into train/test, then for each
-    N keep the first N columns and fit every learner on identical data.
-    """
-    if spec.kind is not CurveKind.FEATURE:
-        raise ValueError(f"expected a feature_curve spec, got {spec.kind.value}")
-    return _run_sweep(spec, keep_reps, workers)
+
+def run_feature_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
+    """:func:`run_sweep` for a feature_curve spec: sweep N at fixed training size."""
+    return run_sweep(_of_kind(spec, CurveKind.FEATURE), keep_reps=keep_reps, workers=workers)
 
 
 def run_learning_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """Sweep the training size n at fixed dimension ``fixed_N``."""
-    if spec.kind is not CurveKind.LEARNING:
-        raise ValueError(f"expected a learning_curve spec, got {spec.kind.value}")
-    return _run_sweep(spec, keep_reps, workers)
+    """:func:`run_sweep` for a learning_curve spec: sweep n at fixed ``fixed_N``."""
+    return run_sweep(_of_kind(spec, CurveKind.LEARNING), keep_reps=keep_reps, workers=workers)
 
 
 def run_alpha_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """Sweep alpha = n/N at fixed dimension; n = round(alpha * N) per point."""
-    if spec.kind is not CurveKind.ALPHA:
-        raise ValueError(f"expected an alpha_curve spec, got {spec.kind.value}")
-    return _run_sweep(spec, keep_reps, workers)
+    """:func:`run_sweep` for an alpha_curve spec: sweep alpha = n/N, n = round(alpha * N)."""
+    return run_sweep(_of_kind(spec, CurveKind.ALPHA), keep_reps=keep_reps, workers=workers)
 
 
-def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """Dispatch on ``spec.kind``."""
-    runner = {
-        CurveKind.FEATURE: run_feature_curve,
-        CurveKind.LEARNING: run_learning_curve,
-        CurveKind.ALPHA: run_alpha_curve,
-    }[spec.kind]
-    return runner(spec, keep_reps=keep_reps, workers=workers)
-
-
-def _point_train_sizes(spec: SweepSpec) -> list[int]:
-    if spec.kind is CurveKind.LEARNING:
-        return [int(g) for g in spec.grid]
-    if spec.kind is CurveKind.ALPHA:
-        return [alpha_train_size(a, spec.fixed_N) for a in spec.grid]
-    return []
-
-
-def _risk(model, test: Dataset, metric: str) -> float:
-    if metric == "zero_one":
-        return zero_one_risk(predict(model, test.x), test.y)
-    return squared_risk(decision_values(model, test.x), test.y.astype(np.float64))
-
-
-def _fit_cell(learner, train: Dataset, test: Dataset, unlab_x, metric, x_value, rep):
+def _fit_cell(learner, train, test, unlab_x, metric, x_value, rep):
+    """Risk on ``test`` of ``learner`` fit on ``train``; both are ``(x, y)`` arrays."""
     try:
-        model = fit(learner, train.x, train.y, x_unlabeled=unlab_x)
-        return _risk(model, test, metric)
+        model = fit(learner, *train, x_unlabeled=unlab_x)
+        test_x, test_y = test
+        return _risk(test_x @ model.weights + model.bias, test_y, metric)
     except (RiskCurvesError, ValueError) as exc:
         raise type(exc)(
             f"learner {learner.label!r} failed at x={x_value:g}, rep={rep}: {exc}"
         ) from exc
 
 
-def _run_sweep(spec: SweepSpec, keep_reps: bool, workers: int) -> CurveResult:
+def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
+    """Run the curve ``spec`` describes, ``workers`` reps at a time.
+
+    Per rep: draw (or re-split) a pool and split it into train/test.  At each
+    grid point, a feature curve keeps the first N columns; a learning or alpha
+    curve keeps the first ``fixed_N`` columns and a stratified subsample of n
+    training rows.  Every learner is fit on the same arrays.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     labels = [learner.label for learner in spec.learners]
-    max_unlab = max(
-        (l.unlabeled_count for l in spec.learners if isinstance(l, SemiSupPfld)),
-        default=0,
-    )
+    max_unlab = max(getattr(learner, "unlabeled_count", 0) for learner in spec.learners)
     train_rows = spec.train_rows()
     n_points = len(spec.grid)
 
@@ -384,26 +379,23 @@ def _run_sweep(spec: SweepSpec, keep_reps: bool, workers: int) -> CurveResult:
                 f"{train_rows + spec.test_size} (train pool + test)"
             )
 
-    point_sizes = _point_train_sizes(spec)
-
     def run_rep(rep: int) -> np.ndarray:
-        leftover: Dataset | None = None
+        leftover_x = None
         if full is None:
             gspec = replace(spec.data_source, seed=mix(spec.base_seed, rep))
             pool = gen_two_gaussians(gspec, train_rows + spec.test_size)
-            train_pool, test_pool = split(pool, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+            train, test = split(pool, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
         else:
-            train_pool, rest = split(full, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
-            if rest.n_samples > spec.test_size:
-                test_pool, leftover = split(
-                    rest, spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1)
+            train, test = split(full, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+            if test.n_samples > spec.test_size:
+                test, leftover = split(
+                    test, spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1)
                 )
-            else:
-                test_pool = rest
+                leftover_x = leftover.x
             if spec.data_source.standardize:
-                train_pool, test_pool, tf = standardize(train_pool, test_pool)
-                if leftover is not None:
-                    leftover = Dataset(x=tf.apply(leftover.x), y=leftover.y)
+                train, test, tf = standardize(train, test)
+                if leftover_x is not None:
+                    leftover_x = tf.apply(leftover_x)
 
         unlab_x = None
         if max_unlab > 0:
@@ -412,31 +404,23 @@ def _run_sweep(spec: SweepSpec, keep_reps: bool, workers: int) -> CurveResult:
                 ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
                 unlab_x = gen_two_gaussians(ugspec, draw).x[:max_unlab]
             else:
-                unlab_x = (
-                    leftover.x if leftover is not None
-                    else np.zeros((0, train_pool.n_features))
-                )
+                unlab_x = leftover_x if leftover_x is not None else np.zeros((0, train.n_features))
 
         out = np.empty((n_points, len(labels)))
-        if spec.kind is CurveKind.FEATURE:
-            for pi, n_feat in enumerate(spec.grid):
-                tr = take_features(train_pool, n_feat)
-                te = take_features(test_pool, n_feat)
-                cell_unlab = unlab_x[:, :n_feat] if unlab_x is not None else None
-                for li, learner in enumerate(spec.learners):
-                    out[pi, li] = _fit_cell(
-                        learner, tr, te, cell_unlab, spec.risk_metric, float(n_feat), rep
-                    )
-        else:
-            tr_pool = take_features(train_pool, spec.fixed_N)
-            te = take_features(test_pool, spec.fixed_N)
-            cell_unlab = unlab_x[:, : spec.fixed_N] if unlab_x is not None else None
-            for pi, (x_val, n_train) in enumerate(zip(spec.grid, point_sizes)):
-                sub = subsample(tr_pool, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
-                for li, learner in enumerate(spec.learners):
-                    out[pi, li] = _fit_cell(
-                        learner, sub, te, cell_unlab, spec.risk_metric, float(x_val), rep
-                    )
+        for pi, x_val in enumerate(spec.grid):
+            cols, rows = x_val, slice(None)
+            if spec.kind is not CurveKind.FEATURE:
+                n_train = x_val if spec.kind is CurveKind.LEARNING else alpha_train_size(x_val, spec.fixed_N)
+                cols = spec.fixed_N
+                rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
+            # contiguous, as BLAS may round differently on a strided view
+            cell_train = (np.ascontiguousarray(train.x[rows, :cols]), train.y[rows])
+            cell_test = (test.x[:, :cols], test.y)
+            cell_unlab = unlab_x[:, :cols] if unlab_x is not None else None
+            for li, learner in enumerate(spec.learners):
+                out[pi, li] = _fit_cell(
+                    learner, cell_train, cell_test, cell_unlab, spec.risk_metric, float(x_val), rep
+                )
         return out
 
     risks = np.empty((n_points, len(labels), spec.reps))

@@ -50,7 +50,7 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
-from .learners import MaxMargin, Mnlr, Pfld, Ridge, SemiSupPfld
+from .learners import LEARNERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,54 +102,20 @@ def _learner_from_dict(entry, index: int):
     kind = entry.get("kind")
     if kind is None:
         raise InvariantViolation(f"{where}: missing 'kind'")
-    if "name" in entry:
-        _expect(entry["name"], (str,), where, "'name'")
-    common = {"kind", "name"}
+    cls = LEARNERS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvariantViolation(
+            f"{where}: unknown learner kind {kind!r}; expected one of {', '.join(LEARNERS)}"
+        )
+    by_key = {cls.config_keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    _check_keys(entry, by_key.keys() | {"kind"}, where)
+    for key, f in by_key.items():
+        if f.default is dataclasses.MISSING and key not in entry:
+            raise InvariantViolation(f"{where}: {kind} needs {key!r}")
     try:
-        if kind == "mnlr":
-            _check_keys(entry, common | {"rel_tol"}, where)
-            return Mnlr(
-                rel_tol=float(entry.get("rel_tol", 1e-10)),
-                name=entry.get("name"),
-            )
-        if kind == "pfld":
-            _check_keys(entry, common | {"rel_tol"}, where)
-            return Pfld(
-                rel_tol=float(entry.get("rel_tol", 1e-10)),
-                name=entry.get("name"),
-            )
-        if kind == "ridge":
-            _check_keys(entry, common | {"lambda"}, where)
-            if "lambda" not in entry:
-                raise InvariantViolation(f"{where}: ridge needs 'lambda'")
-            return Ridge(
-                lam=_expect(entry["lambda"], (int, float), where, "'lambda'"),
-                name=entry.get("name"),
-            )
-        if kind == "semisup_pfld":
-            _check_keys(entry, common | {"rel_tol", "unlabeled_count"}, where)
-            if "unlabeled_count" not in entry:
-                raise InvariantViolation(f"{where}: semisup_pfld needs 'unlabeled_count'")
-            return SemiSupPfld(
-                unlabeled_count=_expect(entry["unlabeled_count"], (int,), where, "'unlabeled_count'"),
-                rel_tol=float(entry.get("rel_tol", 1e-10)),
-                name=entry.get("name"),
-            )
-        if kind == "max_margin":
-            _check_keys(entry, common | {"c", "max_iters"}, where)
-            return MaxMargin(
-                c=float(_expect(entry.get("c", 100.0), (int, float), where, "'c'")),
-                max_iters=_expect(entry.get("max_iters", 20_000), (int,), where, "'max_iters'"),
-                name=entry.get("name"),
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+        return cls(**{by_key[key].name: value for key, value in entry.items() if key != "kind"})
+    except ValueError as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
-    raise InvariantViolation(
-        f"{where}: unknown learner kind {kind!r}; expected one of "
-        "mnlr, pfld, ridge, semisup_pfld, max_margin"
-    )
 
 
 def _data_from_dict(entry, *, allow_seed: bool):
@@ -192,55 +158,26 @@ def _data_from_dict(entry, *, allow_seed: bool):
 
 
 def _sweep_from_dict(d: dict, *, allow_data_seed: bool = False) -> SweepSpec:
-    if "kind" not in d:
-        raise InvariantViolation("missing 'kind'")
-    kind_raw = _expect(d["kind"], (str,), "kind", "'kind'")
-    try:
-        kind = CurveKind(kind_raw)
-    except ValueError:
-        raise InvariantViolation(
-            f"kind must be one of {[k.value for k in CurveKind]}, got {kind_raw!r}"
-        ) from None
-    if "grid" not in d:
-        raise InvariantViolation("missing 'grid'")
+    for key in ("kind", "grid", "seed", "learners"):
+        if key not in d:
+            raise InvariantViolation(f"missing {key!r}")
     grid = _expect(d["grid"], (list,), "grid", "'grid'")
-    if "seed" not in d:
-        raise InvariantViolation("missing 'seed'")
-    seed = _expect(d["seed"], (int,), "seed", "'seed'")
-    if "learners" not in d:
-        raise InvariantViolation("missing 'learners'")
     learner_list = _expect(d["learners"], (list,), "learners", "'learners'")
-    if not learner_list:
-        raise InvariantViolation("learners: must list at least one learner")
     learners = tuple(_learner_from_dict(e, i) for i, e in enumerate(learner_list))
-
-    fixed_n = fixed_N = None
-    if kind is CurveKind.FEATURE:
-        fixed_n = _expect(d.get("fixed_n", 40), (int,), "fixed_n", "'fixed_n'")
-        if "fixed_N" in d:
-            raise InvariantViolation("feature curves do not use fixed_N")
-    else:
-        fixed_N = _expect(d.get("fixed_N", 40), (int,), "fixed_N", "'fixed_N'")
-        if "fixed_n" in d:
-            raise InvariantViolation(f"{kind.value}s do not use fixed_n")
-
+    feature = d["kind"] == CurveKind.FEATURE.value
     data = _data_from_dict(d.get("data", {"source": "gaussian"}), allow_seed=allow_data_seed)
     try:
         return SweepSpec(
-            kind=kind,
+            kind=d["kind"],
             grid=tuple(grid),
             learners=learners,
             data_source=data,
-            fixed_n=fixed_n,
-            fixed_N=fixed_N,
-            test_size=_expect(d.get("test_size", 2000), (int,), "test_size", "'test_size'"),
-            reps=_expect(d.get("reps", 50), (int,), "reps", "'reps'"),
-            base_seed=seed,
-            risk_metric=_expect(d.get("risk_metric", "zero_one"), (str,), "risk_metric", "'risk_metric'"),
+            fixed_n=d.get("fixed_n", 40 if feature else None),
+            fixed_N=d.get("fixed_N", None if feature else 40),
+            base_seed=d["seed"],
+            **{key: d[key] for key in ("test_size", "reps", "risk_metric") if key in d},
         )
-    except (GridExceedsDimension, ConfigError) as exc:
-        if isinstance(exc, UnknownKey):
-            raise
+    except GridExceedsDimension as exc:
         raise InvariantViolation(str(exc)) from exc
 
 
@@ -279,20 +216,11 @@ def load_config(path) -> RunConfig:
 
 
 def _learner_to_dict(spec) -> dict:
-    if isinstance(spec, Mnlr):
-        out = {"kind": "mnlr", "rel_tol": spec.rel_tol}
-    elif isinstance(spec, Pfld):
-        out = {"kind": "pfld", "rel_tol": spec.rel_tol}
-    elif isinstance(spec, Ridge):
-        out = {"kind": "ridge", "lambda": spec.lam}
-    elif isinstance(spec, SemiSupPfld):
-        out = {"kind": "semisup_pfld", "unlabeled_count": spec.unlabeled_count, "rel_tol": spec.rel_tol}
-    elif isinstance(spec, MaxMargin):
-        out = {"kind": "max_margin", "c": spec.c, "max_iters": spec.max_iters}
-    else:
-        raise TypeError(f"unknown learner spec {spec!r}")
-    if spec.name is not None:
-        out["name"] = spec.name
+    out = {"kind": spec.kind}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None:
+            out[spec.config_keys.get(f.name, f.name)] = value
     return out
 
 
@@ -366,15 +294,26 @@ def result_to_json_dict(result: CurveResult) -> dict:
 
 
 def result_from_json_dict(d: dict) -> CurveResult:
+    """Rebuild a result; its points must match the spec's grid and learners."""
     try:
         _expect(d, (dict,), "result", "the result document")
         _check_keys(d, {"spec", "points", "provenance", "rep_risks"}, "result")
         spec_d = _expect(d.get("spec"), (dict,), "result.spec", "'spec'")
         sweep = _sweep_from_dict(spec_d, allow_data_seed=True)
+        point_list = _expect(d.get("points"), (list,), "result.points", "'points'")
+        if len(point_list) != len(sweep.grid):
+            raise InvariantViolation(
+                f"result.points: {len(point_list)} points for a {len(sweep.grid)}-point grid"
+            )
+        labels = sorted(learner.label for learner in sweep.learners)
         points = []
-        for i, pd in enumerate(_expect(d.get("points"), (list,), "result.points", "'points'")):
+        for i, (pd, x_value) in enumerate(zip(point_list, sweep.grid)):
             _expect(pd, (dict,), f"result.points[{i}]", "each point")
             _check_keys(pd, {"x_value", "stats"}, f"result.points[{i}]")
+            if float(pd["x_value"]) != x_value or sorted(pd["stats"]) != labels:
+                raise InvariantViolation(
+                    f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}"
+                )
             stats = {}
             for name, sd in pd["stats"].items():
                 _check_keys(
@@ -405,7 +344,9 @@ def result_from_json_dict(d: dict) -> CurveResult:
             provenance=Provenance(base_seed=int(prov["base_seed"]), version=str(prov["version"])),
             rep_risks=rep_risks,
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InvariantViolation(f"malformed result document: {exc!r}") from exc
 
 

@@ -7,7 +7,9 @@ Labels are +-1 integers.  Every fit returns an immutable
 resolving to +1 so risk estimates stay deterministic.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,48 +41,77 @@ class LinearModel:
 
 # --------------------------------------------------------------------------
 # Declarative learner choices, used by the sweep harness and the CLI config.
+# Each spec declares its config ``kind``, any config key that differs from a
+# field name (``config_keys``), its parameters with their defaults and lower
+# bounds, and the fit it dispatches to (``_fit``).  ``LEARNERS`` maps each
+# kind to its spec and drives ``fit``, config parsing and the JSON round trip.
+
+
+def _param(op: str, low, default=MISSING, error=ValueError):
+    """A numeric spec field that must be ``op`` (``>`` or ``>=``) ``low``."""
+    return field(default=default, metadata={"op": op, "low": low, "error": error})
+
+
+class _LearnerSpec:
+    config_keys: ClassVar[dict] = {}
+
+    def __post_init__(self):
+        """Check every field's type and bound; store numbers as the field's type."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "name":
+                if not isinstance(value, (str, type(None))):
+                    raise ValueError(f"name must be a string, got {value!r}")
+                continue
+            op, low, error = f.metadata["op"], f.metadata["low"], f.metadata["error"]
+            number = numbers.Integral if f.type is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise error(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            value = f.type(value)
+            if not (value > low if op == ">" else value >= low):
+                raise error(f"{f.name} must be {op} {low}, got {value}")
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def label(self) -> str:
+        return self.name or self.kind
 
 
 @dataclass(frozen=True)
-class Mnlr:
+class Mnlr(_LearnerSpec):
     """Minimum-norm linear regression on +-1 targets."""
 
-    rel_tol: float = DEFAULT_REL_TOL
+    kind: ClassVar[str] = "mnlr"
+    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def __post_init__(self):
-        _check_rel_tol(self.rel_tol)
-
-    @property
-    def label(self) -> str:
-        return self.name or "mnlr"
+    def _fit(self, x, y, x_unlabeled):
+        return fit_mnlr(x, y, self.rel_tol)
 
 
 @dataclass(frozen=True)
-class Pfld:
+class Pfld(_LearnerSpec):
     """Pseudo-Fisher linear discriminant (mean-centered minimum-norm fit)."""
 
-    rel_tol: float = DEFAULT_REL_TOL
+    kind: ClassVar[str] = "pfld"
+    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def __post_init__(self):
-        _check_rel_tol(self.rel_tol)
-
-    @property
-    def label(self) -> str:
-        return self.name or "pfld"
+    def _fit(self, x, y, x_unlabeled):
+        return fit_pfld(x, y, self.rel_tol)
 
 
 @dataclass(frozen=True)
-class Ridge:
+class Ridge(_LearnerSpec):
     """L2-regularized least squares with an unpenalized bias."""
 
-    lam: float
+    kind: ClassVar[str] = "ridge"
+    config_keys: ClassVar[dict] = {"lam": "lambda"}
+    lam: float = _param(">", 0, error=NonPositiveLambda)
     name: str | None = None
 
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise NonPositiveLambda(f"ridge penalty must be > 0, got {self.lam}")
+    def _fit(self, x, y, x_unlabeled):
+        return fit_ridge(x, y, self.lam)
 
     @property
     def label(self) -> str:
@@ -88,17 +119,19 @@ class Ridge:
 
 
 @dataclass(frozen=True)
-class SemiSupPfld:
+class SemiSupPfld(_LearnerSpec):
     """Pseudo-Fisher variant that centers and whitens with unlabeled data."""
 
-    unlabeled_count: int
-    rel_tol: float = DEFAULT_REL_TOL
+    kind: ClassVar[str] = "semisup_pfld"
+    unlabeled_count: int = _param(">=", 0)
+    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def __post_init__(self):
-        _check_rel_tol(self.rel_tol)
-        if self.unlabeled_count < 0:
-            raise ValueError(f"unlabeled_count must be >= 0, got {self.unlabeled_count}")
+    def _fit(self, x, y, x_unlabeled):
+        if x_unlabeled is None:
+            raise ValueError("SemiSupPfld needs an unlabeled pool")
+        pool = np.asarray(x_unlabeled, dtype=np.float64)
+        return fit_semisup_pfld(x, y, pool[: self.unlabeled_count], self.rel_tol)
 
     @property
     def label(self) -> str:
@@ -106,30 +139,19 @@ class SemiSupPfld:
 
 
 @dataclass(frozen=True)
-class MaxMargin:
+class MaxMargin(_LearnerSpec):
     """Exact soft-margin linear classifier; ``max_iters`` caps the solver."""
 
-    c: float = 100.0
-    max_iters: int = 20_000
+    kind: ClassVar[str] = "max_margin"
+    c: float = _param(">", 0, default=100.0)
+    max_iters: int = _param(">=", 1, default=20_000)
     name: str | None = None
 
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-    @property
-    def label(self) -> str:
-        return self.name or "max_margin"
+    def _fit(self, x, y, x_unlabeled):
+        return fit_max_margin(x, y, self.c, self.max_iters)
 
 
-LearnerSpec = Mnlr | Pfld | Ridge | SemiSupPfld | MaxMargin
-
-
-def _check_rel_tol(rel_tol: float):
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+LEARNERS = {spec.kind: spec for spec in (Mnlr, Pfld, Ridge, SemiSupPfld, MaxMargin)}
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +238,6 @@ def fit_ridge(x, y, lam: float) -> LinearModel:
     same as excluding the constant column from the penalty: the optimal bias
     is ``mean(y) - mean(x) @ w``.
     """
-    if not lam > 0:
-        raise NonPositiveLambda(f"ridge penalty must be > 0, got {lam}")
     xm, ym = _check_training_pair(x, y)
     yf = ym.astype(np.float64)
     x_mean = xm.mean(axis=0)
@@ -302,7 +322,7 @@ def _crossover(q, yf, a, b, z, s, c):
     return a, b
 
 
-def fit_max_margin(x, y, c: float = 100.0, max_iters: int = 20_000) -> LinearModel:
+def fit_max_margin(x, y, c: float = MaxMargin.c, max_iters: int = MaxMargin.max_iters) -> LinearModel:
     """Exact minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` (bias unpenalized).
 
     Solves the dual ``min 0.5 a^T Q a - sum(a)``, ``0 <= a <= c``,
@@ -361,27 +381,16 @@ def fit_max_margin(x, y, c: float = 100.0, max_iters: int = 20_000) -> LinearMod
     return LinearModel(weights=xm.T @ (a * yf), bias=b)
 
 
-def fit(spec: LearnerSpec, x, y, x_unlabeled=None) -> LinearModel:
+def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     """Dispatch a declarative learner spec to the matching fit function.
 
     ``x_unlabeled`` is only consulted for :class:`SemiSupPfld`; the pool is
     truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
     is smaller, e.g. limited leftover rows of a fixed dataset).
     """
-    if isinstance(spec, Mnlr):
-        return fit_mnlr(x, y, spec.rel_tol)
-    if isinstance(spec, Pfld):
-        return fit_pfld(x, y, spec.rel_tol)
-    if isinstance(spec, Ridge):
-        return fit_ridge(x, y, spec.lam)
-    if isinstance(spec, SemiSupPfld):
-        if x_unlabeled is None:
-            raise ValueError("SemiSupPfld needs an unlabeled pool")
-        pool = np.asarray(x_unlabeled, dtype=np.float64)
-        return fit_semisup_pfld(x, y, pool[: spec.unlabeled_count], spec.rel_tol)
-    if isinstance(spec, MaxMargin):
-        return fit_max_margin(x, y, spec.c, spec.max_iters)
-    raise TypeError(f"unknown learner spec {spec!r}")
+    if type(spec) not in LEARNERS.values():
+        raise TypeError(f"unknown learner spec {spec!r}")
+    return spec._fit(x, y, x_unlabeled)
 
 
 # --------------------------------------------------------------------------
@@ -398,10 +407,22 @@ def decision_values(model: LinearModel, x) -> np.ndarray:
     return xm @ model.weights + model.bias
 
 
+def _sign(values: np.ndarray) -> np.ndarray:
+    """+-1 labels of decision values; sign(0) resolves to +1."""
+    return np.where(values >= 0.0, 1, -1).astype(np.int64)
+
+
+def _risk(values: np.ndarray, y: np.ndarray, metric: str) -> float:
+    """Risk of decision ``values`` (or of labels) against +-1 labels ``y``,
+    unchecked: the 0-1 rate of ``_sign(values) != y`` or the squared loss."""
+    if metric == "zero_one":
+        return float(np.mean(_sign(values) != y))
+    return float(np.mean((values - y) ** 2))
+
+
 def predict(model: LinearModel, x) -> np.ndarray:
     """Predicted +-1 labels; sign(0) resolves to +1."""
-    vals = decision_values(model, x)
-    return np.where(vals >= 0.0, 1, -1).astype(np.int64)
+    return _sign(decision_values(model, x))
 
 
 def zero_one_risk(pred, truth) -> float:
@@ -412,7 +433,7 @@ def zero_one_risk(pred, truth) -> float:
         raise DimensionMismatch(
             f"label sequences must have equal positive length, got {p.shape[0]} and {t.shape[0]}"
         )
-    return float(np.mean(p != t))
+    return _risk(p, t, "zero_one")
 
 
 def squared_risk(values, targets) -> float:
@@ -423,4 +444,4 @@ def squared_risk(values, targets) -> float:
         raise DimensionMismatch(
             f"value sequences must have equal positive length, got {v.shape} and {t.shape}"
         )
-    return float(np.mean((v - t) ** 2))
+    return _risk(v, t, "squared")

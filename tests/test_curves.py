@@ -113,6 +113,12 @@ def test_spec_rejects_bad_counts_and_metric():
         _sweep(test_size=0)
     with pytest.raises(InvariantViolation):
         _sweep(risk_metric="absolute")
+    for bad in (
+        dict(reps=2.5), dict(reps=True), dict(fixed_n=8.0), dict(test_size=92.0),
+        dict(base_seed=1.5), dict(learners=("mnlr",)), dict(data_source={"dim": 12}),
+    ):
+        with pytest.raises(InvariantViolation):
+            _sweep(**bad)
 
 
 def test_spec_rejects_duplicate_learner_names():

@@ -22,7 +22,7 @@ from riskcurves.io_cli import (
     result_from_json_dict,
     result_to_json_dict,
 )
-from riskcurves.learners import MaxMargin, Mnlr, Ridge, SemiSupPfld
+from riskcurves.learners import LEARNERS, MaxMargin, Mnlr, Pfld, Ridge, SemiSupPfld
 
 
 def _tiny_result(keep_reps=True, learners=(Mnlr(),), grid=(2, 4, 8)):
@@ -81,8 +81,9 @@ def test_config_rejects_alpha_grid_with_zero():
 def test_config_learner_validation():
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[{"kind": "ridge"}]))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as err:
         config_from_dict(_minimal_config(learners=[{"kind": "nonsense"}]))
+    assert all(kind in str(err.value) for kind in LEARNERS)
     with pytest.raises(UnknownKey):
         config_from_dict(_minimal_config(learners=[{"kind": "mnlr", "tol": 1e-3}]))
     with pytest.raises(UnknownKey):  # the exact solver has no step size
@@ -91,6 +92,14 @@ def test_config_learner_validation():
         config_from_dict(_minimal_config(learners=[]))
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[{"kind": "semisup_pfld"}]))
+    for bad in (
+        {"kind": "mnlr", "rel_tol": True},
+        {"kind": "mnlr", "rel_tol": "0.001"},
+        {"kind": "semisup_pfld", "unlabeled_count": 2.5},
+        {"kind": "ridge", "lambda": True},
+    ):
+        with pytest.raises(InvariantViolation):
+            config_from_dict(_minimal_config(learners=[bad]))
     rc = config_from_dict(
         _minimal_config(
             learners=[
@@ -240,10 +249,21 @@ def test_json_round_trip_equality(tmp_path):
 
 
 def test_json_dict_round_trip_preserves_spec_types():
-    result = _tiny_result(learners=(SemiSupPfld(unlabeled_count=4), MaxMargin(c=7.0)))
+    learners = (
+        Mnlr(rel_tol=1e-8, name="m"),
+        Pfld(rel_tol=1e-9, name="p"),
+        Ridge(lam=0.25, name="r"),
+        SemiSupPfld(unlabeled_count=4, rel_tol=1e-8, name="s"),
+        MaxMargin(c=7.0, max_iters=500, name="mm"),
+    )
+    assert {type(spec) for spec in learners} == set(LEARNERS.values())
+    result = _tiny_result(learners=learners)
     loaded = result_from_json_dict(json.loads(json.dumps(result_to_json_dict(result))))
     assert loaded.spec == result.spec
     assert loaded == result
+    for before, after in zip(result.spec.learners, loaded.spec.learners):
+        assert type(after) is type(before)
+        assert [type(v) for v in vars(after).values()] == [type(v) for v in vars(before).values()]
 
 
 def test_result_from_json_rejects_unknown_keys():
@@ -366,6 +386,14 @@ def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
+    cfg = _write_config(tmp_path, learners=[{"kind": "mnlr", "name": "a,b"}])
+    out = tmp_path / "never.csv"
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
+    assert not out.exists()
+    assert "'a,b'" in capsys.readouterr().err
+
+
 def test_cli_kind_mismatch(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert cli_main(["learning-curve", "--config", str(cfg), "--out-csv", "x.csv"]) == 2
@@ -445,6 +473,25 @@ def test_cli_report(tmp_path, capsys):
 
 def test_cli_report_missing_file(tmp_path, capsys):
     assert cli_main(["report", "--in", str(tmp_path / "absent.json")]) == 4
+
+
+def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "r.json"
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-json", str(out)]) == 0
+    good = json.loads(out.read_text(encoding="utf-8"))
+    no_points = dict(good, points=[])
+    one_point = dict(good, points=good["points"][:1])
+    bad_mean = json.loads(json.dumps(good))
+    bad_mean["points"][0]["stats"]["mnlr"]["mean_risk"] = "low"
+    no_stats = json.loads(json.dumps(good))
+    for point in no_stats["points"]:
+        point["stats"] = {}
+    for doc in (no_points, one_point, bad_mean, no_stats):
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out)]) == 4
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_report_unknown_learner(tmp_path, capsys):

@@ -227,6 +227,8 @@ def test_ridge_rejects_nonpositive_lambda():
         fit_ridge([[1.0]], [1], 0.0)
     with pytest.raises(NonPositiveLambda):
         Ridge(lam=-1.0)
+    with pytest.raises(NonPositiveLambda):
+        Ridge(lam=True)
 
 
 # -- semi-supervised PFLD ----------------------------------------------------
@@ -372,6 +374,8 @@ def test_fit_dispatch_matches_direct_calls():
 def test_fit_semisup_requires_pool():
     with pytest.raises(ValueError):
         fit(SemiSupPfld(unlabeled_count=4), [[1.0], [-1.0]], [1, -1])
+    with pytest.raises(ValueError):
+        SemiSupPfld(unlabeled_count=2.5)
 
 
 def test_linear_model_validation():
