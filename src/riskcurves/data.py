@@ -7,6 +7,7 @@ seed, so sweeps are reproducible bit for bit.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MalformedCsv,
     MissingFile,
     MoreThanTwoClasses,
     NonNumericFeature,
@@ -198,66 +200,75 @@ def subsample_indices(ds: Dataset, n: int, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
+def _raise_bad_cell(path, names, cells, line_no):
+    """Raise :class:`NonNumericFeature` for the first bad cell of a feature row."""
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise NonNumericFeature(
+                f"{path}: non-numeric value {cell.strip()!r} at line {line_no}, column {name!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise NonNumericFeature(
+                f"{path}: non-finite value {cell.strip()!r} at line {line_no}, column {name!r}"
+            )
+
+
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Load a two-class dataset from a headed, comma-separated, UTF-8 file.
 
     All non-label columns become features in file order; label tokens map to
     +1 for ``positive_label`` and -1 for the single other token.  Missing or
-    non-numeric feature cells are errors, reported with line and column.
+    non-numeric feature cells are errors, reported with line and column.  A
+    leading byte-order mark is ignored.  Every content error is a
+    :class:`MalformedCsv` naming the file; an absent file is :class:`MissingFile`.
     """
     if not os.path.exists(path):
         raise MissingFile(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        if not feature_names:
-            raise ValueError(f"{path}: no feature columns besides the label")
-        rows: list[list[float]] = []
-        tokens: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
-                )
-            feats = []
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    tokens.append(cell.strip())
-                    continue
-                name = header[i]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericFeature(
-                        f"{path}: non-numeric value {cell.strip()!r} at line {line_no}, "
-                        f"column {name!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise NonNumericFeature(
-                        f"{path}: non-finite value {cell.strip()!r} at line {line_no}, "
-                        f"column {name!r}"
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MalformedCsv(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if label_column not in header:
+                raise MalformedCsv(f"{path}: no column named {label_column!r}")
+            label_pos = header.index(label_column)
+            feature_names = [h for i, h in enumerate(header) if i != label_pos]
+            if not feature_names:
+                raise MalformedCsv(f"{path}: no feature columns besides the label")
+            rows: list[list[float]] = []
+            tokens: list[str] = []
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise MalformedCsv(
+                        f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
                     )
-                feats.append(value)
-            rows.append(feats)
+                tokens.append(row.pop(label_pos).strip())
+                try:
+                    feats = list(map(float, row))
+                    finite = all(map(math.isfinite, feats))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    _raise_bad_cell(path, feature_names, row, line_no)
+                rows.append(feats)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedCsv(f"{path}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise MalformedCsv(f"{path}: no data rows")
     distinct = sorted(set(tokens))
     if len(distinct) > 2:
         raise MoreThanTwoClasses(
             f"{path}: expected two label tokens, found {len(distinct)}: {distinct}"
         )
     if len(distinct) < 2:
-        raise ValueError(f"{path}: only one label token present: {distinct}")
+        raise MalformedCsv(f"{path}: only one label token present: {distinct}")
     if positive_label not in distinct:
-        raise ValueError(
+        raise MalformedCsv(
             f"{path}: positive label {positive_label!r} not found, tokens are {distinct}"
         )
     y = np.array([1 if t == positive_label else -1 for t in tokens], dtype=np.int64)

@@ -43,11 +43,15 @@ class MissingFile(RiskCurvesError, FileNotFoundError):
     """An input file does not exist."""
 
 
-class NonNumericFeature(RiskCurvesError, ValueError):
+class MalformedCsv(RiskCurvesError, ValueError):
+    """A data CSV cannot be read as a two-class dataset."""
+
+
+class NonNumericFeature(MalformedCsv):
     """A CSV feature cell could not be parsed as a finite number."""
 
 
-class MoreThanTwoClasses(RiskCurvesError, ValueError):
+class MoreThanTwoClasses(MalformedCsv):
     """The CSV label column holds more than two distinct tokens."""
 
 

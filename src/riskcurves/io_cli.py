@@ -25,7 +25,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .errors import (
     ConfigError,
     GridExceedsDimension,
     InvariantViolation,
+    MalformedCsv,
     MissingFile,
     ParseError,
     RiskCurvesError,
@@ -440,6 +440,11 @@ _W, _H = 760, 460
 _ML, _MR, _MT, _MB = 72, 190, 28, 56
 
 
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without importing it (it pulls in urllib and http)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -511,11 +516,11 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
             f'<text x="{_ML - 9}" y="{py + 4:.2f}" text-anchor="end">{tick:.3g}</text>'
         )
     parts.append(
-        f'<text x="{_ML + plot_w / 2:.2f}" y="{_H - 14}" text-anchor="middle">{escape(spec.x_name())}</text>'
+        f'<text x="{_ML + plot_w / 2:.2f}" y="{_H - 14}" text-anchor="middle">{_escape(spec.x_name())}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MT + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MT + plot_h / 2:.2f})">mean {escape(spec.risk_metric)} risk</text>'
+        f'transform="rotate(-90 16 {_MT + plot_h / 2:.2f})">mean {_escape(spec.risk_metric)} risk</text>'
     )
     # single rule at the interpolation threshold
     tpx = sx(threshold)
@@ -543,7 +548,7 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(name)}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}">{_escape(name)}</text>')
 
     parts.append("</svg>")
     _atomic_write(path, "\n".join(parts) + "\n")
@@ -650,12 +655,12 @@ def cli_main(argv) -> int:
 
     try:
         result = run_sweep(sweep, keep_reps=keep_reps, workers=args.workers)
+    except (OSError, MalformedCsv) as exc:  # the CSV data source is missing or unreadable
+        _perr(str(exc))
+        return EXIT_IO
     except (RiskCurvesError, ValueError) as exc:  # a fit failure names its learner, x and rep
         _perr(str(exc))
         return EXIT_NUMERICAL
-    except OSError as exc:  # CSV data source reading
-        _perr(str(exc))
-        return EXIT_IO
 
     try:
         if out_csv:

@@ -15,6 +15,7 @@ from riskcurves.data import (
 )
 from riskcurves.errors import (
     DimensionMismatch,
+    MalformedCsv,
     MissingFile,
     MoreThanTwoClasses,
     NonNumericFeature,
@@ -202,13 +203,24 @@ def test_load_csv_basic(tmp_path):
     assert np.array_equal(ds.y, [1, -1, 1])
     again = load_csv(p, "cls", "p")
     assert np.array_equal(ds.x, again.x) and np.array_equal(ds.y, again.y)
+    padded = _write(tmp_path, 'a,b,cls\r\n" 1.5 ",2,p\r\n3, 4 , q \r\n', "crlf.csv")
+    ds = load_csv(padded, "cls", "q")
+    assert np.array_equal(ds.x, [[1.5, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ds.y, [-1, 1])
 
 
 def test_load_csv_label_column_position(tmp_path):
-    p = _write(tmp_path, "cls,a\np,1\nq,2\n")
-    ds = load_csv(p, "cls", "q")
-    assert np.array_equal(ds.y, [-1, 1])
-    assert np.array_equal(ds.x, [[1.0], [2.0]])
+    for name, text in (("first.csv", "cls,a\np,1\nq,2\n"), ("bom.csv", "\ufeffcls,a\np,1\nq,2\n")):
+        ds = load_csv(_write(tmp_path, text, name), "cls", "q")
+        assert np.array_equal(ds.y, [-1, 1])
+        assert np.array_equal(ds.x, [[1.0], [2.0]])
+    middle = _write(tmp_path, "a,b,cls,c,d\n1,2,p,3,4\n5,6,q,7,8\n", "middle.csv")
+    ds = load_csv(middle, "cls", "p")
+    assert np.array_equal(ds.y, [1, -1])
+    assert np.array_equal(ds.x, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    bom_later = _write(tmp_path, "\ufeffa,cls\nx,p\n1,q\n", "bom_later.csv")
+    with pytest.raises(NonNumericFeature, match="column 'a'"):
+        load_csv(bom_later, "cls", "p")
 
 
 def test_load_csv_non_numeric_cell_is_located(tmp_path):
@@ -216,6 +228,9 @@ def test_load_csv_non_numeric_cell_is_located(tmp_path):
     with pytest.raises(NonNumericFeature) as err:
         load_csv(p, "cls", "p")
     assert "line 3" in str(err.value) and "'b'" in str(err.value) and "oops" in str(err.value)
+    then_ragged = _write(tmp_path, "a,b,cls\n1,2,p\n3,oops,q\n5,6,p\n7,q\n", "then_ragged.csv")
+    with pytest.raises(NonNumericFeature, match="line 3, column 'b'"):
+        load_csv(then_ragged, "cls", "p")
 
 
 def test_load_csv_missing_value_is_error(tmp_path):
@@ -228,6 +243,10 @@ def test_load_csv_nan_token_is_error(tmp_path):
     p = _write(tmp_path, "a,cls\nnan,p\n1,q\n")
     with pytest.raises(NonNumericFeature):
         load_csv(p, "cls", "p")
+    for token in ("inf", "-inf"):
+        p = _write(tmp_path, f"a,b,cls\n1,2,p\n3,{token},q\n", f"{token}.csv")
+        with pytest.raises(NonNumericFeature, match=f"non-finite value '{token}' at line 3, column 'b'"):
+            load_csv(p, "cls", "p")
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -250,6 +269,15 @@ def test_load_csv_class_count_errors(tmp_path):
 def test_load_csv_structural_errors(tmp_path):
     with pytest.raises(ValueError):
         load_csv(_write(tmp_path, "a,b,cls\n1,2\n", "ragged.csv"), "cls", "p")
+    ragged_first = _write(tmp_path, "a,b,cls\n1,2\n3,4,p\n5,oops,q\n", "ragged_first.csv")
+    with pytest.raises(ValueError, match="line 2 has 2 cells, expected 3"):
+        load_csv(ragged_first, "cls", "p")
+    with pytest.raises(MalformedCsv, match="empty.csv: empty file"):
+        load_csv(_write(tmp_path, "", "empty.csv"), "cls", "p")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a,cls\n1,p\xe9\n2,q\n")
+    with pytest.raises(MalformedCsv, match="latin1.csv: 'utf-8' codec can't decode"):
+        load_csv(latin1, "cls", "p")
     with pytest.raises(ValueError):
         load_csv(_write(tmp_path, "a,b\n1,2\n", "nolabel.csv"), "cls", "p")
     with pytest.raises(ValueError):

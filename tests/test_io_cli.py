@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import riskcurves
 from riskcurves.curves import SweepSpec, run_feature_curve
 from riskcurves.data import CsvSource, GaussianSpec
 from riskcurves.errors import (
@@ -313,11 +317,21 @@ def test_svg_log_scale(tmp_path):
 
 
 def test_svg_escapes_names(tmp_path):
-    result = _tiny_result(learners=(Mnlr(name="a<b&c"),))
+    result = _tiny_result(learners=(Mnlr(name="a<b&c"), Pfld(name="d>e \"f\" 'g'")))
     emit_svg_plot(result, tmp_path / "esc.svg")
     text = (tmp_path / "esc.svg").read_text()
     ET.fromstring(text)
     assert "a&lt;b&amp;c" in text
+    assert ">d&gt;e \"f\" 'g'</text>" in text
+
+
+def test_cli_module_import_skips_network_stack():
+    mods = ("urllib.request", "http.client", "ssl", "email")
+    probe = f"import sys, riskcurves.io_cli; print([m for m in {mods!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riskcurves.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_atomic_write_leaves_no_temp_on_failure(tmp_path):
@@ -434,6 +448,27 @@ def test_cli_io_failure_exit_code(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "missing-dir" / "x.csv"
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 4
+
+
+def test_cli_unreadable_data_csv_exits_4_naming_the_file(tmp_path, capsys):
+    contents = {
+        "absent.csv": None,
+        "non_numeric.csv": b"a,b,cls\n1,2,p\n3,oops,q\n",
+        "ragged.csv": b"a,b,cls\n1,2\n",
+        "latin1.csv": b"a,b,cls\n1,2,p\xe9\n3,4,q\n",
+        "huge_cell.csv": b"a,b,cls\n1," + b"2" * 200_000 + b",p\n",  # over csv's field limit
+    }
+    out = tmp_path / "never.csv"
+    for name, data in contents.items():
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        source = {"source": "csv", "path": str(path), "label_column": "cls", "positive_label": "p"}
+        cfg = _write_config(tmp_path, data=source)
+        capsys.readouterr()
+        assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 4, name
+        assert not out.exists()
+        assert name in capsys.readouterr().err
 
 
 def test_cli_fit_value_error_exits_3_naming_the_cell(tmp_path, monkeypatch, capsys):
