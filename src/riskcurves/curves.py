@@ -30,6 +30,7 @@ import numpy as np
 
 from ._version import __version__
 from .data import (
+    SOURCES,
     CsvSource,
     Dataset,
     GaussianSpec,
@@ -46,7 +47,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _risk, fit
+from .learners import LEARNERS, _Checked, _risk, fit
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -207,9 +208,10 @@ class SweepSpec:
             )
 
     def _validate_source(self):
-        if not isinstance(self.data_source, (GaussianSpec, CsvSource)):
+        if type(self.data_source) not in SOURCES.values():
             raise InvariantViolation(
-                f"data_source must be a GaussianSpec or CsvSource, got {self.data_source!r}"
+                f"data_source must be one of {', '.join(c.__name__ for c in SOURCES.values())}, "
+                f"got {self.data_source!r}"
             )
         if isinstance(self.data_source, CsvSource):
             return
@@ -257,8 +259,12 @@ def interpolation_threshold(spec: SweepSpec) -> float:
 
 
 @dataclass(frozen=True)
-class LearnerStats:
-    """Aggregated risk of one learner at one grid point."""
+class LearnerStats(_Checked):
+    """Aggregated risk of one learner at one grid point.
+
+    Its fields are the columns of the result CSV and the keys of the result
+    JSON, so a field added here reaches both files.
+    """
 
     mean_risk: float
     std_risk: float
@@ -275,7 +281,7 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(_Checked):
     base_seed: int
     version: str
 

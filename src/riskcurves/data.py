@@ -9,7 +9,8 @@ seed, so sweeps are reproducible bit for bit.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     OddSampleSize,
     OutOfRange,
 )
-from .learners import as_labels
+from .learners import _Checked, _param, as_labels
 
 _CLASS_ORDER = (1, -1)  # fixed order keeps stratified draws deterministic
 
@@ -64,28 +65,28 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class GaussianSpec:
+class GaussianSpec(_Checked):
     """Two isotropic Gaussian classes at +-mu in ``dim`` dimensions.
 
     The first ``informative`` coordinates of mu are ``separation/sqrt(k)``
     (so ``||mu|| = separation``), the rest are zero: early features carry
-    signal, later ones only add capacity.
+    signal, later ones only add capacity.  The defaults are the config
+    defaults.  ``seed`` is set per rep by the sweep; a result file records
+    it, a config file may not set it.
     """
 
-    dim: int
-    informative: int
-    separation: float
-    seed: int = 0
+    source: ClassVar[str] = "gaussian"
+    dim: int = _param(">=", 1, default=120)
+    informative: int = _param(">=", 1, default=10)
+    separation: float = _param(">=", 0, default=2.5)
+    seed: int = field(default=0, metadata={"json_only": True})
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 1 <= self.informative <= self.dim:
+        super().__post_init__()
+        if self.informative > self.dim:
             raise ValueError(
                 f"informative must be in 1..{self.dim}, got {self.informative}"
             )
-        if self.separation < 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
 
     def mean_vector(self) -> np.ndarray:
         mu = np.zeros(self.dim)
@@ -94,13 +95,17 @@ class GaussianSpec:
 
 
 @dataclass(frozen=True)
-class CsvSource:
+class CsvSource(_Checked):
     """Reference to a two-class CSV file used as a sweep data source."""
 
+    source: ClassVar[str] = "csv"
     path: str
     label_column: str
     positive_label: str
     standardize: bool = True
+
+
+SOURCES = {cls.source: cls for cls in (GaussianSpec, CsvSource)}
 
 
 def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:

@@ -4,10 +4,12 @@ result emission, standalone SVG plots, and peak reporting.
 File contracts
 --------------
 * Config files are strict JSON objects; unknown keys are errors.
-* Result CSV: header ``curve_kind,x_name,x_value,learner,rep_count,
-  mean_risk,std_risk,stderr_risk,min_risk,max_risk,base_seed``, one row per
-  (grid point, learner) ordered by (x_value, learner), risks printed with 17
-  significant digits, LF endings, trailing newline.  With kept reps a
+* Result CSV: header ``curve_kind,x_name,x_value,learner``, then the
+  :class:`~riskcurves.curves.LearnerStats` fields with ``rep_count`` first
+  (``rep_count,mean_risk,std_risk,stderr_risk,min_risk,max_risk``), then
+  ``base_seed``; one row per (grid point, learner) ordered by (x_value,
+  learner), risks printed with 17 significant digits, LF endings, trailing
+  newline.  With kept reps a
   companion ``<path>.reps.csv`` holds the per-rep risks.
 * Result JSON round-trips a :class:`~riskcurves.curves.CurveResult`
   bit-exactly (floats are emitted in shortest round-trip form).
@@ -39,13 +41,14 @@ from .curves import (
     interpolation_threshold,
     run_sweep,
 )
-from .data import CsvSource, GaussianSpec
+from .data import SOURCES
 from .errors import (
     ConfigError,
     GridExceedsDimension,
     InvariantViolation,
     MalformedCsv,
     MissingFile,
+    OutOfRange,
     ParseError,
     RiskCurvesError,
     UnknownKey,
@@ -56,8 +59,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_BENCHMARK_DATA = {"dim": 120, "informative": 10, "separation": 2.5}
 
 _TOP_KEYS = {
     "kind", "grid", "seed", "learners", "fixed_n", "fixed_N", "test_size",
@@ -96,76 +97,66 @@ def _check_keys(d: dict, allowed: set, where: str):
             raise UnknownKey(f"{where}: unknown key {key!r}")
 
 
-def _learner_from_dict(entry, index: int):
-    where = f"learners[{index}]"
-    _expect(entry, (dict,), where, "each learner")
-    kind = entry.get("kind")
-    if kind is None:
-        raise InvariantViolation(f"{where}: missing 'kind'")
-    cls = LEARNERS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise InvariantViolation(
-            f"{where}: unknown learner kind {kind!r}; expected one of {', '.join(LEARNERS)}"
-        )
-    by_key = {cls.config_keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
-    _check_keys(entry, by_key.keys() | {"kind"}, where)
+def _from_dict(cls, entry: dict, where: str, *, json_only: bool = False):
+    """Build schema dataclass ``cls`` from ``entry``, keyed by ``cls.config_keys``.
+
+    A field whose metadata marks it ``json_only`` is a key of result files
+    only: it is accepted when ``json_only`` is true, else unknown.
+    """
+    by_key = {
+        cls.config_keys.get(f.name, f.name): f
+        for f in dataclasses.fields(cls)
+        if json_only or not f.metadata.get("json_only")
+    }
+    _check_keys(entry, by_key.keys(), where)
     for key, f in by_key.items():
         if f.default is dataclasses.MISSING and key not in entry:
-            raise InvariantViolation(f"{where}: {kind} needs {key!r}")
+            raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
     try:
-        return cls(**{by_key[key].name: value for key, value in entry.items() if key != "kind"})
+        return cls(**{by_key[key].name: value for key, value in entry.items()})
     except ValueError as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
 
 
-def _data_from_dict(entry, *, allow_seed: bool):
-    where = "data"
-    _expect(entry, (dict,), where, "the data section")
-    source = entry.get("source", "gaussian")
-    if source == "gaussian":
-        allowed = {"source", "dim", "informative", "separation"}
-        if allow_seed:
-            allowed |= {"seed"}
-        _check_keys(entry, allowed, where)
-        try:
-            return GaussianSpec(
-                dim=_expect(entry.get("dim", _BENCHMARK_DATA["dim"]), (int,), where, "'dim'"),
-                informative=_expect(
-                    entry.get("informative", _BENCHMARK_DATA["informative"]), (int,), where, "'informative'"
-                ),
-                separation=float(
-                    _expect(entry.get("separation", _BENCHMARK_DATA["separation"]), (int, float), where, "'separation'")
-                ),
-                seed=_expect(entry.get("seed", 0), (int,), where, "'seed'") if allow_seed else 0,
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise InvariantViolation(f"{where}: {exc}") from exc
-    if source == "csv":
-        _check_keys(entry, {"source", "path", "label_column", "positive_label", "standardize"}, where)
-        for req in ("path", "label_column", "positive_label"):
-            if req not in entry:
-                raise InvariantViolation(f"{where}: csv source needs {req!r}")
-            _expect(entry[req], (str,), where, f"'{req}'")
-        return CsvSource(
-            path=entry["path"],
-            label_column=entry["label_column"],
-            positive_label=entry["positive_label"],
-            standardize=_expect(entry.get("standardize", True), (bool,), where, "'standardize'"),
+def _tagged_from_dict(
+    entry, table: dict, tag: str, where: str, *, default=None, json_only: bool = False
+):
+    """:func:`_from_dict` for the class of ``table`` that ``entry[tag]`` names."""
+    _expect(entry, (dict,), where, "the entry")
+    name = entry.get(tag, default)
+    if name is None:
+        raise InvariantViolation(f"{where}: missing {tag!r}")
+    cls = table.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise InvariantViolation(
+            f"{where}: unknown {tag} {name!r}; expected one of {', '.join(table)}"
         )
-    raise InvariantViolation(f"{where}: unknown source {source!r}; expected 'gaussian' or 'csv'")
+    rest = {key: value for key, value in entry.items() if key != tag}
+    return _from_dict(cls, rest, where, json_only=json_only)
 
 
-def _sweep_from_dict(d: dict, *, allow_data_seed: bool = False) -> SweepSpec:
+def _to_dict(obj) -> dict:
+    """Inverse of :func:`_from_dict`: each field that is not None, by config key."""
+    return {
+        obj.config_keys.get(f.name, f.name): getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if getattr(obj, f.name) is not None
+    }
+
+
+def _sweep_from_dict(d: dict, *, json_only: bool = False) -> SweepSpec:
     for key in ("kind", "grid", "seed", "learners"):
         if key not in d:
             raise InvariantViolation(f"missing {key!r}")
     grid = _expect(d["grid"], (list,), "grid", "'grid'")
     learner_list = _expect(d["learners"], (list,), "learners", "'learners'")
-    learners = tuple(_learner_from_dict(e, i) for i, e in enumerate(learner_list))
+    learners = tuple(
+        _tagged_from_dict(e, LEARNERS, "kind", f"learners[{i}]") for i, e in enumerate(learner_list)
+    )
     feature = d["kind"] == CurveKind.FEATURE.value
-    data = _data_from_dict(d.get("data", {"source": "gaussian"}), allow_seed=allow_data_seed)
+    data = _tagged_from_dict(
+        d.get("data", {}), SOURCES, "source", "data", default="gaussian", json_only=json_only
+    )
     try:
         return SweepSpec(
             kind=d["kind"],
@@ -215,39 +206,12 @@ def load_config(path) -> RunConfig:
 # Result serialization.
 
 
-def _learner_to_dict(spec) -> dict:
-    out = {"kind": spec.kind}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if value is not None:
-            out[spec.config_keys.get(f.name, f.name)] = value
-    return out
-
-
-def _data_to_dict(source) -> dict:
-    if isinstance(source, GaussianSpec):
-        return {
-            "source": "gaussian",
-            "dim": source.dim,
-            "informative": source.informative,
-            "separation": source.separation,
-            "seed": source.seed,
-        }
-    return {
-        "source": "csv",
-        "path": source.path,
-        "label_column": source.label_column,
-        "positive_label": source.positive_label,
-        "standardize": source.standardize,
-    }
-
-
 def _spec_to_dict(spec: SweepSpec) -> dict:
     out = {
         "kind": spec.kind.value,
         "grid": list(spec.grid),
         "seed": spec.base_seed,
-        "learners": [_learner_to_dict(l) for l in spec.learners],
+        "learners": [{"kind": l.kind, **_to_dict(l)} for l in spec.learners],
     }
     if spec.fixed_n is not None:
         out["fixed_n"] = spec.fixed_n
@@ -256,7 +220,7 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
     out["test_size"] = spec.test_size
     out["reps"] = spec.reps
     out["risk_metric"] = spec.risk_metric
-    out["data"] = _data_to_dict(spec.data_source)
+    out["data"] = {"source": spec.data_source.source, **_to_dict(spec.data_source)}
     return out
 
 
@@ -264,26 +228,10 @@ def result_to_json_dict(result: CurveResult) -> dict:
     out = {
         "spec": _spec_to_dict(result.spec),
         "points": [
-            {
-                "x_value": p.x_value,
-                "stats": {
-                    name: {
-                        "mean_risk": s.mean_risk,
-                        "std_risk": s.std_risk,
-                        "stderr_risk": s.stderr_risk,
-                        "min_risk": s.min_risk,
-                        "max_risk": s.max_risk,
-                        "rep_count": s.rep_count,
-                    }
-                    for name, s in p.stats.items()
-                },
-            }
+            {"x_value": p.x_value, "stats": {name: _to_dict(s) for name, s in p.stats.items()}}
             for p in result.points
         ],
-        "provenance": {
-            "base_seed": result.provenance.base_seed,
-            "version": result.provenance.version,
-        },
+        "provenance": _to_dict(result.provenance),
     }
     if result.rep_risks is not None:
         out["rep_risks"] = {
@@ -299,7 +247,7 @@ def result_from_json_dict(d: dict) -> CurveResult:
         _expect(d, (dict,), "result", "the result document")
         _check_keys(d, {"spec", "points", "provenance", "rep_risks"}, "result")
         spec_d = _expect(d.get("spec"), (dict,), "result.spec", "'spec'")
-        sweep = _sweep_from_dict(spec_d, allow_data_seed=True)
+        sweep = _sweep_from_dict(spec_d, json_only=True)
         point_list = _expect(d.get("points"), (list,), "result.points", "'points'")
         if len(point_list) != len(sweep.grid):
             raise InvariantViolation(
@@ -314,34 +262,31 @@ def result_from_json_dict(d: dict) -> CurveResult:
                 raise InvariantViolation(
                     f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}"
                 )
-            stats = {}
-            for name, sd in pd["stats"].items():
-                _check_keys(
-                    sd,
-                    {"mean_risk", "std_risk", "stderr_risk", "min_risk", "max_risk", "rep_count"},
-                    f"result.points[{i}].stats[{name!r}]",
-                )
-                stats[name] = LearnerStats(
-                    mean_risk=float(sd["mean_risk"]),
-                    std_risk=float(sd["std_risk"]),
-                    stderr_risk=float(sd["stderr_risk"]),
-                    min_risk=float(sd["min_risk"]),
-                    max_risk=float(sd["max_risk"]),
-                    rep_count=int(sd["rep_count"]),
-                )
+            stats = {
+                name: _from_dict(LearnerStats, sd, f"result.points[{i}].stats[{name!r}]")
+                for name, sd in pd["stats"].items()
+            }
             points.append(CurvePoint(x_value=float(pd["x_value"]), stats=stats))
         prov = _expect(d.get("provenance"), (dict,), "result.provenance", "'provenance'")
-        _check_keys(prov, {"base_seed", "version"}, "result.provenance")
         rep_risks = None
         if "rep_risks" in d:
+            rep_d = _expect(d["rep_risks"], (dict,), "result.rep_risks", "'rep_risks'")
+            if sorted(rep_d) != labels or any(
+                len(per_point) != len(sweep.grid) or any(len(point) != sweep.reps for point in per_point)
+                for per_point in rep_d.values()
+            ):
+                raise InvariantViolation(
+                    f"result.rep_risks: expected {sweep.reps} risks at each of "
+                    f"{len(sweep.grid)} points for each of {labels}"
+                )
             rep_risks = {
                 name: tuple(tuple(float(r) for r in point) for point in per_point)
-                for name, per_point in d["rep_risks"].items()
+                for name, per_point in rep_d.items()
             }
         return CurveResult(
             spec=sweep,
             points=tuple(points),
-            provenance=Provenance(base_seed=int(prov["base_seed"]), version=str(prov["version"])),
+            provenance=_from_dict(Provenance, prov, "result.provenance"),
             rep_risks=rep_risks,
         )
     except ConfigError:
@@ -385,6 +330,10 @@ def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _csv_cell(value) -> str:
+    return _g17(value) if isinstance(value, float) else str(value)
+
+
 def emit_csv(result: CurveResult, path) -> None:
     """Write the aggregated curve as CSV (see module docstring for schema).
 
@@ -397,18 +346,13 @@ def emit_csv(result: CurveResult, path) -> None:
     for label in result.points[0].stats if result.points else ():
         if "," in label or "\n" in label:
             raise ValueError(f"learner name {label!r} cannot appear in CSV output")
-    lines = [
-        "curve_kind,x_name,x_value,learner,rep_count,mean_risk,std_risk,"
-        "stderr_risk,min_risk,max_risk,base_seed"
-    ]
+    columns = sorted(dataclasses.fields(LearnerStats), key=lambda f: f.name != "rep_count")
+    lines = [f"curve_kind,x_name,x_value,learner,{','.join(f.name for f in columns)},base_seed"]
     for point in sorted(result.points, key=lambda p: p.x_value):
         for name in sorted(point.stats):
             s = point.stats[name]
-            lines.append(
-                f"{kind},{x_name},{_g17(point.x_value)},{name},{s.rep_count},"
-                f"{_g17(s.mean_risk)},{_g17(s.std_risk)},{_g17(s.stderr_risk)},"
-                f"{_g17(s.min_risk)},{_g17(s.max_risk)},{seed}"
-            )
+            cells = (_csv_cell(getattr(s, f.name)) for f in columns)
+            lines.append(f"{kind},{x_name},{_g17(point.x_value)},{name},{','.join(cells)},{seed}")
     _atomic_write(path, "\n".join(lines) + "\n")
     if result.rep_risks is not None:
         rep_lines = ["curve_kind,x_name,x_value,learner,rep,risk"]
@@ -655,7 +599,8 @@ def cli_main(argv) -> int:
 
     try:
         result = run_sweep(sweep, keep_reps=keep_reps, workers=args.workers)
-    except (OSError, MalformedCsv) as exc:  # the CSV data source is missing or unreadable
+    except (OSError, MalformedCsv, OutOfRange, GridExceedsDimension) as exc:
+        # the CSV data source is missing, unreadable or too small for the grid
         _perr(str(exc))
         return EXIT_IO
     except (RiskCurvesError, ValueError) as exc:  # a fit failure names its learner, x and rep

@@ -40,8 +40,11 @@ class LinearModel:
 
 
 # --------------------------------------------------------------------------
-# Declarative learner choices, used by the sweep harness and the CLI config.
-# Each spec declares its config ``kind``, any config key that differs from a
+# Declarative schema.  Learner specs (here), data sources (``data``) and the
+# per-point stats and provenance of a result (``curves``) are flat frozen
+# dataclasses whose field annotations are their type checks (``_Checked``);
+# ``io_cli`` reads and writes all of them from their fields.  Each learner
+# spec also declares its config ``kind``, any config key that differs from a
 # field name (``config_keys``), its parameters with their defaults and lower
 # bounds, and the fit it dispatches to (``_fit``).  ``LEARNERS`` maps each
 # kind to its spec and drives ``fit``, config parsing and the JSON round trip.
@@ -52,26 +55,32 @@ def _param(op: str, low, default=MISSING, error=ValueError):
     return field(default=default, metadata={"op": op, "low": low, "error": error})
 
 
-class _LearnerSpec:
+class _Checked:
+    """Base of the schema dataclasses: a field's annotation is its type check.
+
+    ``int`` and ``float`` fields reject booleans and are stored as that type;
+    any other annotation (``str``, ``bool``, ``str | None``) is an
+    ``isinstance`` check.  :func:`_param` adds a lower bound.
+    """
+
     config_keys: ClassVar[dict] = {}
 
     def __post_init__(self):
-        """Check every field's type and bound; store numbers as the field's type."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "name":
-                if not isinstance(value, (str, type(None))):
-                    raise ValueError(f"name must be a string, got {value!r}")
-                continue
-            op, low, error = f.metadata["op"], f.metadata["low"], f.metadata["error"]
-            number = numbers.Integral if f.type is int else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise error(f"{f.name} must be {f.type.__name__}, got {value!r}")
-            value = f.type(value)
-            if not (value > low if op == ">" else value >= low):
+            error = f.metadata.get("error", ValueError)
+            number = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+            if (number and isinstance(value, bool)) or not isinstance(value, number or f.type):
+                raise error(f"{f.name} must be {getattr(f.type, '__name__', f.type)}, got {value!r}")
+            if number:
+                value = f.type(value)
+                object.__setattr__(self, f.name, value)
+            op, low = f.metadata.get("op"), f.metadata.get("low")
+            if op and not (value > low if op == ">" else value >= low):
                 raise error(f"{f.name} must be {op} {low}, got {value}")
-            object.__setattr__(self, f.name, value)
 
+
+class _LearnerSpec(_Checked):
     @property
     def label(self) -> str:
         return self.name or self.kind

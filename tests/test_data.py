@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from riskcurves.data import (
+    CsvSource,
     Dataset,
     GaussianSpec,
     append_random_features,
@@ -47,6 +48,17 @@ def test_gaussian_spec_validation():
         GaussianSpec(dim=3, informative=4, separation=1.0)
     with pytest.raises(ValueError):
         GaussianSpec(dim=3, informative=1, separation=-0.5)
+    for bad in (dict(dim=True), dict(dim=8.0), dict(separation="2")):
+        with pytest.raises(ValueError):
+            GaussianSpec(**{"dim": 8, "informative": 2, "separation": 2.0, **bad})
+
+
+def test_csv_source_validation():
+    assert CsvSource("x.csv", "y", "p").standardize is True
+    with pytest.raises(ValueError):
+        CsvSource(path=5, label_column="y", positive_label="p")
+    with pytest.raises(ValueError):
+        CsvSource(path="x.csv", label_column="y", positive_label="p", standardize="no")
 
 
 def test_gen_deterministic_and_balanced():

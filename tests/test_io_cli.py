@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import riskcurves
 from riskcurves.curves import SweepSpec, run_feature_curve
-from riskcurves.data import CsvSource, GaussianSpec
+from riskcurves.data import SOURCES, CsvSource, GaussianSpec
 from riskcurves.errors import (
     InvariantViolation,
     MissingFile,
@@ -252,7 +253,7 @@ def test_json_round_trip_equality(tmp_path):
         assert load_result(path) == result
 
 
-def test_json_dict_round_trip_preserves_spec_types():
+def test_json_dict_round_trip_preserves_spec_types(tmp_path):
     learners = (
         Mnlr(rel_tol=1e-8, name="m"),
         Pfld(rel_tol=1e-9, name="p"),
@@ -261,13 +262,24 @@ def test_json_dict_round_trip_preserves_spec_types():
         MaxMargin(c=7.0, max_iters=500, name="mm"),
     )
     assert {type(spec) for spec in learners} == set(LEARNERS.values())
-    result = _tiny_result(learners=learners)
-    loaded = result_from_json_dict(json.loads(json.dumps(result_to_json_dict(result))))
-    assert loaded.spec == result.spec
-    assert loaded == result
-    for before, after in zip(result.spec.learners, loaded.spec.learners):
-        assert type(after) is type(before)
-        assert [type(v) for v in vars(after).values()] == [type(v) for v in vars(before).values()]
+    sources = (
+        GaussianSpec(dim=8, informative=2, separation=2.0, seed=11),
+        CsvSource("data.csv", "cls", "p", standardize=False),
+    )
+    assert {type(source) for source in sources} == set(SOURCES.values())
+    swept = _tiny_result(learners=learners)
+    for source in sources:
+        result = dataclasses.replace(swept, spec=dataclasses.replace(swept.spec, data_source=source))
+        loaded = result_from_json_dict(json.loads(json.dumps(result_to_json_dict(result))))
+        assert loaded.spec == result.spec
+        assert loaded == result
+        specs = zip((*result.spec.learners, source), (*loaded.spec.learners, loaded.spec.data_source))
+        for before, after in specs:
+            assert type(after) is type(before)
+            assert [type(v) for v in vars(after).values()] == [type(v) for v in vars(before).values()]
+        emit_json(result, tmp_path / "a.json")
+        emit_json(load_result(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_result_from_json_rejects_unknown_keys():
@@ -457,6 +469,8 @@ def test_cli_unreadable_data_csv_exits_4_naming_the_file(tmp_path, capsys):
         "ragged.csv": b"a,b,cls\n1,2\n",
         "latin1.csv": b"a,b,cls\n1,2,p\xe9\n3,4,q\n",
         "huge_cell.csv": b"a,b,cls\n1," + b"2" * 200_000 + b",p\n",  # over csv's field limit
+        "few_columns.csv": b"a,b,cls\n" + b"1,2,p\n3,4,q\n" * 60,  # grid needs 6 features
+        "few_rows.csv": b"a,b,c,d,e,f,cls\n" + b"1,2,3,4,5,6,p\n2,3,4,5,6,7,q\n" * 4,
     }
     out = tmp_path / "never.csv"
     for name, data in contents.items():
@@ -513,16 +527,26 @@ def test_cli_report_missing_file(tmp_path, capsys):
 def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "r.json"
-    assert cli_main(["feature-curve", "--config", str(cfg), "--out-json", str(out)]) == 0
+    run = ["feature-curve", "--config", str(cfg), "--out-json", str(out), "--keep-reps"]
+    assert cli_main(run) == 0
     good = json.loads(out.read_text(encoding="utf-8"))
     no_points = dict(good, points=[])
     one_point = dict(good, points=good["points"][:1])
-    bad_mean = json.loads(json.dumps(good))
-    bad_mean["points"][0]["stats"]["mnlr"]["mean_risk"] = "low"
     no_stats = json.loads(json.dumps(good))
     for point in no_stats["points"]:
         point["stats"] = {}
-    for doc in (no_points, one_point, bad_mean, no_stats):
+    bad_stats = []
+    for key, value in (("mean_risk", "low"), ("mean_risk", True), ("rep_count", 3.7), ("rep_count", "3")):
+        doc = json.loads(json.dumps(good))
+        doc["points"][0]["stats"]["mnlr"][key] = value
+        bad_stats.append(doc)
+    reps = good["rep_risks"]["mnlr"]
+    bad_reps = [
+        dict(good, rep_risks={"pfld": reps}),
+        dict(good, rep_risks={"mnlr": reps[:1]}),
+        dict(good, rep_risks={"mnlr": [reps[0][:1], *reps[1:]]}),
+    ]
+    for doc in (no_points, one_point, no_stats, *bad_stats, *bad_reps):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert cli_main(["report", "--in", str(out)]) == 4
