@@ -22,7 +22,6 @@ byte-identical data, so per-cell risk differences are attributable to the
 learner alone.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -434,6 +433,8 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
         for rep in range(spec.reps):
             risks[:, :, rep] = run_rep(rep)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging; only threaded runs need it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for rep, cell in enumerate(pool.map(run_rep, range(spec.reps))):
                 risks[:, :, rep] = cell

@@ -258,7 +258,8 @@ def result_from_json_dict(d: dict) -> CurveResult:
         for i, (pd, x_value) in enumerate(zip(point_list, sweep.grid)):
             _expect(pd, (dict,), f"result.points[{i}]", "each point")
             _check_keys(pd, {"x_value", "stats"}, f"result.points[{i}]")
-            if float(pd["x_value"]) != x_value or sorted(pd["stats"]) != labels:
+            got = float(_expect(pd["x_value"], (int, float), f"result.points[{i}]", "x_value"))
+            if got != x_value or sorted(pd["stats"]) != labels:
                 raise InvariantViolation(
                     f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}"
                 )
@@ -266,7 +267,7 @@ def result_from_json_dict(d: dict) -> CurveResult:
                 name: _from_dict(LearnerStats, sd, f"result.points[{i}].stats[{name!r}]")
                 for name, sd in pd["stats"].items()
             }
-            points.append(CurvePoint(x_value=float(pd["x_value"]), stats=stats))
+            points.append(CurvePoint(x_value=got, stats=stats))
         prov = _expect(d.get("provenance"), (dict,), "result.provenance", "'provenance'")
         rep_risks = None
         if "rep_risks" in d:
@@ -279,10 +280,12 @@ def result_from_json_dict(d: dict) -> CurveResult:
                     f"result.rep_risks: expected {sweep.reps} risks at each of "
                     f"{len(sweep.grid)} points for each of {labels}"
                 )
-            rep_risks = {
-                name: tuple(tuple(float(r) for r in point) for point in per_point)
-                for name, per_point in rep_d.items()
-            }
+            rep_risks = {}
+            for name, per_point in rep_d.items():
+                where = f"result.rep_risks[{name!r}]"
+                rep_risks[name] = tuple(
+                    tuple(float(_expect(r, (int, float), where, "each risk")) for r in point) for point in per_point
+                )
         return CurveResult(
             spec=sweep,
             points=tuple(points),

@@ -187,7 +187,7 @@ def as_labels(y) -> np.ndarray:
     out = arr.astype(np.int64)
     if not np.array_equal(out, arr):
         raise ValueError("labels must be integers -1 or +1")
-    if not np.all(np.isin(out, (-1, 1))):
+    if not np.all((out == 1) | (out == -1)):
         raise ValueError("labels must be -1 or +1")
     return out
 
@@ -263,6 +263,11 @@ def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = DEFAULT_REL_TOL) -> Lin
     composes the transform back so the model predicts from raw features.
     With no unlabeled points this reproduces :func:`fit_pfld` decisions: the
     truncated whitening is then a bijection on the span of the training data.
+
+    The whitening uses only singular values and right singular vectors, so
+    a pool with at least twice as many rows as columns is first reduced to
+    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
+    the same reduction at that shape, so the whitening is unchanged.
     """
     xm, ym = _check_training_pair(x_lab, y)
     xu = np.asarray(x_unlab, dtype=np.float64)
@@ -278,7 +283,9 @@ def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = DEFAULT_REL_TOL) -> Lin
         return fit_mnlr(xm, ym, rel_tol)
     pooled = np.vstack([xm, xu])
     mean = pooled.mean(axis=0)
-    f = thin_svd(pooled - mean)
+    centered = pooled - mean
+    tall = centered.shape[0] >= 2 * centered.shape[1]
+    f = thin_svd(np.linalg.qr(centered, mode="r") if tall else centered)
     sigma = f.s / np.sqrt(pooled.shape[0])
     rank = int(np.count_nonzero(sigma > rel_tol * sigma[0])) if sigma[0] > 0 else 0
     if rank == 0:  # every pooled point identical: only the bias is learnable

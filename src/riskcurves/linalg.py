@@ -4,6 +4,9 @@ least squares.
 All solvers go through one thin SVD so the pseudo-inverse and the ridge
 filter share the same factorization semantics.  Matrices are plain 2-D
 float64 ``numpy`` arrays, vectors 1-D; inputs are validated to be finite.
+The semi-supervised whitening in ``learners`` hands :func:`thin_svd` the
+triangular QR factor ``R`` of a tall pool rather than the pool itself: it
+uses only the singular values and right singular vectors, which both share.
 """
 
 from dataclasses import dataclass

@@ -346,6 +346,15 @@ def test_cli_module_import_skips_network_stack():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_module_import_skips_thread_pool():
+    mods = ("concurrent.futures", "logging")
+    probe = f"import sys, riskcurves.io_cli; print([m for m in {mods!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riskcurves.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_atomic_write_leaves_no_temp_on_failure(tmp_path):
     result = _tiny_result()
     target = tmp_path / "adir"
@@ -546,7 +555,15 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         dict(good, rep_risks={"mnlr": reps[:1]}),
         dict(good, rep_risks={"mnlr": [reps[0][:1], *reps[1:]]}),
     ]
-    for doc in (no_points, one_point, no_stats, *bad_stats, *bad_reps):
+    bad_numbers = []
+    for value in ("0.5", True, str(good["points"][1]["x_value"]), None):
+        doc = json.loads(json.dumps(good))
+        doc["points"][1]["x_value"] = value
+        bad_numbers.append(doc)
+        doc = json.loads(json.dumps(good))
+        doc["rep_risks"]["mnlr"][1][0] = value
+        bad_numbers.append(doc)
+    for doc in (no_points, one_point, no_stats, *bad_stats, *bad_reps, *bad_numbers):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert cli_main(["report", "--in", str(out)]) == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from riskcurves import learners
 from riskcurves.data import GaussianSpec, gen_two_gaussians
 from riskcurves.errors import (
     DimensionMismatch,
@@ -16,6 +17,7 @@ from riskcurves.learners import (
     Pfld,
     Ridge,
     SemiSupPfld,
+    as_labels,
     decision_values,
     fit,
     fit_max_margin,
@@ -28,6 +30,7 @@ from riskcurves.learners import (
     squared_risk,
     zero_one_risk,
 )
+from riskcurves.linalg import thin_svd
 
 
 def _balanced(rng, n, d, delta=1.5):
@@ -253,6 +256,66 @@ def test_semisup_duplicated_points_keep_symmetric_decisions():
     assert_array_equal(predict(semis, xt), predict(plain, xt))
 
 
+def _whitening_rank(s, rel_tol=1e-10):
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
+
+
+def _whitened_reference(x, y, pool, rel_tol=1e-10):
+    """Semi-supervised PFLD whitened by the SVD of the whole centred pool."""
+    pooled = np.vstack([x, pool])
+    mean = pooled.mean(axis=0)
+    f = thin_svd(pooled - mean)
+    rank = _whitening_rank(f.s, rel_tol)
+    if rank == 0:
+        return rank, LinearModel(weights=np.zeros(x.shape[1]), bias=float(np.mean(y)))
+    transform = f.v[:, :rank] / (f.s[:rank] / np.sqrt(pooled.shape[0]))
+    inner = fit_mnlr((x - mean) @ transform, y, rel_tol)
+    w = transform @ inner.weights
+    return rank, LinearModel(weights=w, bias=inner.bias - float(w @ mean))
+
+
+def _scaled_normal(cols):
+    return lambda rng, rows: rng.standard_normal((rows, cols)) * np.linspace(1.0, 3.0, cols)
+
+
+def _duplicated_columns(rng, rows):
+    half = rng.standard_normal((rows, 6))
+    return np.hstack([half, half])
+
+
+@pytest.mark.parametrize(
+    "n, cols, pool_rows, draw, rank",
+    [
+        (40, 40, 400, _scaled_normal(40), 40),  # rows = 11 cols, as in closed-form sweeps
+        (20, 30, 40, _scaled_normal(30), 30),  # rows = 2 cols: the smallest pool factored via R
+        (20, 30, 39, _scaled_normal(30), 30),  # rows = 2 cols - 1: SVD of the pool itself
+        (10, 25, 0, _scaled_normal(25), 9),  # empty pool, more columns than rows
+        (20, 12, 100, _duplicated_columns, 6),  # rank-deficient pool
+        (10, 5, 50, lambda rng, rows: np.full((rows, 5), 0.75), 0),  # every point identical
+    ],
+)
+def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_rows, draw, rank):
+    rng = np.random.default_rng(cols * 1000 + pool_rows)
+    x, pool, held_out = draw(rng, n), draw(rng, pool_rows), draw(rng, 200)
+    y = np.resize([1, -1], n)
+    seen = []
+
+    def recording_svd(a):
+        f = thin_svd(a)
+        seen.append((np.shape(a), f.s))
+        return f
+
+    monkeypatch.setattr(learners, "thin_svd", recording_svd)
+    model = fit_semisup_pfld(x, y, pool)
+    (shape, s), = seen
+    rows = n + pool_rows
+    assert shape == ((cols, cols) if rows >= 2 * cols else (rows, cols))
+    ref_rank, ref = _whitened_reference(x, y, pool)
+    assert _whitening_rank(s) == ref_rank == rank
+    assert_allclose(model.weights, ref.weights, rtol=1e-10)
+    assert_array_equal(predict(model, held_out), predict(ref, held_out))
+
+
 def test_semisup_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit_semisup_pfld([[1.0], [-1.0]], [1, -1], np.zeros((3, 2)))
@@ -265,6 +328,28 @@ def test_semisup_changes_weights_with_informative_pool():
     semis = fit_semisup_pfld(x, y, pool)
     plain = fit_pfld(x, y)
     assert not np.allclose(semis.weights, plain.weights)
+
+
+# -- labels ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, -1, 1], np.array([-1, -1], dtype=np.int8), [1.0, -1.0], np.array([True, True])],
+)
+def test_as_labels_accepts_plus_minus_one(labels):
+    out = as_labels(labels)
+    assert out.dtype == np.int64
+    assert_array_equal(out, np.asarray(labels, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, 0], [2, -1], [1, -2], [1.5, -1.0], [[1, -1], [-1, 1]], np.array([True, False])],
+)
+def test_as_labels_rejects_other_values(labels):
+    with pytest.raises(ValueError):
+        as_labels(labels)
 
 
 # -- max margin --------------------------------------------------------------
