@@ -29,7 +29,6 @@ import numpy as np
 
 from ._version import __version__
 from .data import (
-    SOURCES,
     CsvSource,
     Dataset,
     GaussianSpec,
@@ -46,7 +45,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _Checked, _risk, fit
+from .learners import LEARNERS, _Checked, _param, _risk, fit
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -85,6 +84,11 @@ class CurveKind(str, Enum):
     LEARNING = "learning_curve"
     ALPHA = "alpha_curve"
 
+    @property
+    def _pinned(self) -> str:
+        """The :class:`SweepSpec` field this kind holds fixed."""
+        return "fixed_n" if self is CurveKind.FEATURE else "fixed_N"
+
 
 def alpha_train_size(alpha: float, fixed_N: int) -> int:
     """Training size for a ratio point: round(alpha * N), half away from zero."""
@@ -92,24 +96,33 @@ def alpha_train_size(alpha: float, fixed_N: int) -> int:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Checked):
     """Declarative description of one curve experiment.
 
-    ``grid`` values are feature counts (feature curves), training sizes
-    (learning curves) or ratios n/N (alpha curves).  ``fixed_n`` pins the
-    training size of a feature curve; ``fixed_N`` pins the dimension of a
-    learning or alpha curve.  Per-rep seeds all derive from ``base_seed``;
+    Each curve is a path through the plane of training size n and feature
+    count N; :meth:`_cell` maps a grid value x to its cell (n, N):
+
+    * feature curve: ``(fixed_n, x)``, x a feature count;
+    * learning curve: ``(x, fixed_N)``, x a training size;
+    * alpha curve: ``(alpha_train_size(x, fixed_N), fixed_N)``, x = n/N.
+
+    A kind sets only the field it pins (``CurveKind._pinned``).  The per-rep
+    training pool, the feature columns a data source must supply and the
+    interpolation threshold all follow from that rule, and every point must
+    train on at least 2 rows.  Per-rep seeds all derive from ``base_seed``;
     the seed carried by a Gaussian data source is ignored here.
     """
+
+    _error = InvariantViolation
 
     kind: CurveKind
     grid: tuple
     learners: tuple
     data_source: GaussianSpec | CsvSource
-    fixed_n: int | None = None
-    fixed_N: int | None = None
-    test_size: int = 2000
-    reps: int = 50
+    fixed_n: int | None = _param(">=", 2, default=None)
+    fixed_N: int | None = _param(">=", 2, default=None)
+    test_size: int = _param(">=", 1, default=2000)
+    reps: int = _param(">=", 1, default=50)
     base_seed: int = 0
     risk_metric: str = "zero_one"
 
@@ -122,6 +135,7 @@ class SweepSpec:
             ) from None
         object.__setattr__(self, "learners", tuple(self.learners))
         self._validate_grid()
+        super().__post_init__()
         self._validate_fields()
         self._validate_source()
 
@@ -134,36 +148,19 @@ class SweepSpec:
             raise InvariantViolation(f"grid must be a sequence, got {self.grid!r}") from None
         if not raw:
             raise InvariantViolation("grid must be nonempty")
-        if self.kind is CurveKind.ALPHA:
-            vals = []
-            for g in raw:
-                if isinstance(g, bool) or not isinstance(g, (int, float)):
-                    raise InvariantViolation(f"alpha grid values must be numbers, got {g!r}")
-                if not g > 0:
-                    raise InvariantViolation(f"alpha grid values must be > 0, got {g}")
-                vals.append(float(g))
-            grid = tuple(vals)
-        else:
-            what = "feature counts" if self.kind is CurveKind.FEATURE else "training sizes"
-            low = 1 if self.kind is CurveKind.FEATURE else 2
-            for g in raw:
-                if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
-                    raise InvariantViolation(f"{what} must be integers, got {g!r}")
-                if g < low:
-                    raise InvariantViolation(f"{what} must be >= {low}, got {g}")
-            grid = tuple(int(g) for g in raw)
+        ratio = self.kind is CurveKind.ALPHA  # alpha grids hold ratios n/N, the others counts
+        types, what = ((int, float), "numbers") if ratio else ((int, np.integer), "integers")
+        for g in raw:
+            if isinstance(g, bool) or not isinstance(g, types):
+                raise InvariantViolation(f"{self.x_name()} grid values must be {what}, got {g!r}")
+            if not g > 0:
+                raise InvariantViolation(f"{self.x_name()} grid values must be > 0, got {g}")
+        grid = tuple(map(float if ratio else int, raw))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvariantViolation("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
 
     def _validate_fields(self):
-        for name in ("fixed_n", "fixed_N", "test_size", "reps", "base_seed"):
-            value = getattr(self, name)
-            if value is None and name.startswith("fixed"):  # which one a kind needs: below
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if not self.learners:
             raise InvariantViolation("at least one learner is required")
         for spec in self.learners:
@@ -177,52 +174,25 @@ class SweepSpec:
         for label in labels:
             if "," in label or "\n" in label:
                 raise InvariantViolation(f"learner name {label!r} may not contain ',' or a newline")
-        if self.kind is CurveKind.FEATURE:
-            if self.fixed_n is None:
-                raise InvariantViolation("feature curves need fixed_n")
-            if self.fixed_N is not None:
-                raise InvariantViolation("feature curves do not use fixed_N")
-            if self.fixed_n < 2:
-                raise InvariantViolation(f"fixed_n must be >= 2, got {self.fixed_n}")
-        else:
-            if self.fixed_N is None:
-                raise InvariantViolation(f"{self.kind.value}s need fixed_N")
-            if self.fixed_n is not None:
-                raise InvariantViolation(f"{self.kind.value}s do not use fixed_n")
-            if self.fixed_N < 2:
-                raise InvariantViolation(f"fixed_N must be >= 2, got {self.fixed_N}")
-        if self.kind is CurveKind.ALPHA:
-            for a in self.grid:
-                if alpha_train_size(a, self.fixed_N) < 2:
-                    raise InvariantViolation(
-                        f"alpha={a} gives a training size below 2 at N={self.fixed_N}"
-                    )
-        if self.test_size < 1:
-            raise InvariantViolation(f"test_size must be >= 1, got {self.test_size}")
-        if self.reps < 1:
-            raise InvariantViolation(f"reps must be >= 1, got {self.reps}")
+        for name in ("fixed_n", "fixed_N"):
+            pinned = name == self.kind._pinned
+            if (getattr(self, name) is None) == pinned:
+                raise InvariantViolation(f"{self.kind.value}s {'need' if pinned else 'do not use'} {name}")
+        for x in self.grid:
+            if self._cell(x)[0] < 2:
+                raise InvariantViolation(f"{self.x_name()}={x:g} gives a training size below 2")
         if self.risk_metric not in RISK_METRICS:
             raise InvariantViolation(
                 f"risk_metric must be one of {RISK_METRICS}, got {self.risk_metric!r}"
             )
 
     def _validate_source(self):
-        if type(self.data_source) not in SOURCES.values():
-            raise InvariantViolation(
-                f"data_source must be one of {', '.join(c.__name__ for c in SOURCES.values())}, "
-                f"got {self.data_source!r}"
-            )
         if isinstance(self.data_source, CsvSource):
             return
         dim = self.data_source.dim
-        if self.kind is CurveKind.FEATURE:
-            if max(self.grid) > dim:
-                raise GridExceedsDimension(
-                    f"grid asks for {max(self.grid)} features but the generator has dim={dim}"
-                )
-        elif self.fixed_N > dim:
+        if (need := self._columns()) > dim:
             raise GridExceedsDimension(
-                f"fixed_N={self.fixed_N} exceeds the generator dim={dim}"
+                f"the curve needs {need} features but the generator has dim={dim}"
             )
         pool = self.train_rows() + self.test_size
         if pool % 2 != 0:
@@ -232,13 +202,21 @@ class SweepSpec:
 
     # -- derived quantities ----------------------------------------------
 
-    def train_rows(self) -> int:
-        """Rows of the per-rep training pool (before any subsampling)."""
+    def _cell(self, x) -> tuple:
+        """Training size n and feature count N at grid value ``x``."""
         if self.kind is CurveKind.FEATURE:
-            return self.fixed_n
+            return self.fixed_n, x
         if self.kind is CurveKind.LEARNING:
-            return max(self.grid)
-        return max(alpha_train_size(a, self.fixed_N) for a in self.grid)
+            return x, self.fixed_N
+        return alpha_train_size(x, self.fixed_N), self.fixed_N
+
+    def train_rows(self) -> int:
+        """Rows of the per-rep training pool: the largest n on the grid."""
+        return max(self._cell(x)[0] for x in self.grid)
+
+    def _columns(self) -> int:
+        """Feature columns the data source must supply: the largest N on the grid."""
+        return max(self._cell(x)[1] for x in self.grid)
 
     def x_name(self) -> str:
         return {
@@ -249,12 +227,11 @@ class SweepSpec:
 
 
 def interpolation_threshold(spec: SweepSpec) -> float:
-    """Sweep value where training size and feature count coincide."""
-    if spec.kind is CurveKind.FEATURE:
-        return float(spec.fixed_n)
-    if spec.kind is CurveKind.LEARNING:
-        return float(spec.fixed_N)
-    return 1.0
+    """Sweep value where training size and feature count coincide: x = 1 on
+    alpha's ratio axis, else the pinned count (x = 1 has n = N only there,
+    as pinned counts are at least 2)."""
+    n, N = spec._cell(1.0)
+    return 1.0 if n == N else float(getattr(spec, spec.kind._pinned))
 
 
 @dataclass(frozen=True)
@@ -303,11 +280,14 @@ class CurveResult:
 class PeakReport:
     """Location and prominence of the most prominent interior risk maximum.
 
-    ``prominence`` is the peak mean minus the larger of the two adjacent
-    local minima (curve edges count as minima).  ``at_interpolation`` is
-    true when the peak sits within one grid step (the smaller neighbor
-    spacing) of the interpolation threshold.  A curve without an interior
-    local maximum reports its global maximum with prominence 0.
+    A run of equal interior means whose two outer neighbors are both lower
+    is one maximum, reported at the run's first grid point.  ``prominence``
+    is the peak mean minus the larger of the two adjacent local minima, found
+    by descending from either side of the run (curve edges count as minima).
+    ``at_interpolation`` is true when the peak sits within one grid step
+    (the smaller neighbor spacing) of the interpolation threshold.  A curve
+    without an interior local maximum reports its global maximum with
+    prominence 0.
     """
 
     learner: str
@@ -358,9 +338,10 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     """Run the curve ``spec`` describes, ``workers`` reps at a time.
 
     Per rep: draw (or re-split) a pool and split it into train/test.  At each
-    grid point, a feature curve keeps the first N columns; a learning or alpha
-    curve keeps the first ``fixed_N`` columns and a stratified subsample of n
-    training rows.  Every learner is fit on the same arrays.
+    grid point's cell (n, N) the sweep keeps the first N columns and, where n
+    is below the pool, a stratified subsample of n training rows (a subsample
+    of the whole pool would be every row, in order).  Every learner is fit on
+    the same arrays.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -373,10 +354,9 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     if isinstance(spec.data_source, CsvSource):
         src = spec.data_source
         full = load_csv(src.path, src.label_column, src.positive_label)
-        need_cols = max(spec.grid) if spec.kind is CurveKind.FEATURE else spec.fixed_N
-        if full.n_features < need_cols:
+        if full.n_features < (need := spec._columns()):
             raise GridExceedsDimension(
-                f"{src.path} has {full.n_features} feature columns, need {need_cols}"
+                f"{src.path} has {full.n_features} feature columns, need {need}"
             )
         if full.n_samples < train_rows + spec.test_size:
             raise OutOfRange(
@@ -413,10 +393,9 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
 
         out = np.empty((n_points, len(labels)))
         for pi, x_val in enumerate(spec.grid):
-            cols, rows = x_val, slice(None)
-            if spec.kind is not CurveKind.FEATURE:
-                n_train = x_val if spec.kind is CurveKind.LEARNING else alpha_train_size(x_val, spec.fixed_N)
-                cols = spec.fixed_N
+            n_train, cols = spec._cell(x_val)
+            rows = slice(None)
+            if n_train < train_rows:
                 rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
             # contiguous, as BLAS may round differently on a strided view
             cell_train = (np.ascontiguousarray(train.x[rows, :cols]), train.y[rows])
@@ -500,8 +479,11 @@ def detect_peak(result: CurveResult, learner: str) -> PeakReport:
 
     best = None  # (prominence, index)
     for i in range(1, len(means) - 1):
-        if means[i] > means[i - 1] and means[i] > means[i + 1]:
-            prominence = means[i] - max(_descend_left(means, i), _descend_right(means, i))
+        j = i  # the run of means equal to means[i] ends at j
+        while j + 1 < len(means) and means[j + 1] == means[i]:
+            j += 1
+        if means[i] > means[i - 1] and j + 1 < len(means) and means[i] > means[j + 1]:
+            prominence = means[i] - max(_descend_left(means, i), _descend_right(means, j))
             if best is None or prominence > best[0]:
                 best = (prominence, i)
 

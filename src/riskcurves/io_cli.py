@@ -213,10 +213,7 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
         "seed": spec.base_seed,
         "learners": [{"kind": l.kind, **_to_dict(l)} for l in spec.learners],
     }
-    if spec.fixed_n is not None:
-        out["fixed_n"] = spec.fixed_n
-    if spec.fixed_N is not None:
-        out["fixed_N"] = spec.fixed_N
+    out[spec.kind._pinned] = getattr(spec, spec.kind._pinned)
     out["test_size"] = spec.test_size
     out["reps"] = spec.reps
     out["risk_metric"] = spec.risk_metric
@@ -504,11 +501,7 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
 # --------------------------------------------------------------------------
 # CLI.
 
-_KIND_OF_COMMAND = {
-    "feature-curve": CurveKind.FEATURE,
-    "learning-curve": CurveKind.LEARNING,
-    "alpha-curve": CurveKind.ALPHA,
-}
+_KIND_OF_COMMAND = {kind.value.replace("_", "-"): kind for kind in CurveKind}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, ridge_least_squares, thin_svd
+from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, numeric_rank, ridge_least_squares, thin_svd
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class LinearModel:
 # kind to its spec and drives ``fit``, config parsing and the JSON round trip.
 
 
-def _param(op: str, low, default=MISSING, error=ValueError):
+def _param(op: str, low, default=MISSING, error=None):
     """A numeric spec field that must be ``op`` (``>`` or ``>=``) ``low``."""
     return field(default=default, metadata={"op": op, "low": low, "error": error})
 
@@ -58,22 +58,28 @@ def _param(op: str, low, default=MISSING, error=ValueError):
 class _Checked:
     """Base of the schema dataclasses: a field's annotation is its type check.
 
-    ``int`` and ``float`` fields reject booleans and are stored as that type;
-    any other annotation (``str``, ``bool``, ``str | None``) is an
-    ``isinstance`` check.  :func:`_param` adds a lower bound.
+    ``int`` and ``float`` fields, and ``int | None`` fields that are set,
+    reject booleans and are stored as ``int`` or ``float``; any other
+    annotation (``str``, ``bool``, ``str | None``) is an ``isinstance``
+    check.  :func:`_param` adds a lower bound.  A failed check raises the
+    class's ``_error`` unless the field's :func:`_param` names another.
     """
 
     config_keys: ClassVar[dict] = {}
+    _error: ClassVar[type] = ValueError
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            error = f.metadata.get("error", ValueError)
-            number = {int: numbers.Integral, float: numbers.Real}.get(f.type)
-            if (number and isinstance(value, bool)) or not isinstance(value, number or f.type):
+            if value is None and isinstance(None, f.type):  # an optional field left unset
+                continue
+            error = f.metadata.get("error") or self._error
+            typ = int if f.type == int | None else f.type
+            number = {int: numbers.Integral, float: numbers.Real}.get(typ)
+            if (number and isinstance(value, bool)) or not isinstance(value, number or typ):
                 raise error(f"{f.name} must be {getattr(f.type, '__name__', f.type)}, got {value!r}")
             if number:
-                value = f.type(value)
+                value = typ(value)
                 object.__setattr__(self, f.name, value)
             op, low = f.metadata.get("op"), f.metadata.get("low")
             if op and not (value > low if op == ">" else value >= low):
@@ -287,7 +293,7 @@ def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = DEFAULT_REL_TOL) -> Lin
     tall = centered.shape[0] >= 2 * centered.shape[1]
     f = thin_svd(np.linalg.qr(centered, mode="r") if tall else centered)
     sigma = f.s / np.sqrt(pooled.shape[0])
-    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0])) if sigma[0] > 0 else 0
+    rank = numeric_rank(sigma, rel_tol)
     if rank == 0:  # every pooled point identical: only the bias is learnable
         return LinearModel(weights=np.zeros(xm.shape[1]), bias=float(ym.mean()))
     transform = f.v[:, :rank] / sigma[:rank]  # d x rank

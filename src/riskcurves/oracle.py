@@ -9,7 +9,6 @@ them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,6 @@ _MAX_CANDIDATES = 20_000_000
 # SMO stops once the maximal KKT violation is below this.
 SMO_TOL = 1e-10
 _SMO_MAX_ITERS = 1_000_000
-
-
-@dataclass(frozen=True)
-class AnalyticProblem:
-    """Equal-prior pair of unit-covariance Gaussian classes at +-mu."""
-
-    mu: np.ndarray
 
 
 def std_normal_cdf(t: float) -> float:

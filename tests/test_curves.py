@@ -24,6 +24,7 @@ from riskcurves.errors import (
     SingleClassInput,
     TooFewPoints,
 )
+from riskcurves.io_cli import emit_json
 from riskcurves.learners import Mnlr, Ridge, SemiSupPfld, fit_mnlr, fit_semisup_pfld, predict, zero_one_risk
 from riskcurves.oracle import bayes_risk
 
@@ -116,9 +117,18 @@ def test_spec_rejects_bad_counts_and_metric():
     for bad in (
         dict(reps=2.5), dict(reps=True), dict(fixed_n=8.0), dict(test_size=92.0),
         dict(base_seed=1.5), dict(learners=("mnlr",)), dict(data_source={"dim": 12}),
+        dict(fixed_n=True),
+        dict(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=True),
     ):
         with pytest.raises(InvariantViolation):
             _sweep(**bad)
+
+
+def test_spec_stores_numpy_integers_as_plain_ints(tmp_path):
+    spec = _sweep(grid=(np.int64(2), 4), fixed_n=np.int64(8), reps=np.int64(2), base_seed=np.int64(17))
+    for value in (*spec.grid, spec.fixed_n, spec.reps, spec.base_seed):
+        assert type(value) is int
+    emit_json(run_feature_curve(spec), tmp_path / "result.json")  # json cannot encode np.int64
 
 
 def test_spec_rejects_duplicate_learner_names():
@@ -284,6 +294,26 @@ def test_csv_source_sweep(tmp_path):
         run_feature_curve(_sweep(grid=(1, 4), data_source=source, fixed_n=10, test_size=20))
 
 
+def test_cell_rule_per_kind():
+    # each kind maps grid value x to its cell (n, N); the training pool and
+    # the feature columns a source must supply are the maxima over the grid
+    cases = [
+        (_sweep(grid=(2, 4, 8, 12)), [(8, 2), (8, 4), (8, 8), (8, 12)]),
+        (
+            _sweep(kind="learning_curve", grid=(2, 5, 8), fixed_n=None, fixed_N=8),
+            [(2, 8), (5, 8), (8, 8)],
+        ),
+        (  # 2.5 and 4.5 round half away from zero, to 3 and 5
+            _sweep(kind="alpha_curve", grid=(0.3125, 0.5625, 1.0, 1.5), fixed_n=None, fixed_N=8),
+            [(3, 8), (5, 8), (8, 8), (12, 8)],
+        ),
+    ]
+    for spec, cells in cases:
+        assert [spec._cell(x) for x in spec.grid] == cells
+        assert spec.train_rows() == max(n for n, _ in cells)
+        assert spec._columns() == max(N for _, N in cells)
+
+
 def test_interpolation_threshold_per_kind():
     assert interpolation_threshold(_sweep()) == 8.0
     assert interpolation_threshold(
@@ -355,6 +385,28 @@ def test_detect_peak_picks_most_prominent():
     assert report.peak_x == 40.0
     # nearest local minima flank the peak at 0.1 (left) and 0.2 (right)
     assert abs(report.prominence - 0.3) < 1e-15
+
+
+def test_detect_peak_flat_top_counts_once():
+    # the MNLR feature curve of a max-margin CLI benchmark input: equal means
+    # at N = 36 and N = 40, so no point is a strict maximum
+    xs = [5, 10, 20, 30, 36, 40, 44, 60, 80, 120]
+    means = [0.0525, 0.013, 0.038833, 0.119833, 0.307833, 0.307833, 0.231667, 0.102833, 0.084167, 0.084333]
+    report = detect_peak(_result_with_means(means, xs, threshold_x=40), "m")
+    assert report.peak_x == 36.0
+    assert report.peak_mean == 0.307833
+    assert abs(report.prominence - (0.307833 - 0.084167)) < 1e-15
+    assert report.at_interpolation
+
+
+def test_detect_peak_tie_without_two_lower_neighbors_is_not_a_peak():
+    # a tie that runs into the edge, then one that rises on to a higher point
+    edge = detect_peak(_result_with_means([0.4, 0.4, 0.1], [10, 20, 30], threshold_x=20), "m")
+    assert (edge.peak_x, edge.prominence, edge.at_interpolation) == (10.0, 0.0, False)
+    result = _result_with_means([0.1, 0.3, 0.3, 0.5, 0.2], [10, 20, 30, 40, 50], threshold_x=40)
+    shoulder = detect_peak(result, "m")
+    assert shoulder.peak_x == 40.0
+    assert shoulder.at_interpolation
 
 
 def test_detect_peak_requires_three_points():
