@@ -22,13 +22,14 @@ byte-identical data, so per-cell risk differences are attributable to the
 learner alone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from ._version import __version__
 from .data import (
+    SOURCES,
     CsvSource,
     Dataset,
     GaussianSpec,
@@ -95,7 +96,7 @@ def alpha_train_size(alpha: float, fixed_N: int) -> int:
     return int(np.floor(alpha * fixed_N + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepSpec(_Checked):
     """Declarative description of one curve experiment.
 
@@ -111,20 +112,24 @@ class SweepSpec(_Checked):
     interpolation threshold all follow from that rule, and every point must
     train on at least 2 rows.  Per-rep seeds all derive from ``base_seed``;
     the seed carried by a Gaussian data source is ignored here.
+
+    Fields are in the order of the result JSON's ``spec`` keys; ``learners``
+    and ``data_source`` hold entries of ``LEARNERS`` and ``SOURCES``.
     """
 
     _error = InvariantViolation
+    config_keys = {"base_seed": "seed", "data_source": "data"}
 
     kind: CurveKind
     grid: tuple
-    learners: tuple
-    data_source: GaussianSpec | CsvSource
+    base_seed: int = 0
+    learners: tuple = field(metadata={"table": LEARNERS, "tag": "kind"})
     fixed_n: int | None = _param(">=", 2, default=None)
     fixed_N: int | None = _param(">=", 2, default=None)
     test_size: int = _param(">=", 1, default=2000)
     reps: int = _param(">=", 1, default=50)
-    base_seed: int = 0
     risk_metric: str = "zero_one"
+    data_source: GaussianSpec | CsvSource = field(metadata={"table": SOURCES, "tag": "source"})
 
     def __post_init__(self):
         try:
@@ -153,8 +158,8 @@ class SweepSpec(_Checked):
         for g in raw:
             if isinstance(g, bool) or not isinstance(g, types):
                 raise InvariantViolation(f"{self.x_name()} grid values must be {what}, got {g!r}")
-            if not g > 0:
-                raise InvariantViolation(f"{self.x_name()} grid values must be > 0, got {g}")
+            if not 0 < g < np.inf:
+                raise InvariantViolation(f"{self.x_name()} grid values must be finite and > 0, got {g}")
         grid = tuple(map(float if ratio else int, raw))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvariantViolation("grid must be strictly increasing")
@@ -283,7 +288,8 @@ class PeakReport:
     A run of equal interior means whose two outer neighbors are both lower
     is one maximum, reported at the run's first grid point.  ``prominence``
     is the peak mean minus the larger of the two adjacent local minima, found
-    by descending from either side of the run (curve edges count as minima).
+    by descending from either side of the run through equal or lower means
+    (curve edges count as minima).
     ``at_interpolation`` is true when the peak sits within one grid step
     (the smaller neighbor spacing) of the interpolation threshold.  A curve
     without an interior local maximum reports its global maximum with
@@ -454,14 +460,14 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
 
 def _descend_left(means, i):
     j = i - 1
-    while j - 1 >= 0 and means[j - 1] < means[j]:
+    while j - 1 >= 0 and means[j - 1] <= means[j]:
         j -= 1
     return means[j]
 
 
 def _descend_right(means, i):
     j = i + 1
-    while j + 1 < len(means) and means[j + 1] < means[j]:
+    while j + 1 < len(means) and means[j + 1] <= means[j]:
         j += 1
     return means[j]
 

@@ -3,7 +3,9 @@ result emission, standalone SVG plots, and peak reporting.
 
 File contracts
 --------------
-* Config files are strict JSON objects; unknown keys are errors.
+* Config files are strict JSON objects keyed like :class:`RunConfig` and
+  :class:`~riskcurves.curves.SweepSpec`; unknown keys, non-finite numbers
+  and undecodable files are errors, and a null output path is unset.
 * Result CSV: header ``curve_kind,x_name,x_value,learner``, then the
   :class:`~riskcurves.curves.LearnerStats` fields with ``rep_count`` first
   (``rep_count,mean_risk,std_risk,stderr_risk,min_risk,max_risk``), then
@@ -41,7 +43,7 @@ from .curves import (
     interpolation_threshold,
     run_sweep,
 )
-from .data import SOURCES
+from .data import GaussianSpec
 from .errors import (
     ConfigError,
     GridExceedsDimension,
@@ -53,22 +55,17 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
-from .learners import LEARNERS
+from .learners import _Checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_TOP_KEYS = {
-    "kind", "grid", "seed", "learners", "fixed_n", "fixed_N", "test_size",
-    "reps", "risk_metric", "data", "out_csv", "out_json", "out_svg", "keep_reps",
-}
-
 
 @dataclass(frozen=True)
-class RunConfig:
-    """A validated sweep plus output destinations."""
+class RunConfig(_Checked):
+    """A validated sweep plus output destinations; a null path is unset."""
 
     sweep: SweepSpec
     out_csv: str | None = None
@@ -88,6 +85,8 @@ def _expect(value, types, where, what):
         raise InvariantViolation(
             f"{where}: {what} must be {types[-1].__name__}, got {type(value).__name__}"
         )
+    if isinstance(value, float) and not np.isfinite(value):
+        raise InvariantViolation(f"{where}: {what} must be finite, got {value}")
     return value
 
 
@@ -100,8 +99,11 @@ def _check_keys(d: dict, allowed: set, where: str):
 def _from_dict(cls, entry: dict, where: str, *, json_only: bool = False):
     """Build schema dataclass ``cls`` from ``entry``, keyed by ``cls.config_keys``.
 
-    A field whose metadata marks it ``json_only`` is a key of result files
-    only: it is accepted when ``json_only`` is true, else unknown.
+    A field whose metadata names a ``table`` holds the entry of that table
+    whose ``tag`` key names its class, or a list of such entries if the
+    field is a ``tuple``.  A field whose metadata marks it ``json_only`` is
+    a key of result files only: it is accepted when ``json_only`` is true,
+    else unknown.
     """
     by_key = {
         cls.config_keys.get(f.name, f.name): f
@@ -109,121 +111,98 @@ def _from_dict(cls, entry: dict, where: str, *, json_only: bool = False):
         if json_only or not f.metadata.get("json_only")
     }
     _check_keys(entry, by_key.keys(), where)
+    values = {}
     for key, f in by_key.items():
-        if f.default is dataclasses.MISSING and key not in entry:
-            raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
+        if key not in entry:
+            if f.default is dataclasses.MISSING:
+                raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
+            continue
+        value = entry[key]
+        if "table" in f.metadata and f.type is tuple:
+            items = enumerate(_expect(value, (list,), key, f"'{key}'"))
+            value = tuple(_tagged_from_dict(e, f, f"{key}[{i}]", json_only) for i, e in items)
+        elif "table" in f.metadata:
+            value = _tagged_from_dict(value, f, key, json_only)
+        values[f.name] = value
     try:
-        return cls(**{by_key[key].name: value for key, value in entry.items()})
-    except ValueError as exc:
+        return cls(**values)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise InvariantViolation(f"{where}: {exc}") from exc
 
 
-def _tagged_from_dict(
-    entry, table: dict, tag: str, where: str, *, default=None, json_only: bool = False
-):
-    """:func:`_from_dict` for the class of ``table`` that ``entry[tag]`` names."""
+def _tagged_from_dict(entry, f: dataclasses.Field, where: str, json_only: bool):
+    """:func:`_from_dict` for the class in field ``f``'s table that ``entry[tag]`` names."""
+    table, tag = f.metadata["table"], f.metadata["tag"]
     _expect(entry, (dict,), where, "the entry")
-    name = entry.get(tag, default)
-    if name is None:
-        raise InvariantViolation(f"{where}: missing {tag!r}")
+    name = entry.get(tag)
     cls = table.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise InvariantViolation(
-            f"{where}: unknown {tag} {name!r}; expected one of {', '.join(table)}"
-        )
-    rest = {key: value for key, value in entry.items() if key != tag}
-    return _from_dict(cls, rest, where, json_only=json_only)
+        raise InvariantViolation(f"{where}: {tag} must be one of {', '.join(table)}, got {name!r}")
+    return _from_dict(cls, {k: v for k, v in entry.items() if k != tag}, where, json_only=json_only)
 
 
 def _to_dict(obj) -> dict:
     """Inverse of :func:`_from_dict`: each field that is not None, by config key."""
-    return {
-        obj.config_keys.get(f.name, f.name): getattr(obj, f.name)
-        for f in dataclasses.fields(obj)
-        if getattr(obj, f.name) is not None
-    }
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if tag := f.metadata.get("tag"):
+            tagged = lambda v: {tag: getattr(v, tag), **_to_dict(v)}  # noqa: E731
+            value = [tagged(v) for v in value] if f.type is tuple else tagged(value)
+        if value is not None:
+            out[obj.config_keys.get(f.name, f.name)] = value
+    return out
 
 
-def _sweep_from_dict(d: dict, *, json_only: bool = False) -> SweepSpec:
-    for key in ("kind", "grid", "seed", "learners"):
-        if key not in d:
-            raise InvariantViolation(f"missing {key!r}")
-    grid = _expect(d["grid"], (list,), "grid", "'grid'")
-    learner_list = _expect(d["learners"], (list,), "learners", "'learners'")
-    learners = tuple(
-        _tagged_from_dict(e, LEARNERS, "kind", f"learners[{i}]") for i, e in enumerate(learner_list)
-    )
-    feature = d["kind"] == CurveKind.FEATURE.value
-    data = _tagged_from_dict(
-        d.get("data", {}), SOURCES, "source", "data", default="gaussian", json_only=json_only
-    )
-    try:
-        return SweepSpec(
-            kind=d["kind"],
-            grid=tuple(grid),
-            learners=learners,
-            data_source=data,
-            fixed_n=d.get("fixed_n", 40 if feature else None),
-            fixed_N=d.get("fixed_N", None if feature else 40),
-            base_seed=d["seed"],
-            **{key: d[key] for key in ("test_size", "reps", "risk_metric") if key in d},
-        )
-    except GridExceedsDimension as exc:
-        raise InvariantViolation(str(exc)) from exc
+def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSpec:
+    """:func:`_from_dict` for a :class:`SweepSpec` under the config's rules:
+    ``seed`` is required, the count the kind pins defaults to 40, and
+    ``data``, or a ``data`` entry without ``source``, is the Gaussian source."""
+    d = dict(d)
+    for kind in CurveKind:
+        if d.get("kind") == kind:
+            d.setdefault(kind._pinned, 40)
+    if isinstance(data := d.get("data", {}), dict):
+        d["data"] = {"source": GaussianSpec.source, **data}
+    spec = _from_dict(SweepSpec, d, where, json_only=json_only)
+    if "seed" not in d:  # checked last, so that an unknown key is reported first
+        raise InvariantViolation(f"{where}: SweepSpec needs 'seed'")
+    return spec
 
 
 def config_from_dict(d) -> RunConfig:
     """Validate a parsed JSON object into a :class:`RunConfig`."""
     _expect(d, (dict,), "config", "the configuration")
-    _check_keys(d, _TOP_KEYS, "config")
-    for key in ("out_csv", "out_json", "out_svg"):
-        if key in d:
-            _expect(d[key], (str,), key, f"'{key}'")
-    keep = _expect(d.get("keep_reps", False), (bool,), "keep_reps", "'keep_reps'")
-    return RunConfig(
-        sweep=_sweep_from_dict(d),
-        out_csv=d.get("out_csv"),
-        out_json=d.get("out_json"),
-        out_svg=d.get("out_svg"),
-        keep_reps=keep,
-    )
+    outputs = {f.name for f in dataclasses.fields(RunConfig)} - {"sweep"}
+    sweep = _sweep_from_dict({k: v for k, v in d.items() if k not in outputs}, "config")
+    return _from_dict(RunConfig, {k: v for k, v in d.items() if k in outputs} | {"sweep": sweep}, "config")
+
+
+def _load_json(path, what: str):
+    """Parse the JSON file ``path``; ``what`` names it in errors."""
+    if not os.path.exists(path):
+        raise MissingFile(f"no such {what} file: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: cannot decode {what} file: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
     """Read, parse and fully validate a JSON run configuration."""
-    if not os.path.exists(path):
-        raise MissingFile(f"no such config file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        parsed = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return config_from_dict(parsed)
+    return config_from_dict(_load_json(path, "config"))
 
 
 # --------------------------------------------------------------------------
 # Result serialization.
 
 
-def _spec_to_dict(spec: SweepSpec) -> dict:
-    out = {
-        "kind": spec.kind.value,
-        "grid": list(spec.grid),
-        "seed": spec.base_seed,
-        "learners": [{"kind": l.kind, **_to_dict(l)} for l in spec.learners],
-    }
-    out[spec.kind._pinned] = getattr(spec, spec.kind._pinned)
-    out["test_size"] = spec.test_size
-    out["reps"] = spec.reps
-    out["risk_metric"] = spec.risk_metric
-    out["data"] = {"source": spec.data_source.source, **_to_dict(spec.data_source)}
-    return out
-
-
 def result_to_json_dict(result: CurveResult) -> dict:
     out = {
-        "spec": _spec_to_dict(result.spec),
+        "spec": _to_dict(result.spec),
         "points": [
             {"x_value": p.x_value, "stats": {name: _to_dict(s) for name, s in p.stats.items()}}
             for p in result.points
@@ -244,7 +223,7 @@ def result_from_json_dict(d: dict) -> CurveResult:
         _expect(d, (dict,), "result", "the result document")
         _check_keys(d, {"spec", "points", "provenance", "rep_risks"}, "result")
         spec_d = _expect(d.get("spec"), (dict,), "result.spec", "'spec'")
-        sweep = _sweep_from_dict(spec_d, json_only=True)
+        sweep = _sweep_from_dict(spec_d, "result.spec", json_only=True)
         point_list = _expect(d.get("points"), (list,), "result.points", "'points'")
         if len(point_list) != len(sweep.grid):
             raise InvariantViolation(
@@ -291,20 +270,13 @@ def result_from_json_dict(d: dict) -> CurveResult:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise InvariantViolation(f"malformed result document: {exc!r}") from exc
 
 
 def load_result(path) -> CurveResult:
     """Reload a result JSON written by :func:`emit_json`."""
-    if not os.path.exists(path):
-        raise MissingFile(f"no such result file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            parsed = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return result_from_json_dict(parsed)
+    return result_from_json_dict(_load_json(path, "result"))
 
 
 # --------------------------------------------------------------------------
@@ -570,12 +542,8 @@ def cli_main(argv) -> int:
             raise InvariantViolation(
                 f"config kind {config.sweep.kind.value!r} does not match subcommand {args.command!r}"
             )
-        overrides = {}
-        if args.seed is not None:
-            overrides["base_seed"] = args.seed
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        sweep = dataclasses.replace(config.sweep, **overrides) if overrides else config.sweep
+        overrides = {"base_seed": args.seed, "reps": args.reps}
+        sweep = dataclasses.replace(config.sweep, **{k: v for k, v in overrides.items() if v is not None})
         out_csv = args.out_csv or config.out_csv
         out_json = args.out_json or config.out_json
         out_svg = args.out_svg or config.out_svg

@@ -59,7 +59,8 @@ class _Checked:
     """Base of the schema dataclasses: a field's annotation is its type check.
 
     ``int`` and ``float`` fields, and ``int | None`` fields that are set,
-    reject booleans and are stored as ``int`` or ``float``; any other
+    reject booleans and are stored as ``int`` or ``float``, and ``float``
+    fields reject NaN and infinities; any other
     annotation (``str``, ``bool``, ``str | None``) is an ``isinstance``
     check.  :func:`_param` adds a lower bound.  A failed check raises the
     class's ``_error`` unless the field's :func:`_param` names another.
@@ -81,6 +82,8 @@ class _Checked:
             if number:
                 value = typ(value)
                 object.__setattr__(self, f.name, value)
+            if typ is float and not np.isfinite(value):
+                raise error(f"{f.name} must be finite, got {value!r}")
             op, low = f.metadata.get("op"), f.metadata.get("low")
             if op and not (value > low if op == ">" else value >= low):
                 raise error(f"{f.name} must be {op} {low}, got {value}")

@@ -407,6 +407,14 @@ def test_detect_peak_tie_without_two_lower_neighbors_is_not_a_peak():
     shoulder = detect_peak(result, "m")
     assert shoulder.peak_x == 40.0
     assert shoulder.at_interpolation
+    assert abs(shoulder.prominence - 0.3) < 1e-15  # the descent crosses the tie down to 0.1
+
+
+def test_detect_peak_descends_through_equal_neighbors():
+    xs = [10, 20, 30, 40, 50, 60, 70]
+    report = detect_peak(_result_with_means([0.1, 0.2, 0.2, 0.5, 0.2, 0.2, 0.1], xs, threshold_x=40), "m")
+    assert report.peak_x == 40.0
+    assert abs(report.prominence - 0.4) < 1e-15
 
 
 def test_detect_peak_requires_three_points():

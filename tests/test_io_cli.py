@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import riskcurves
-from riskcurves.curves import SweepSpec, run_feature_curve
+from riskcurves.curves import CurveResult, Provenance, SweepSpec, run_feature_curve
 from riskcurves.data import SOURCES, CsvSource, GaussianSpec
 from riskcurves.errors import (
     InvariantViolation,
@@ -59,16 +59,21 @@ def _minimal_config(**extra):
 
 
 def test_minimal_config_gets_documented_defaults():
-    rc = config_from_dict(_minimal_config())
-    sweep = rc.sweep
-    assert sweep.fixed_n == 40
-    assert sweep.test_size == 2000
-    assert sweep.reps == 50
-    assert sweep.risk_metric == "zero_one"
-    assert sweep.base_seed == 9
-    assert sweep.data_source == GaussianSpec(dim=120, informative=10, separation=2.5)
-    assert rc.out_csv is None and rc.out_json is None and rc.out_svg is None
-    assert rc.keep_reps is False
+    # an empty data entry and null output paths mean the defaults too
+    nulls = {"data": {}, "out_csv": None, "out_json": None, "out_svg": None}
+    for rc in (config_from_dict(_minimal_config()), config_from_dict(_minimal_config(**nulls))):
+        sweep = rc.sweep
+        assert sweep.fixed_n == 40
+        assert sweep.test_size == 2000
+        assert sweep.reps == 50
+        assert sweep.risk_metric == "zero_one"
+        assert sweep.base_seed == 9
+        assert sweep.data_source == GaussianSpec(dim=120, informative=10, separation=2.5)
+        assert rc.out_csv is None and rc.out_json is None and rc.out_svg is None
+        assert rc.keep_reps is False
+    for kind, grid in (("learning_curve", [4, 8]), ("alpha_curve", [0.5, 1.0])):
+        sweep = config_from_dict(_minimal_config(kind=kind, grid=grid)).sweep
+        assert (sweep.fixed_n, sweep.fixed_N) == (None, 40)
 
 
 def test_config_rejects_unknown_top_key():
@@ -95,6 +100,9 @@ def test_config_learner_validation():
         config_from_dict(_minimal_config(learners=[{"kind": "max_margin", "step_decay": 1.0}]))
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[]))
+    for not_a_list in ("mnlr", {"kind": "mnlr"}):
+        with pytest.raises(InvariantViolation):
+            config_from_dict(_minimal_config(learners=not_a_list))
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[{"kind": "semisup_pfld"}]))
     for bad in (
@@ -161,6 +169,25 @@ def test_config_type_errors():
         config_from_dict(_minimal_config(out_csv=7))
     with pytest.raises(InvariantViolation):
         config_from_dict({"grid": [1], "seed": 0, "learners": [{"kind": "mnlr"}]})
+    no_seed = _minimal_config()
+    del no_seed["seed"]
+    with pytest.raises(InvariantViolation) as err:
+        config_from_dict(no_seed)
+    assert "'seed'" in str(err.value)
+    # json reads NaN, Infinity and 1e400 as floats, and a long integer
+    # literal overflows a float field
+    for extra in (
+        {"data": {"separation": float("inf")}},
+        {"data": {"separation": float("nan")}},
+        {"data": {"separation": 10**400}},
+        {"learners": [{"kind": "max_margin", "c": float("inf")}]},
+        {"learners": [{"kind": "ridge", "lambda": float("inf")}]},
+        {"kind": "alpha_curve", "grid": [0.5, float("inf")]},
+        {"kind": "alpha_curve", "grid": [0.5, 10**400]},
+    ):
+        with pytest.raises(InvariantViolation, match="finite|too large"):
+            config_from_dict(_minimal_config(**extra))
+    assert config_from_dict(_minimal_config(seed=10**40)).sweep.base_seed == 10**40
 
 
 def test_load_config_parse_error_carries_position(tmp_path):
@@ -174,6 +201,23 @@ def test_load_config_parse_error_carries_position(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_config(tmp_path / "absent.json")
+
+
+def test_undecodable_files_exit_with_their_codes(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"kind": "\xff"}')
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100_000, encoding="utf-8")
+    for path in (not_utf8, too_deep):
+        with pytest.raises(ParseError):
+            load_config(path)
+        with pytest.raises(ParseError):
+            load_result(path)
+        capsys.readouterr()
+        assert cli_main(["feature-curve", "--config", str(path), "--out-csv", str(tmp_path / "x.csv")]) == 2
+        assert cli_main(["report", "--in", str(path)]) == 4
+        assert str(path) in capsys.readouterr().err
+    assert cli_main(["report", "--in", str(tmp_path)]) == 4  # a directory
 
 
 # -- CSV emission --------------------------------------------------------------
@@ -280,6 +324,23 @@ def test_json_dict_round_trip_preserves_spec_types(tmp_path):
         emit_json(result, tmp_path / "a.json")
         emit_json(load_result(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, grid, pinned",
+    [("feature_curve", (2, 4), {"fixed_n": 6}), ("learning_curve", (4, 6), {"fixed_N": 4}),
+     ("alpha_curve", (0.5, 1.0), {"fixed_N": 4})],
+)
+def test_result_json_spec_keys_in_order(kind, grid, pinned):
+    spec = SweepSpec(
+        kind=kind, grid=grid, learners=(Mnlr(),), data_source=GaussianSpec(dim=8, informative=2), test_size=94, **pinned
+    )
+    doc = result_to_json_dict(CurveResult(spec=spec, points=(), provenance=Provenance(0, "test")))
+    assert list(doc["spec"]) == [
+        "kind", "grid", "seed", "learners", *pinned, "test_size", "reps", "risk_metric", "data"
+    ]
+    assert list(doc["spec"]["learners"][0]) == ["kind", "rel_tol"]
+    assert list(doc["spec"]["data"]) == ["source", "dim", "informative", "separation", "seed"]
 
 
 def test_result_from_json_rejects_unknown_keys():
@@ -545,7 +606,9 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
     for point in no_stats["points"]:
         point["stats"] = {}
     bad_stats = []
-    for key, value in (("mean_risk", "low"), ("mean_risk", True), ("rep_count", 3.7), ("rep_count", "3")):
+    for key, value in (
+        ("mean_risk", "low"), ("mean_risk", True), ("mean_risk", float("nan")), ("rep_count", 3.7), ("rep_count", "3"),
+    ):
         doc = json.loads(json.dumps(good))
         doc["points"][0]["stats"]["mnlr"][key] = value
         bad_stats.append(doc)
@@ -556,7 +619,7 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         dict(good, rep_risks={"mnlr": [reps[0][:1], *reps[1:]]}),
     ]
     bad_numbers = []
-    for value in ("0.5", True, str(good["points"][1]["x_value"]), None):
+    for value in ("0.5", True, str(good["points"][1]["x_value"]), None, float("inf"), 10**400):
         doc = json.loads(json.dumps(good))
         doc["points"][1]["x_value"] = value
         bad_numbers.append(doc)
