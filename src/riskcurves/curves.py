@@ -46,7 +46,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _Checked, _param, _risk, fit
+from .learners import LEARNERS, _Checked, _float, _param, _risk, fit
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -160,7 +160,7 @@ class SweepSpec(_Checked):
                 raise InvariantViolation(f"{self.x_name()} grid values must be {what}, got {g!r}")
             if not 0 < g < np.inf:
                 raise InvariantViolation(f"{self.x_name()} grid values must be finite and > 0, got {g}")
-        grid = tuple(map(float if ratio else int, raw))
+        grid = tuple(_float(g, "alpha grid value", InvariantViolation) if ratio else int(g) for g in raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvariantViolation("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -372,17 +372,20 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
 
     def run_rep(rep: int) -> np.ndarray:
         leftover_x = None
+        split_seed = mix(spec.base_seed, rep, SEED_SPLIT)
         if full is None:
             gspec = replace(spec.data_source, seed=mix(spec.base_seed, rep))
-            pool = gen_two_gaussians(gspec, train_rows + spec.test_size)
-            train, test = split(pool, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+            # the draw goes straight into split, so the pool is freed before the fits
+            train, test = split(gen_two_gaussians(gspec, train_rows + spec.test_size), train_rows, split_seed)
         else:
-            train, test = split(full, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+            train, test = split(full, train_rows, split_seed)
             if test.n_samples > spec.test_size:
                 test, leftover = split(
                     test, spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1)
                 )
-                leftover_x = leftover.x
+                # only the rows a semi-supervised learner reads, copied so the rest is freed
+                leftover_x = leftover.x[:max_unlab].copy() if max_unlab else None
+                del leftover
             if spec.data_source.standardize:
                 train, test, tf = standardize(train, test)
                 if leftover_x is not None:

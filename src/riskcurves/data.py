@@ -9,6 +9,7 @@ seed, so sweeps are reproducible bit for bit.
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -40,10 +41,19 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        xm = np.array(self.x, dtype=np.float64, copy=True)
+        self._hold(np.array(self.x, dtype=np.float64, copy=True), self.y)
+
+    @classmethod
+    def _own(cls, x: np.ndarray, y) -> "Dataset":
+        """Same checks, but holds ``x`` itself: only for a fresh float64 array, never a view."""
+        ds = object.__new__(cls)
+        ds._hold(x, y)
+        return ds
+
+    def _hold(self, xm: np.ndarray, y):
         if xm.ndim != 2:
             raise ValueError(f"x must be 2-D, got ndim={xm.ndim}")
-        ym = as_labels(self.y)
+        ym = as_labels(y)
         if xm.shape[0] != ym.shape[0]:
             raise DimensionMismatch(
                 f"{xm.shape[0]} feature rows but {ym.shape[0]} labels"
@@ -117,10 +127,11 @@ def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     mu = spec.mean_vector()
     half = n // 2
-    x_pos = rng.standard_normal((half, spec.dim)) + mu
-    x_neg = rng.standard_normal((half, spec.dim)) - mu
+    x = rng.standard_normal((n, spec.dim))  # the same stream as one block per class
+    x[:half] += mu
+    x[half:] -= mu
     y = np.concatenate([np.ones(half, dtype=np.int64), -np.ones(half, dtype=np.int64)])
-    return Dataset(x=np.vstack([x_pos, x_neg]), y=y)
+    return Dataset._own(x, y)
 
 
 def take_features(ds: Dataset, n_features: int) -> Dataset:
@@ -140,7 +151,7 @@ def append_random_features(ds: Dataset, k: int, sigma: float, seed: int) -> Data
         raise ValueError(f"sigma must be > 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal((ds.n_samples, k))
-    return Dataset(x=np.hstack([ds.x, noise]), y=ds.y)
+    return Dataset._own(np.hstack([ds.x, noise]), ds.y)
 
 
 def _stratified_counts(y: np.ndarray, n_take: int) -> dict[int, int]:
@@ -180,15 +191,15 @@ def split(ds: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
     tr = np.sort(np.concatenate(train_idx))
     te = np.sort(np.concatenate(test_idx))
     return (
-        Dataset(x=ds.x[tr], y=ds.y[tr]),
-        Dataset(x=ds.x[te], y=ds.y[te]),
+        Dataset._own(ds.x[tr], ds.y[tr]),
+        Dataset._own(ds.x[te], ds.y[te]),
     )
 
 
 def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     """n rows drawn stratified without replacement, deterministic in seed."""
     idx = subsample_indices(ds, n, seed)
-    return Dataset(x=ds.x[idx], y=ds.y[idx])
+    return Dataset._own(ds.x[idx], ds.y[idx])
 
 
 def subsample_indices(ds: Dataset, n: int, seed: int) -> np.ndarray:
@@ -245,7 +256,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
             feature_names = [h for i, h in enumerate(header) if i != label_pos]
             if not feature_names:
                 raise MalformedCsv(f"{path}: no feature columns besides the label")
-            rows: list[list[float]] = []
+            buf = array("d")
             tokens: list[str] = []
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -260,10 +271,10 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                     finite = False
                 if not finite:
                     _raise_bad_cell(path, feature_names, row, line_no)
-                rows.append(feats)
+                buf.extend(feats)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
-    if not rows:
+    if not tokens:
         raise MalformedCsv(f"{path}: no data rows")
     distinct = sorted(set(tokens))
     if len(distinct) > 2:
@@ -277,7 +288,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
             f"{path}: positive label {positive_label!r} not found, tokens are {distinct}"
         )
     y = np.array([1 if t == positive_label else -1 for t in tokens], dtype=np.int64)
-    return Dataset(x=np.array(rows, dtype=np.float64), y=y)
+    return Dataset._own(np.frombuffer(buf, dtype=np.float64).reshape(len(tokens), -1), y)
 
 
 @dataclass(frozen=True)
@@ -288,7 +299,8 @@ class ColumnTransform:
     scale: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
+        out = np.asarray(x, dtype=np.float64) - self.mean
+        return np.divide(out, self.scale, out=out)
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, ColumnTransform]:
@@ -306,7 +318,7 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Column
     scale = np.where(std > 0.0, std, 1.0)
     transform = ColumnTransform(mean=mean, scale=scale)
     return (
-        Dataset(x=transform.apply(train.x), y=train.y),
-        Dataset(x=transform.apply(test.x), y=test.y),
+        Dataset._own(transform.apply(train.x), train.y),
+        Dataset._own(transform.apply(test.x), test.y),
         transform,
     )

@@ -55,7 +55,7 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
-from .learners import _Checked
+from .learners import _Checked, _float
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,6 +79,7 @@ class RunConfig(_Checked):
 
 
 def _expect(value, types, where, what):
+    """``value``, checked to be one of ``types``; a number comes back as a finite float."""
     if isinstance(value, bool) and bool not in types:
         raise InvariantViolation(f"{where}: {what} must be {types[-1].__name__}, got a boolean")
     if not isinstance(value, types):
@@ -87,7 +88,7 @@ def _expect(value, types, where, what):
         )
     if isinstance(value, float) and not np.isfinite(value):
         raise InvariantViolation(f"{where}: {what} must be finite, got {value}")
-    return value
+    return _float(value, f"{where}: {what}", InvariantViolation) if float in types else value
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -234,7 +235,7 @@ def result_from_json_dict(d: dict) -> CurveResult:
         for i, (pd, x_value) in enumerate(zip(point_list, sweep.grid)):
             _expect(pd, (dict,), f"result.points[{i}]", "each point")
             _check_keys(pd, {"x_value", "stats"}, f"result.points[{i}]")
-            got = float(_expect(pd["x_value"], (int, float), f"result.points[{i}]", "x_value"))
+            got = _expect(pd["x_value"], (int, float), f"result.points[{i}]", "x_value")
             if got != x_value or sorted(pd["stats"]) != labels:
                 raise InvariantViolation(
                     f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}"
@@ -260,7 +261,7 @@ def result_from_json_dict(d: dict) -> CurveResult:
             for name, per_point in rep_d.items():
                 where = f"result.rep_risks[{name!r}]"
                 rep_risks[name] = tuple(
-                    tuple(float(_expect(r, (int, float), where, "each risk")) for r in point) for point in per_point
+                    tuple(_expect(r, (int, float), where, "each risk") for r in point) for point in per_point
                 )
         return CurveResult(
             spec=sweep,

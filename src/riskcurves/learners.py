@@ -55,6 +55,15 @@ def _param(op: str, low, default=MISSING, error=None):
     return field(default=default, metadata={"op": op, "low": low, "error": error})
 
 
+def _float(value, what: str, error: type = ValueError) -> float:
+    """``float(value)``; an integer too large for a float raises ``error`` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise error(f"{what} must be a finite float, got an integer with {digits} digits") from None
+
+
 class _Checked:
     """Base of the schema dataclasses: a field's annotation is its type check.
 
@@ -80,7 +89,7 @@ class _Checked:
             if (number and isinstance(value, bool)) or not isinstance(value, number or typ):
                 raise error(f"{f.name} must be {getattr(f.type, '__name__', f.type)}, got {value!r}")
             if number:
-                value = typ(value)
+                value = _float(value, f.name, error) if typ is float else typ(value)
                 object.__setattr__(self, f.name, value)
             if typ is float and not np.isfinite(value):
                 raise error(f"{f.name} must be finite, got {value!r}")

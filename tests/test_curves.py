@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,16 @@ from riskcurves.curves import (
     run_feature_curve,
     run_learning_curve,
 )
-from riskcurves.data import CsvSource, GaussianSpec, gen_two_gaussians, split, subsample, take_features
+from riskcurves.data import (
+    CsvSource,
+    GaussianSpec,
+    gen_two_gaussians,
+    load_csv,
+    split,
+    standardize,
+    subsample,
+    take_features,
+)
 from riskcurves.errors import (
     GridExceedsDimension,
     InvariantViolation,
@@ -292,6 +303,35 @@ def test_csv_source_sweep(tmp_path):
         run_feature_curve(_sweep(grid=(1, 2), data_source=source, fixed_n=30, test_size=20))
     with pytest.raises(GridExceedsDimension):
         run_feature_curve(_sweep(grid=(1, 4), data_source=source, fixed_n=10, test_size=20))
+
+
+def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
+    # 80 rows: 10 train, 20 test, 50 leftover, of which the learner reads 5
+    rng = np.random.default_rng(29)
+    rows = ["f1,f2,f3,f4,label"]
+    for i in range(80):
+        vals = rng.normal(0.8 if i % 3 else -0.8, 1.5, size=4)
+        rows.append(",".join([*(f"{v:.6f}" for v in vals), "pos" if i % 3 else "neg"]))
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    source = CsvSource(path=str(path), label_column="label", positive_label="pos")
+    learners = (SemiSupPfld(unlabeled_count=5), Mnlr())
+    spec = _sweep(
+        grid=(2, 4), data_source=source, fixed_n=10, test_size=20, reps=3, learners=learners, risk_metric="squared"
+    )
+    result = run_feature_curve(spec, keep_reps=True)
+    full = load_csv(path, "label", "pos")
+    for rep in range(3):
+        train, rest = split(full, 10, mix(17, rep, cv.SEED_SPLIT))
+        test, leftover = split(rest, 20, mix(17, rep, cv.SEED_SPLIT, 1))
+        train, test, tf = standardize(train, test)
+        unlab = tf.apply(leftover.x)[:5]
+        for pi, cols in enumerate(spec.grid):
+            model = fit_semisup_pfld(np.ascontiguousarray(train.x[:, :cols]), train.y, unlab[:, :cols])
+            scores = test.x[:, :cols] @ model.weights + model.bias
+            assert result.rep_risks["semisup_pfld(5)"][pi][rep] == float(np.mean((scores - test.y) ** 2))
+    alone = run_feature_curve(replace(spec, learners=(Mnlr(),)), keep_reps=True)
+    assert alone.rep_risks["mnlr"] == result.rep_risks["mnlr"]
 
 
 def test_cell_rule_per_kind():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,55 @@ def test_dataset_validation():
         Dataset(x=np.zeros((2, 2)), y=np.array([1, 2]))
     with pytest.raises(ValueError):
         Dataset(x=np.array([[np.inf, 0.0]]), y=np.array([1]))
+
+
+def test_dataset_copies_caller_arrays():
+    x, y = np.ones((3, 2)), np.array([1, -1, 1])
+    ds = Dataset(x=x, y=y)
+    x[0, 0], y[0] = 5.0, -1
+    assert ds.x[0, 0] == 1.0 and ds.y[0] == 1
+    assert not np.shares_memory(ds.x, x) and not np.shares_memory(ds.y, y)
+
+
+def test_adopting_constructor_runs_the_same_checks():
+    with pytest.raises(ValueError):
+        Dataset._own(np.zeros(3), np.array([1, -1, 1]))
+    with pytest.raises(DimensionMismatch):
+        Dataset._own(np.zeros((3, 2)), np.array([1, -1]))
+    with pytest.raises(ValueError):
+        Dataset._own(np.zeros((2, 2)), np.array([1, 2]))
+    with pytest.raises(ValueError):
+        Dataset._own(np.zeros((0, 2)), np.array([], dtype=int))
+    with pytest.raises(ValueError):
+        Dataset._own(np.array([[np.nan, 0.0]]), np.array([1]))
+    x = np.zeros((2, 2))
+    assert Dataset._own(x, np.array([1, -1])).x is x
+
+
+def _assert_fresh(ds, *inputs):
+    for arr in (ds.x, ds.y):
+        assert not any(np.shares_memory(arr, other) for other in inputs)
+    assert ds.x.dtype == np.float64 and ds.x.flags.c_contiguous and ds.x.flags.writeable
+
+
+def test_data_steps_return_arrays_of_their_own(tmp_path):
+    pool = gen_two_gaussians(_spec(), 40)
+    _assert_fresh(pool)
+    train, test = split(pool, 30, seed=4)
+    _assert_fresh(train, pool.x, pool.y)
+    _assert_fresh(test, pool.x, pool.y, train.x, train.y)
+    tr, te, _ = standardize(train, test)
+    _assert_fresh(tr, pool.x, pool.y, train.x, train.y, test.x, test.y)
+    _assert_fresh(te, pool.x, pool.y, train.x, train.y, test.x, test.y, tr.x, tr.y)
+    _assert_fresh(load_csv(_write(tmp_path, "a,b,cls\n1,2,p\n3,4,q\n"), "cls", "p"))
+
+
+def test_gen_two_gaussians_equals_one_draw_per_class():
+    spec = _spec(seed=9)
+    rng = np.random.default_rng(9)
+    mu = spec.mean_vector()
+    expected = np.vstack([rng.standard_normal((25, 6)) + mu, rng.standard_normal((25, 6)) - mu])
+    assert gen_two_gaussians(spec, 50).x.tobytes() == expected.tobytes()
 
 
 def test_gaussian_spec_validation():
@@ -183,6 +234,14 @@ def test_standardize_train_statistics():
     assert np.array_equal(tf.apply(test.x), te.x)
 
 
+def test_column_transform_is_shift_then_scale():
+    rng = np.random.default_rng(5)
+    train = Dataset(x=rng.normal(1.0, 3.0, size=(30, 5)), y=np.where(rng.random(30) < 0.5, 1, -1))
+    _, _, tf = standardize(train, train)
+    x = rng.normal(1.0, 3.0, size=(12, 5))
+    assert tf.apply(x).tobytes() == ((x - tf.mean) / tf.scale).tobytes()
+
+
 def test_standardize_constant_column():
     x = np.column_stack([np.full(6, 2.0), np.arange(6, dtype=float)])
     ds = Dataset(x=x, y=np.array([1, -1] * 3))
@@ -305,3 +364,19 @@ def test_informative_prefix_bayes_decay():
         assert abs(risk - expected) < 1e-12
     assert all(b <= a + 1e-15 for a, b in zip(risks, risks[1:]))
     assert all(abs(r - risks[3]) < 1e-15 for r in risks[3:])
+
+
+def test_load_csv_holds_the_matrix_about_once(tmp_path):
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((3000, 40))
+    lines = [",".join([f"f{j}" for j in range(40)] + ["cls"])]
+    lines += [",".join([*map(repr, row.tolist()), "pq"[i % 2]]) for i, row in enumerate(values)]
+    p = _write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        ds = load_csv(p, "cls", "p")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.x, values)
+    assert peak <= 2 * ds.x.nbytes

@@ -187,6 +187,16 @@ def test_config_type_errors():
     ):
         with pytest.raises(InvariantViolation, match="finite|too large"):
             config_from_dict(_minimal_config(**extra))
+    # an integer too large for a float is reported against its field
+    for extra, field in (
+        ({"data": {"separation": 10**400}}, "separation"),
+        ({"learners": [{"kind": "max_margin", "c": 10**400}]}, "c"),
+        ({"learners": [{"kind": "ridge", "lambda": 10**400}]}, "lam"),
+        ({"kind": "alpha_curve", "grid": [0.5, 10**400]}, "alpha grid value"),
+    ):
+        with pytest.raises(InvariantViolation) as err:
+            config_from_dict(_minimal_config(**extra))
+        assert str(err.value).endswith(f"{field} must be a finite float, got an integer with 401 digits")
     assert config_from_dict(_minimal_config(seed=10**40)).sweep.base_seed == 10**40
 
 
@@ -631,6 +641,20 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["report", "--in", str(out)]) == 4
         assert capsys.readouterr().out == ""
+    # an integer too large for a float is reported against its field
+    huge_mean = json.loads(json.dumps(good))
+    huge_mean["points"][0]["stats"]["mnlr"]["mean_risk"] = 10**400
+    for doc, field in (
+        (huge_mean, "result.points[0].stats['mnlr']: mean_risk"),
+        (bad_numbers[-2], "result.points[1]: x_value"),
+        (bad_numbers[-1], "result.rep_risks['mnlr']: each risk"),
+    ):
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be a finite float, got an integer with 401 digits" in captured.err
 
 
 def test_cli_report_unknown_learner(tmp_path, capsys):
