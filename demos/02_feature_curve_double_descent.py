@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 # The headline experiment: sweep the number of features N at a fixed
 # training size n and watch the minimum-norm classifier's risk rise to a
-# peak at N = n before descending a second time.
+# peak near N = n before descending a second time.  With the free bias the
+# system [X, 1] is square at N + 1 = n, so on a one-step grid the peak sits
+# at N = n - 1; on this grid it shows at 40, the grid point nearest 39.
 #
 # Scaled down (15 reps, 1000 test points) so it runs in a few seconds;
 # the acceptance suite runs the full 50-rep version.

@@ -7,6 +7,10 @@
 #      the interpolation threshold (helps, oddly),
 #   3. semi-supervised whitening with unlabeled data (direction depends on
 #      the problem; here it hurts slightly at the peak).
+#
+# N = n = 40 is the paper's nominal threshold.  With the free bias the
+# system [X, 1] is square at N + 1 = n, so the peak itself sits at
+# N = n - 1 = 39; N = 40 is one feature past it, still near the top.
 
 from dataclasses import replace
 

@@ -24,7 +24,7 @@ from .errors import (
     OddSampleSize,
     OutOfRange,
 )
-from .learners import _Checked, _param, as_labels
+from .learners import _Checked, _check_training_pair, _param
 
 _CLASS_ORDER = (1, -1)  # fixed order keeps stratified draws deterministic
 
@@ -50,18 +50,8 @@ class Dataset:
         ds._hold(x, y)
         return ds
 
-    def _hold(self, xm: np.ndarray, y):
-        if xm.ndim != 2:
-            raise ValueError(f"x must be 2-D, got ndim={xm.ndim}")
-        ym = as_labels(y)
-        if xm.shape[0] != ym.shape[0]:
-            raise DimensionMismatch(
-                f"{xm.shape[0]} feature rows but {ym.shape[0]} labels"
-            )
-        if xm.shape[0] < 1:
-            raise ValueError("dataset needs at least one row")
-        if xm.size and not np.all(np.isfinite(xm)):
-            raise ValueError("features must be finite")
+    def _hold(self, x: np.ndarray, y):
+        xm, ym = _check_training_pair(x, y)
         object.__setattr__(self, "x", xm)
         object.__setattr__(self, "y", ym)
 

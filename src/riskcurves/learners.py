@@ -46,8 +46,11 @@ class LinearModel:
 # ``io_cli`` reads and writes all of them from their fields.  Each learner
 # spec also declares its config ``kind``, any config key that differs from a
 # field name (``config_keys``), its parameters with their defaults and lower
-# bounds, and the fit it dispatches to (``_fit``).  ``LEARNERS`` maps each
-# kind to its spec and drives ``fit``, config parsing and the JSON round trip.
+# bounds, and its fit (``_fit``), which trusts the arrays that ``fit`` has
+# checked.  The public ``fit_*`` build a spec and call ``fit``, so they check
+# their parameters through the spec and their arrays once.  ``LEARNERS`` maps
+# each kind to its spec and drives ``fit``, config parsing and the JSON
+# round trip.
 
 
 def _param(op: str, low, default=MISSING, error=None):
@@ -113,7 +116,7 @@ class Mnlr(_LearnerSpec):
     name: str | None = None
 
     def _fit(self, x, y, x_unlabeled):
-        return fit_mnlr(x, y, self.rel_tol)
+        return _mnlr(x, y, self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,13 @@ class Pfld(_LearnerSpec):
     name: str | None = None
 
     def _fit(self, x, y, x_unlabeled):
-        return fit_pfld(x, y, self.rel_tol)
+        _require_both_classes(y)
+        mean = x.mean(axis=0)
+        centered = _mnlr(x - mean, y, self.rel_tol)
+        return LinearModel(
+            weights=centered.weights,
+            bias=centered.bias - float(centered.weights @ mean),
+        )
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,11 @@ class Ridge(_LearnerSpec):
     name: str | None = None
 
     def _fit(self, x, y, x_unlabeled):
-        return fit_ridge(x, y, self.lam)
+        yf = y.astype(np.float64)
+        x_mean = x.mean(axis=0)
+        y_mean = float(yf.mean())
+        w = ridge_least_squares(x - x_mean, yf - y_mean, self.lam)
+        return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
 
     @property
     def label(self) -> str:
@@ -157,8 +170,30 @@ class SemiSupPfld(_LearnerSpec):
     def _fit(self, x, y, x_unlabeled):
         if x_unlabeled is None:
             raise ValueError("SemiSupPfld needs an unlabeled pool")
-        pool = np.asarray(x_unlabeled, dtype=np.float64)
-        return fit_semisup_pfld(x, y, pool[: self.unlabeled_count], self.rel_tol)
+        xu = np.asarray(x_unlabeled, dtype=np.float64)[: self.unlabeled_count]
+        if xu.size == 0:
+            xu = xu.reshape(0, x.shape[1])
+        if xu.ndim != 2 or xu.shape[1] != x.shape[1]:
+            raise DimensionMismatch(
+                f"unlabeled features have shape {xu.shape}, expected (*, {x.shape[1]})"
+            )
+        if xu.size and not np.all(np.isfinite(xu)):
+            raise ValueError("unlabeled features must be finite")
+        if x.shape[1] == 0:
+            return _mnlr(x, y, self.rel_tol)
+        pooled = np.vstack([x, xu])
+        mean = pooled.mean(axis=0)
+        centered = pooled - mean
+        tall = centered.shape[0] >= 2 * centered.shape[1]
+        f = thin_svd(np.linalg.qr(centered, mode="r") if tall else centered)
+        sigma = f.s / np.sqrt(pooled.shape[0])
+        rank = numeric_rank(sigma, self.rel_tol)
+        if rank == 0:  # every pooled point identical: only the bias is learnable
+            return LinearModel(weights=np.zeros(x.shape[1]), bias=float(y.mean()))
+        transform = f.v[:, :rank] / sigma[:rank]  # d x rank
+        whitened = _mnlr((x - mean) @ transform, y, self.rel_tol)
+        w = transform @ whitened.weights
+        return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
 
     @property
     def label(self) -> str:
@@ -175,7 +210,47 @@ class MaxMargin(_LearnerSpec):
     name: str | None = None
 
     def _fit(self, x, y, x_unlabeled):
-        return fit_max_margin(x, y, self.c, self.max_iters)
+        _require_both_classes(y)
+        c, yf = self.c, y.astype(np.float64)
+        n = yf.shape[0]
+        q = (x @ x.T) * np.outer(yf, yf)
+        # Start inside the box with y^T a = 0, which every Newton step preserves;
+        # z and s are the multipliers of a >= 0 and a <= c.
+        pos = yf > 0
+        a = (c / 2) * min(pos.sum(), n - pos.sum()) / np.where(pos, pos.sum(), n - pos.sum())
+        b, z, s = 0.0, np.ones(n), np.ones(n)
+
+        for it in range(self.max_iters + 1):
+            gap, primal = _duality_gap(q, yf, a, b, c)
+            if gap <= GAP_TOL * primal:
+                break
+            if it == self.max_iters or not np.isfinite(gap):
+                raise NonConvergence(f"relative duality gap {gap / primal:.3g} after {it} iterations")
+            t = c - a
+            dual_res = q @ a - 1.0 + b * yf - z + s
+            kkt = np.block([[q + np.diag(z / a + s / t), yf[:, None]], [yf, 0.0]])
+
+            def direction(r_az, r_ts):  # Newton step toward a*z = r_az, t*s = r_ts
+                sol = np.linalg.solve(kkt, np.append(r_az / a - r_ts / t - dual_res, -float(yf @ a)))
+                da = sol[:n]
+                return da, sol[n], (r_az - z * da) / a, (r_ts + s * da) / t
+
+            def step(da, dz, ds):  # largest step in (0, 1] keeping a, t, z, s >= 0
+                v, dv = np.concatenate([a, t, z, s]), np.concatenate([da, -da, dz, ds])
+                neg = dv < 0
+                return min(1.0, float(np.min(-v[neg] / dv[neg]))) if neg.any() else 1.0
+
+            da, db, dz, ds = direction(-a * z, -t * s)
+            alpha = step(da, dz, ds)
+            mu = (a @ z + t @ s) / (2 * n)
+            mu_aff = ((a + alpha * da) @ (z + alpha * dz) + (t - alpha * da) @ (s + alpha * ds)) / (2 * n)
+            centering = (mu_aff / mu) ** 3 * mu
+            da, db, dz, ds = direction(-a * z - da * dz + centering, -t * s + da * ds + centering)
+            alpha = _TO_BOUNDARY * step(da, dz, ds)
+            a, b, z, s = a + alpha * da, b + alpha * db, z + alpha * dz, s + alpha * ds
+
+        a, b = _crossover(q, yf, a, b, z, s, c)
+        return LinearModel(weights=x.T @ (a * yf), bias=b)
 
 
 LEARNERS = {spec.kind: spec for spec in (Mnlr, Pfld, Ridge, SemiSupPfld, MaxMargin)}
@@ -226,92 +301,16 @@ def _require_both_classes(y: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# Fits.
+# Fits.  The spec bodies above take checked arrays: float64 features and
+# int64 +-1 labels with one label per row.
 
 
-def fit_mnlr(x, y, rel_tol: float = DEFAULT_REL_TOL) -> LinearModel:
-    """Minimum-norm least squares on +-1 targets with an appended bias column.
-
-    In the interpolation regime (rows <= features + 1 with full row rank)
-    the training residual is exactly zero.
-    """
-    xm, ym = _check_training_pair(x, y)
-    aug = np.hstack([xm, np.ones((xm.shape[0], 1))])
-    w = min_norm_least_squares(aug, ym.astype(np.float64), rel_tol)
+def _mnlr(x, y, rel_tol: float) -> LinearModel:
+    """The minimum-norm fit with an appended bias column that MNLR, PFLD and
+    semi-supervised PFLD share."""
+    aug = np.hstack([x, np.ones((x.shape[0], 1))])
+    w = min_norm_least_squares(aug, y.astype(np.float64), rel_tol)
     return LinearModel(weights=w[:-1], bias=float(w[-1]))
-
-
-def fit_pfld(x, y, rel_tol: float = DEFAULT_REL_TOL) -> LinearModel:
-    """Pseudo-Fisher discriminant: center by the global mean, then MNLR.
-
-    The centering shift is folded into the bias so prediction operates on
-    raw features.  Decisions agree with :func:`fit_mnlr` on class-balanced
-    data.
-    """
-    xm, ym = _check_training_pair(x, y)
-    _require_both_classes(ym)
-    mean = xm.mean(axis=0)
-    centered = fit_mnlr(xm - mean, ym, rel_tol)
-    return LinearModel(
-        weights=centered.weights,
-        bias=centered.bias - float(centered.weights @ mean),
-    )
-
-
-def fit_ridge(x, y, lam: float) -> LinearModel:
-    """Ridge fit with the bias left out of the penalty.
-
-    Solved by centering features and targets, which is algebraically the
-    same as excluding the constant column from the penalty: the optimal bias
-    is ``mean(y) - mean(x) @ w``.
-    """
-    xm, ym = _check_training_pair(x, y)
-    yf = ym.astype(np.float64)
-    x_mean = xm.mean(axis=0)
-    y_mean = float(yf.mean())
-    w = ridge_least_squares(xm - x_mean, yf - y_mean, lam)
-    return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
-
-
-def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = DEFAULT_REL_TOL) -> LinearModel:
-    """Pseudo-Fisher fit that pools unlabeled points into the preprocessing.
-
-    Centers on the pooled mean, whitens with the pooled total-covariance SVD
-    truncated at ``rel_tol``, fits MNLR in the whitened coordinates, and
-    composes the transform back so the model predicts from raw features.
-    With no unlabeled points this reproduces :func:`fit_pfld` decisions: the
-    truncated whitening is then a bijection on the span of the training data.
-
-    The whitening uses only singular values and right singular vectors, so
-    a pool with at least twice as many rows as columns is first reduced to
-    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
-    the same reduction at that shape, so the whitening is unchanged.
-    """
-    xm, ym = _check_training_pair(x_lab, y)
-    xu = np.asarray(x_unlab, dtype=np.float64)
-    if xu.size == 0:
-        xu = xu.reshape(0, xm.shape[1])
-    if xu.ndim != 2 or xu.shape[1] != xm.shape[1]:
-        raise DimensionMismatch(
-            f"unlabeled features have shape {xu.shape}, expected (*, {xm.shape[1]})"
-        )
-    if xu.size and not np.all(np.isfinite(xu)):
-        raise ValueError("unlabeled features must be finite")
-    if xm.shape[1] == 0:
-        return fit_mnlr(xm, ym, rel_tol)
-    pooled = np.vstack([xm, xu])
-    mean = pooled.mean(axis=0)
-    centered = pooled - mean
-    tall = centered.shape[0] >= 2 * centered.shape[1]
-    f = thin_svd(np.linalg.qr(centered, mode="r") if tall else centered)
-    sigma = f.s / np.sqrt(pooled.shape[0])
-    rank = numeric_rank(sigma, rel_tol)
-    if rank == 0:  # every pooled point identical: only the bias is learnable
-        return LinearModel(weights=np.zeros(xm.shape[1]), bias=float(ym.mean()))
-    transform = f.v[:, :rank] / sigma[:rank]  # d x rank
-    whitened = fit_mnlr((xm - mean) @ transform, ym, rel_tol)
-    w = transform @ whitened.weights
-    return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
 
 
 # Certified stop of the max-margin solver: (primal - dual) <= GAP_TOL * primal.
@@ -356,6 +355,65 @@ def _crossover(q, yf, a, b, z, s, c):
     return a, b
 
 
+def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
+    """Fit a declarative learner spec to features ``x`` and +-1 labels ``y``.
+
+    Checks ``(x, y)`` once, then runs the spec's fit on the checked arrays.
+    ``x_unlabeled`` is only consulted for :class:`SemiSupPfld`; the pool is
+    truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
+    is smaller, e.g. limited leftover rows of a fixed dataset).
+    """
+    if type(spec) not in LEARNERS.values():
+        raise TypeError(f"unknown learner spec {spec!r}")
+    return spec._fit(*_check_training_pair(x, y), x_unlabeled)
+
+
+def fit_mnlr(x, y, rel_tol: float = Mnlr.rel_tol) -> LinearModel:
+    """Minimum-norm least squares on +-1 targets with an appended bias column.
+
+    In the interpolation regime (rows <= features + 1 with full row rank)
+    the training residual is exactly zero.
+    """
+    return fit(Mnlr(rel_tol=rel_tol), x, y)
+
+
+def fit_pfld(x, y, rel_tol: float = Pfld.rel_tol) -> LinearModel:
+    """Pseudo-Fisher discriminant: center by the global mean, then MNLR.
+
+    The centering shift is folded into the bias so prediction operates on
+    raw features.  Decisions agree with :func:`fit_mnlr` on class-balanced
+    data.
+    """
+    return fit(Pfld(rel_tol=rel_tol), x, y)
+
+
+def fit_ridge(x, y, lam: float) -> LinearModel:
+    """Ridge fit with the bias left out of the penalty.
+
+    Solved by centering features and targets, which is algebraically the
+    same as excluding the constant column from the penalty: the optimal bias
+    is ``mean(y) - mean(x) @ w``.
+    """
+    return fit(Ridge(lam=lam), x, y)
+
+
+def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = SemiSupPfld.rel_tol) -> LinearModel:
+    """Pseudo-Fisher fit that pools unlabeled points into the preprocessing.
+
+    Centers on the pooled mean, whitens with the pooled total-covariance SVD
+    truncated at ``rel_tol``, fits MNLR in the whitened coordinates, and
+    composes the transform back so the model predicts from raw features.
+    With no unlabeled points this reproduces :func:`fit_pfld` decisions: the
+    truncated whitening is then a bijection on the span of the training data.
+
+    The whitening uses only singular values and right singular vectors, so
+    a pool with at least twice as many rows as columns is first reduced to
+    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
+    the same reduction at that shape, so the whitening is unchanged.
+    """
+    return fit(SemiSupPfld(unlabeled_count=len(x_unlab), rel_tol=rel_tol), x_lab, y, x_unlabeled=x_unlab)
+
+
 def fit_max_margin(x, y, c: float = MaxMargin.c, max_iters: int = MaxMargin.max_iters) -> LinearModel:
     """Exact minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` (bias unpenalized).
 
@@ -367,64 +425,7 @@ def fit_max_margin(x, y, c: float = MaxMargin.c, max_iters: int = MaxMargin.max_
     active-set solution when that is no worse.  Deterministic.  ``max_iters``
     only caps the iterations: reaching it raises :class:`NonConvergence`.
     """
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    xm, ym = _check_training_pair(x, y)
-    _require_both_classes(ym)
-    yf = ym.astype(np.float64)
-    n = yf.shape[0]
-    q = (xm @ xm.T) * np.outer(yf, yf)
-    # Start inside the box with y^T a = 0, which every Newton step preserves;
-    # z and s are the multipliers of a >= 0 and a <= c.
-    pos = yf > 0
-    a = (c / 2) * min(pos.sum(), n - pos.sum()) / np.where(pos, pos.sum(), n - pos.sum())
-    b, z, s = 0.0, np.ones(n), np.ones(n)
-
-    for it in range(max_iters + 1):
-        gap, primal = _duality_gap(q, yf, a, b, c)
-        if gap <= GAP_TOL * primal:
-            break
-        if it == max_iters or not np.isfinite(gap):
-            raise NonConvergence(f"relative duality gap {gap / primal:.3g} after {it} iterations")
-        t = c - a
-        dual_res = q @ a - 1.0 + b * yf - z + s
-        kkt = np.block([[q + np.diag(z / a + s / t), yf[:, None]], [yf, 0.0]])
-
-        def direction(r_az, r_ts):  # Newton step toward a*z = r_az, t*s = r_ts
-            sol = np.linalg.solve(kkt, np.append(r_az / a - r_ts / t - dual_res, -float(yf @ a)))
-            da = sol[:n]
-            return da, sol[n], (r_az - z * da) / a, (r_ts + s * da) / t
-
-        def step(da, dz, ds):  # largest step in (0, 1] keeping a, t, z, s >= 0
-            v, dv = np.concatenate([a, t, z, s]), np.concatenate([da, -da, dz, ds])
-            neg = dv < 0
-            return min(1.0, float(np.min(-v[neg] / dv[neg]))) if neg.any() else 1.0
-
-        da, db, dz, ds = direction(-a * z, -t * s)
-        alpha = step(da, dz, ds)
-        mu = (a @ z + t @ s) / (2 * n)
-        mu_aff = ((a + alpha * da) @ (z + alpha * dz) + (t - alpha * da) @ (s + alpha * ds)) / (2 * n)
-        centering = (mu_aff / mu) ** 3 * mu
-        da, db, dz, ds = direction(-a * z - da * dz + centering, -t * s + da * ds + centering)
-        alpha = _TO_BOUNDARY * step(da, dz, ds)
-        a, b, z, s = a + alpha * da, b + alpha * db, z + alpha * dz, s + alpha * ds
-
-    a, b = _crossover(q, yf, a, b, z, s, c)
-    return LinearModel(weights=xm.T @ (a * yf), bias=b)
-
-
-def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
-    """Dispatch a declarative learner spec to the matching fit function.
-
-    ``x_unlabeled`` is only consulted for :class:`SemiSupPfld`; the pool is
-    truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
-    is smaller, e.g. limited leftover rows of a fixed dataset).
-    """
-    if type(spec) not in LEARNERS.values():
-        raise TypeError(f"unknown learner spec {spec!r}")
-    return spec._fit(x, y, x_unlabeled)
+    return fit(MaxMargin(c=c, max_iters=max_iters), x, y)
 
 
 # --------------------------------------------------------------------------

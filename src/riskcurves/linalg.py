@@ -3,10 +3,12 @@ least squares.
 
 All solvers go through one thin SVD so the pseudo-inverse and the ridge
 filter share the same factorization semantics.  Matrices are plain 2-D
-float64 ``numpy`` arrays, vectors 1-D; inputs are validated to be finite.
-The semi-supervised whitening in ``learners`` hands :func:`thin_svd` the
-triangular QR factor ``R`` of a tall pool rather than the pool itself: it
-uses only the singular values and right singular vectors, which both share.
+float64 ``numpy`` arrays, vectors 1-D.  :func:`thin_svd` checks that a
+matrix is nonempty and finite; the solvers leave that to it and check
+only their right-hand side.  The semi-supervised whitening in ``learners``
+hands :func:`thin_svd` the triangular QR factor ``R`` of a tall pool
+rather than the pool itself: it uses only the singular values and right
+singular vectors, which both share.
 """
 
 from dataclasses import dataclass
@@ -18,28 +20,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonPositiveLambda
 # Relative cutoff below which singular values count as zero.  Far below the
 # noise scale of any experiment in this library.
 DEFAULT_REL_TOL = 1e-10
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a nonempty 2-D float64 array with finite entries."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array with finite entries."""
-    w = np.asarray(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got ndim={w.ndim}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return w
 
 
 @dataclass(frozen=True)
@@ -62,7 +42,13 @@ def thin_svd(a) -> SvdFactorization:
     Raises ConvergenceFailure if the underlying iteration fails, which
     signals a pathological input rather than a recoverable condition.
     """
-    m = as_matrix(a)
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -90,6 +76,18 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
+def _right_hand_side(b, rows: int) -> np.ndarray:
+    """``b`` as a finite 1-D float64 vector with one entry per matrix row."""
+    rhs = np.asarray(b, dtype=np.float64)
+    if rhs.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got ndim={rhs.ndim}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    if rhs.shape[0] != rows:
+        raise DimensionMismatch(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
+    return rhs
+
+
 def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Least-squares solution of ``a w = b`` with minimum Euclidean norm.
 
@@ -98,16 +96,11 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     applied to ``b``.  Among all minimizers of ``||a w - b||`` this is the
     unique one of smallest ``||w||``.  A zero matrix yields ``w = 0``.
     """
-    m = as_matrix(a)
-    rhs = as_vector(b)
-    if m.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries"
-        )
-    f = thin_svd(m)
+    f = thin_svd(a)
+    rhs = _right_hand_side(b, f.u.shape[0])
     r = numeric_rank(f.s, rel_tol)
     if r == 0:
-        return np.zeros(m.shape[1])
+        return np.zeros(f.v.shape[0])
     return f.v[:, :r] @ ((f.u[:, :r].T @ rhs) / f.s[:r])
 
 
@@ -119,12 +112,7 @@ def ridge_least_squares(a, b, lam: float) -> np.ndarray:
     """
     if not lam > 0:
         raise NonPositiveLambda(f"ridge penalty must be > 0, got {lam}")
-    m = as_matrix(a)
-    rhs = as_vector(b)
-    if m.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries"
-        )
-    f = thin_svd(m)
+    f = thin_svd(a)
+    rhs = _right_hand_side(b, f.u.shape[0])
     filt = f.s / (f.s**2 + lam)
     return f.v @ (filt * (f.u.T @ rhs))

@@ -469,6 +469,26 @@ def test_detect_peak_unknown_learner():
         detect_peak(result, "nope")
 
 
+def test_mnlr_feature_peak_is_where_the_system_with_bias_is_square():
+    # MNLR fits a free bias, so [X, 1] is square at N + 1 = n: on a one-step
+    # grid around fixed_n = 20 the risk peaks at N = 19, one below N = n.
+    spec = SweepSpec(
+        kind="feature_curve",
+        grid=tuple(range(17, 23)),
+        learners=(Mnlr(),),
+        data_source=GaussianSpec(dim=40),
+        fixed_n=20,
+        test_size=500,
+        reps=100,
+        base_seed=1,
+    )
+    result = run_feature_curve(spec, keep_reps=True)
+    assert detect_peak(result, "mnlr").peak_x == 19
+    per_rep = result.rep_risks["mnlr"]
+    gap = np.subtract(per_rep[2], per_rep[3])  # risk(N = 19) - risk(N = 20), paired by rep
+    assert gap.mean() > 3 * gap.std(ddof=1) / np.sqrt(gap.size)
+
+
 def test_max_margin_learning_curve_is_monotone_within_noise():
     # after the initial descent from the smallest n, no point of the hinge
     # learner's curve climbs significantly above the n_min risk

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -232,6 +234,8 @@ def test_ridge_rejects_nonpositive_lambda():
         Ridge(lam=-1.0)
     with pytest.raises(NonPositiveLambda):
         Ridge(lam=True)
+    with pytest.raises(NonPositiveLambda):
+        fit_ridge([[1.0], [-1.0]], [1, -1], True)
 
 
 # -- semi-supervised PFLD ----------------------------------------------------
@@ -420,6 +424,10 @@ def test_max_margin_validation():
         fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=0)
     with pytest.raises(NonConvergence):
         fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=1)
+    with pytest.raises(ValueError):
+        fit_max_margin([[1.0], [-1.0]], [1, -1], c=True)
+    with pytest.raises(ValueError):
+        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=2.5)
 
 
 def test_hinge_objective_hand_case():
@@ -454,6 +462,40 @@ def test_fit_dispatch_matches_direct_calls():
         via = fit(spec, x, y, x_unlabeled=pool)
         assert_array_equal(via.weights, direct.weights)
         assert via.bias == direct.bias
+
+
+@pytest.mark.parametrize(
+    "public, spec",
+    [
+        (fit_mnlr, Mnlr),
+        (fit_pfld, Pfld),
+        (lambda x, y, **params: fit_semisup_pfld(x, y, x, **params), partial(SemiSupPfld, unlabeled_count=2)),
+    ],
+    ids=["mnlr", "pfld", "semisup_pfld"],
+)
+@pytest.mark.parametrize("rel_tol", [True, 0.0, float("nan")])
+def test_public_fits_reject_the_rel_tol_their_spec_rejects(public, spec, rel_tol):
+    with pytest.raises(ValueError):
+        spec(rel_tol=rel_tol)
+    with pytest.raises(ValueError):
+        public([[1.0], [-1.0]], [1, -1], rel_tol=rel_tol)
+
+
+def test_fit_checks_the_labels_once(monkeypatch):
+    rng = np.random.default_rng(16)
+    x, y = _balanced(rng, 10, 4)
+    pool = rng.standard_normal((12, 4))
+    calls = []
+
+    def counting_as_labels(labels):
+        calls.append(labels)
+        return as_labels(labels)
+
+    monkeypatch.setattr(learners, "as_labels", counting_as_labels)
+    for spec in (Mnlr(), Pfld(), Ridge(lam=0.5), SemiSupPfld(unlabeled_count=4), MaxMargin(max_iters=500)):
+        calls.clear()
+        fit(spec, x, y, x_unlabeled=pool)
+        assert len(calls) == 1, spec
 
 
 def test_fit_semisup_requires_pool():
