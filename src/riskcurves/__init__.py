@@ -15,90 +15,56 @@ again on both sides.  This package provides:
 * ``oracle``  – independent checks: normal equations, brute-force minimum
   norm, SMO soft-margin optimum, closed-form Gaussian risk,
 * ``io_cli``  – JSON config, CSV/JSON/SVG emission and the command line.
+
+Every public name is importable from the package itself.  numpy loads on
+the first numeric call: importing the package, building specs, validating
+a config and ``riskcurves report`` never load it.
 """
 
 from ._version import __version__
-from .curves import (
-    CurveKind,
-    CurvePoint,
-    CurveResult,
-    LearnerStats,
-    PeakReport,
-    Provenance,
-    SweepSpec,
-    alpha_train_size,
-    detect_peak,
-    interpolation_threshold,
-    mix,
-    run_alpha_curve,
-    run_feature_curve,
-    run_learning_curve,
-    run_sweep,
-)
-from .data import (
-    ColumnTransform,
-    CsvSource,
-    Dataset,
-    GaussianSpec,
-    append_random_features,
-    gen_two_gaussians,
-    load_csv,
-    split,
-    standardize,
-    subsample,
-    take_features,
-)
-from .learners import (
-    LinearModel,
-    MaxMargin,
-    Mnlr,
-    Pfld,
-    Ridge,
-    SemiSupPfld,
-    decision_values,
-    fit,
-    fit_max_margin,
-    fit_mnlr,
-    fit_pfld,
-    fit_ridge,
-    fit_semisup_pfld,
-    hinge_objective,
-    predict,
-    squared_risk,
-    zero_one_risk,
-)
-from .linalg import (
-    DEFAULT_REL_TOL,
-    SvdFactorization,
-    min_norm_least_squares,
-    numeric_rank,
-    ridge_least_squares,
-    thin_svd,
-)
-from .oracle import (
-    analytic_gaussian_risk,
-    bayes_risk,
-    min_norm_bruteforce,
-    normal_equation_solve,
-    smo_max_margin,
-    std_normal_cdf,
-)
 
-__all__ = [
-    "__version__",
-    "CurveKind", "CurvePoint", "CurveResult", "LearnerStats", "PeakReport",
-    "Provenance", "SweepSpec", "alpha_train_size", "detect_peak",
-    "interpolation_threshold", "mix", "run_alpha_curve", "run_feature_curve",
-    "run_learning_curve", "run_sweep",
-    "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec",
-    "append_random_features", "gen_two_gaussians", "load_csv", "split",
-    "standardize", "subsample", "take_features",
-    "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",
-    "decision_values", "fit", "fit_max_margin", "fit_mnlr", "fit_pfld",
-    "fit_ridge", "fit_semisup_pfld", "hinge_objective", "predict",
-    "squared_risk", "zero_one_risk",
-    "DEFAULT_REL_TOL", "SvdFactorization", "min_norm_least_squares",
-    "numeric_rank", "ridge_least_squares", "thin_svd",
-    "analytic_gaussian_risk", "bayes_risk", "min_norm_bruteforce",
-    "normal_equation_solve", "smo_max_margin", "std_normal_cdf",
-]
+# Public name -> defining submodule, imported on the name's first use (PEP 562).
+_EXPORTS = {
+    "curves": (
+        "CurveKind", "CurvePoint", "CurveResult", "LearnerStats", "PeakReport",
+        "Provenance", "SweepSpec", "alpha_train_size", "detect_peak",
+        "interpolation_threshold", "mix", "run_alpha_curve", "run_feature_curve",
+        "run_learning_curve", "run_sweep", "square_system_threshold",
+    ),
+    "data": (
+        "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec",
+        "append_random_features", "gen_two_gaussians", "load_csv", "split",
+        "standardize", "subsample", "take_features",
+    ),
+    "learners": (
+        "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",
+        "decision_values", "fit", "fit_max_margin", "fit_mnlr", "fit_pfld",
+        "fit_ridge", "fit_semisup_pfld", "hinge_objective", "predict",
+        "squared_risk", "zero_one_risk",
+    ),
+    "linalg": (
+        "DEFAULT_REL_TOL", "SvdFactorization", "min_norm_least_squares",
+        "numeric_rank", "ridge_least_squares", "thin_svd",
+    ),
+    "oracle": (
+        "analytic_gaussian_risk", "bayes_risk", "min_norm_bruteforce",
+        "normal_equation_solve", "smo_max_margin", "std_normal_cdf",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

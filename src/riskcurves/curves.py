@@ -22,11 +22,12 @@ byte-identical data, so per-cell risk differences are attributable to the
 learner alone.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import numpy as np
-
+from ._np import np
 from ._version import __version__
 from .data import (
     SOURCES,
@@ -93,7 +94,7 @@ class CurveKind(str, Enum):
 
 def alpha_train_size(alpha: float, fixed_N: int) -> int:
     """Training size for a ratio point: round(alpha * N), half away from zero."""
-    return int(np.floor(alpha * fixed_N + 0.5))
+    return math.floor(alpha * fixed_N + 0.5)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -154,11 +155,11 @@ class SweepSpec(_Checked):
         if not raw:
             raise InvariantViolation("grid must be nonempty")
         ratio = self.kind is CurveKind.ALPHA  # alpha grids hold ratios n/N, the others counts
-        types, what = ((int, float), "numbers") if ratio else ((int, np.integer), "integers")
+        types, what = ((int, float), "numbers") if ratio else (numbers.Integral, "integers")
         for g in raw:
             if isinstance(g, bool) or not isinstance(g, types):
                 raise InvariantViolation(f"{self.x_name()} grid values must be {what}, got {g!r}")
-            if not 0 < g < np.inf:
+            if not 0 < g < math.inf:
                 raise InvariantViolation(f"{self.x_name()} grid values must be finite and > 0, got {g}")
         grid = tuple(_float(g, "alpha grid value", InvariantViolation) if ratio else int(g) for g in raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -237,6 +238,19 @@ def interpolation_threshold(spec: SweepSpec) -> float:
     as pinned counts are at least 2)."""
     n, N = spec._cell(1.0)
     return 1.0 if n == N else float(getattr(spec, spec.kind._pinned))
+
+
+def square_system_threshold(spec: SweepSpec) -> float:
+    """Sweep value whose cell has n = N + 1, where the system ``[X, 1]`` of a
+    learner with a free bias is square and the minimum-norm risk peaks:
+    ``fixed_n - 1`` on a feature curve, ``fixed_N + 1`` on a learning curve,
+    ``(fixed_N + 1) / fixed_N`` on an alpha curve.  Plots and
+    :func:`detect_peak` keep :func:`interpolation_threshold`'s nominal n = N."""
+    if spec.kind is CurveKind.FEATURE:
+        return float(spec.fixed_n - 1)
+    if spec.kind is CurveKind.LEARNING:
+        return float(spec.fixed_N + 1)
+    return (spec.fixed_N + 1) / spec.fixed_N
 
 
 @dataclass(frozen=True)
@@ -497,7 +511,7 @@ def detect_peak(result: CurveResult, learner: str) -> PeakReport:
                 best = (prominence, i)
 
     if best is None:
-        top = int(np.argmax(means))
+        top = means.index(max(means))  # the first maximum
         return PeakReport(
             learner=learner,
             peak_x=xs[top],

@@ -13,8 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     DimensionMismatch,
     MalformedCsv,
@@ -37,20 +36,20 @@ class Dataset:
     augmentation); everything else expects at least one column.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    x: "np.ndarray"
+    y: "np.ndarray"
 
     def __post_init__(self):
         self._hold(np.array(self.x, dtype=np.float64, copy=True), self.y)
 
     @classmethod
-    def _own(cls, x: np.ndarray, y) -> "Dataset":
+    def _own(cls, x: "np.ndarray", y) -> "Dataset":
         """Same checks, but holds ``x`` itself: only for a fresh float64 array, never a view."""
         ds = object.__new__(cls)
         ds._hold(x, y)
         return ds
 
-    def _hold(self, x: np.ndarray, y):
+    def _hold(self, x: "np.ndarray", y):
         xm, ym = _check_training_pair(x, y)
         object.__setattr__(self, "x", xm)
         object.__setattr__(self, "y", ym)
@@ -88,7 +87,7 @@ class GaussianSpec(_Checked):
                 f"informative must be in 1..{self.dim}, got {self.informative}"
             )
 
-    def mean_vector(self) -> np.ndarray:
+    def mean_vector(self) -> "np.ndarray":
         mu = np.zeros(self.dim)
         mu[: self.informative] = self.separation / np.sqrt(self.informative)
         return mu
@@ -144,7 +143,7 @@ def append_random_features(ds: Dataset, k: int, sigma: float, seed: int) -> Data
     return Dataset._own(np.hstack([ds.x, noise]), ds.y)
 
 
-def _stratified_counts(y: np.ndarray, n_take: int) -> dict[int, int]:
+def _stratified_counts(y: "np.ndarray", n_take: int) -> dict[int, int]:
     """Per-class take counts: proportional, largest remainder, class-order ties."""
     total = len(y)
     counts = {}
@@ -192,7 +191,7 @@ def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     return Dataset._own(ds.x[idx], ds.y[idx])
 
 
-def subsample_indices(ds: Dataset, n: int, seed: int) -> np.ndarray:
+def subsample_indices(ds: Dataset, n: int, seed: int) -> "np.ndarray":
     """Row indices :func:`subsample` would keep (sorted ascending)."""
     if not 2 <= n <= ds.n_samples:
         raise OutOfRange(f"n must be in 2..{ds.n_samples}, got {n}")
@@ -285,10 +284,10 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
 class ColumnTransform:
     """Per-column shift/scale fitted on a training set."""
 
-    mean: np.ndarray
-    scale: np.ndarray
+    mean: "np.ndarray"
+    scale: "np.ndarray"
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: "np.ndarray") -> "np.ndarray":
         out = np.asarray(x, dtype=np.float64) - self.mean
         return np.divide(out, self.scale, out=out)
 

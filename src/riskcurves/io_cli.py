@@ -25,13 +25,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .curves import (
     CurveKind,
     CurvePoint,
@@ -86,7 +86,7 @@ def _expect(value, types, where, what):
         raise InvariantViolation(
             f"{where}: {what} must be {types[-1].__name__}, got {type(value).__name__}"
         )
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise InvariantViolation(f"{where}: {what} must be finite, got {value}")
     return _float(value, f"{where}: {what}", InvariantViolation) if float in types else value
 

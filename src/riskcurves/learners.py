@@ -7,12 +7,12 @@ Labels are +-1 integers.  Every fit returns an immutable
 resolving to +1 so risk estimates stay deterministic.
 """
 
+import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
-import numpy as np
-
+from ._np import np
 from .errors import (
     DimensionMismatch,
     NonConvergence,
@@ -26,7 +26,7 @@ from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, numeric_rank, ridge
 class LinearModel:
     """Affine decision function ``x -> w @ x + b``."""
 
-    weights: np.ndarray
+    weights: "np.ndarray"
     bias: float
 
     def __post_init__(self):
@@ -94,7 +94,7 @@ class _Checked:
             if number:
                 value = _float(value, f.name, error) if typ is float else typ(value)
                 object.__setattr__(self, f.name, value)
-            if typ is float and not np.isfinite(value):
+            if typ is float and not math.isfinite(value):
                 raise error(f"{f.name} must be finite, got {value!r}")
             op, low = f.metadata.get("op"), f.metadata.get("low")
             if op and not (value > low if op == ">" else value >= low):
@@ -260,7 +260,7 @@ LEARNERS = {spec.kind: spec for spec in (Mnlr, Pfld, Ridge, SemiSupPfld, MaxMarg
 # Input validation helpers.
 
 
-def _as_features(x) -> np.ndarray:
+def _as_features(x) -> "np.ndarray":
     """2-D finite float64 features; zero columns allowed (bias-only fits)."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
@@ -272,7 +272,7 @@ def _as_features(x) -> np.ndarray:
     return m
 
 
-def as_labels(y) -> np.ndarray:
+def as_labels(y) -> "np.ndarray":
     """1-D array of +-1 integer labels."""
     arr = np.asarray(y)
     if arr.ndim != 1:
@@ -295,7 +295,7 @@ def _check_training_pair(x, y):
     return xm, ym
 
 
-def _require_both_classes(y: np.ndarray):
+def _require_both_classes(y: "np.ndarray"):
     if np.all(y == y[0]):
         raise SingleClassInput("training labels contain a single class")
 
@@ -432,7 +432,7 @@ def fit_max_margin(x, y, c: float = MaxMargin.c, max_iters: int = MaxMargin.max_
 # Prediction and risks.
 
 
-def decision_values(model: LinearModel, x) -> np.ndarray:
+def decision_values(model: LinearModel, x) -> "np.ndarray":
     """Raw affine scores ``x @ w + b`` per row."""
     xm = _as_features(x)
     if xm.shape[1] != model.weights.shape[0]:
@@ -442,12 +442,12 @@ def decision_values(model: LinearModel, x) -> np.ndarray:
     return xm @ model.weights + model.bias
 
 
-def _sign(values: np.ndarray) -> np.ndarray:
+def _sign(values: "np.ndarray") -> "np.ndarray":
     """+-1 labels of decision values; sign(0) resolves to +1."""
     return np.where(values >= 0.0, 1, -1).astype(np.int64)
 
 
-def _risk(values: np.ndarray, y: np.ndarray, metric: str) -> float:
+def _risk(values: "np.ndarray", y: "np.ndarray", metric: str) -> float:
     """Risk of decision ``values`` (or of labels) against +-1 labels ``y``,
     unchecked: the 0-1 rate of ``_sign(values) != y`` or the squared loss."""
     if metric == "zero_one":
@@ -455,7 +455,7 @@ def _risk(values: np.ndarray, y: np.ndarray, metric: str) -> float:
     return float(np.mean((values - y) ** 2))
 
 
-def predict(model: LinearModel, x) -> np.ndarray:
+def predict(model: LinearModel, x) -> "np.ndarray":
     """Predicted +-1 labels; sign(0) resolves to +1."""
     return _sign(decision_values(model, x))
 

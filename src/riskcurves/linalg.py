@@ -13,8 +13,7 @@ singular vectors, which both share.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import ConvergenceFailure, DimensionMismatch, NonPositiveLambda
 
 # Relative cutoff below which singular values count as zero.  Far below the
@@ -31,9 +30,9 @@ class SvdFactorization:
     non-increasing.
     """
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    u: "np.ndarray"
+    s: "np.ndarray"
+    v: "np.ndarray"
 
 
 def thin_svd(a) -> SvdFactorization:
@@ -76,7 +75,7 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _right_hand_side(b, rows: int) -> np.ndarray:
+def _right_hand_side(b, rows: int) -> "np.ndarray":
     """``b`` as a finite 1-D float64 vector with one entry per matrix row."""
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.ndim != 1:
@@ -88,7 +87,7 @@ def _right_hand_side(b, rows: int) -> np.ndarray:
     return rhs
 
 
-def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarray":
     """Least-squares solution of ``a w = b`` with minimum Euclidean norm.
 
     Computed as ``v[:, :r] @ (u[:, :r].T @ b / s[:r])`` with the rank ``r``
@@ -104,7 +103,7 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     return f.v[:, :r] @ ((f.u[:, :r].T @ rhs) / f.s[:r])
 
 
-def ridge_least_squares(a, b, lam: float) -> np.ndarray:
+def ridge_least_squares(a, b, lam: float) -> "np.ndarray":
     """Unique minimizer of ``||a w - b||^2 + lam * ||w||^2``.
 
     Uses the SVD filter ``s / (s^2 + lam)``, which shrinks every direction

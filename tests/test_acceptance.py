@@ -6,6 +6,7 @@ data with 10 informative coordinates at separation 2.5, held-out test sets
 of 2000 points, and a fixed base seed, so every run is reproducible.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -337,6 +338,10 @@ def test_c11_cli_runs_are_byte_identical(tmp_path):
         """,
         encoding="utf-8",
     )
+    env = dict(os.environ)  # the children import the package this process imported
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(rc.__file__)), env.get("PYTHONPATH")) if p
+    )
     outputs = {}
     for tag, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
         cmd = [
@@ -346,7 +351,7 @@ def test_c11_cli_runs_are_byte_identical(tmp_path):
             "--out-json", str(tmp_path / f"{tag}.json"),
             *extra,
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs[tag] = (
             (tmp_path / f"{tag}.csv").read_bytes(),

@@ -17,6 +17,7 @@ from riskcurves.curves import (
     run_alpha_curve,
     run_feature_curve,
     run_learning_curve,
+    square_system_threshold,
 )
 from riskcurves.data import (
     CsvSource,
@@ -364,6 +365,21 @@ def test_interpolation_threshold_per_kind():
     ) == 1.0
 
 
+@pytest.mark.parametrize(
+    "kw, threshold",
+    [
+        ({}, 7.0),
+        (dict(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=6, test_size=92), 7.0),
+        (dict(kind="alpha_curve", grid=(0.5, 1.0), fixed_n=None, fixed_N=6, test_size=94), 7 / 6),
+    ],
+)
+def test_square_system_threshold_per_kind(kw, threshold):
+    spec = _sweep(**kw)
+    assert square_system_threshold(spec) == threshold
+    n, N = spec._cell(threshold)
+    assert n == N + 1  # [X, 1] is square there
+
+
 # -- peak detection ----------------------------------------------------------
 
 
@@ -483,7 +499,7 @@ def test_mnlr_feature_peak_is_where_the_system_with_bias_is_square():
         base_seed=1,
     )
     result = run_feature_curve(spec, keep_reps=True)
-    assert detect_peak(result, "mnlr").peak_x == 19
+    assert detect_peak(result, "mnlr").peak_x == square_system_threshold(spec)
     per_rep = result.rep_risks["mnlr"]
     gap = np.subtract(per_rep[2], per_rep[3])  # risk(N = 19) - risk(N = 20), paired by rep
     assert gap.mean() > 3 * gap.std(ddof=1) / np.sqrt(gap.size)

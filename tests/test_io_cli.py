@@ -8,7 +8,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import riskcurves
-from riskcurves.curves import CurveResult, Provenance, SweepSpec, run_feature_curve
+from riskcurves.curves import (
+    CurvePoint,
+    CurveResult,
+    LearnerStats,
+    Provenance,
+    SweepSpec,
+    run_feature_curve,
+    run_sweep,
+)
 from riskcurves.data import SOURCES, CsvSource, GaussianSpec
 from riskcurves.errors import (
     InvariantViolation,
@@ -408,22 +416,88 @@ def test_svg_escapes_names(tmp_path):
     assert ">d&gt;e \"f\" 'g'</text>" in text
 
 
-def test_cli_module_import_skips_network_stack():
-    mods = ("urllib.request", "http.client", "ssl", "email")
-    probe = f"import sys, riskcurves.io_cli; print([m for m in {mods!r} if m in sys.modules])"
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new Python that imports this riskcurves."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riskcurves.__file__)))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
 
 
-def test_cli_module_import_skips_thread_pool():
-    mods = ("concurrent.futures", "logging")
-    probe = f"import sys, riskcurves.io_cli; print([m for m in {mods!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riskcurves.__file__)))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+ALL_KINDS = [
+    {"kind": "mnlr"},
+    {"kind": "pfld"},
+    {"kind": "ridge", "lambda": 0.1},
+    {"kind": "semisup_pfld", "unlabeled_count": 10},
+    {"kind": "max_margin", "max_iters": 500},
+]
+
+
+@pytest.fixture
+def probe_files(tmp_path):
+    """Inputs of the read-only probes, by the names their code formats in."""
+    gauss = _minimal_config(grid=[2, 4, 6], fixed_n=6, test_size=94, reps=2, learners=ALL_KINDS,
+                            data={"dim": 8, "informative": 2, "separation": 2.0})
+    csv = _minimal_config(data={"source": "csv", "path": "x.csv", "label_column": "y", "positive_label": "p"})
+    bad = dict(gauss, grid=[2, 4, 16])  # 16 features from an 8-dim generator
+    spec = SweepSpec(
+        kind="alpha_curve",
+        grid=(0.5, 1.0, 1.5),
+        fixed_N=8,
+        learners=(Mnlr(), Mnlr(name="flat")),
+        data_source=GaussianSpec(dim=8, informative=2),
+        reps=1,
+    )
+    stats = lambda m: LearnerStats(m, 0.0, 0.0, m, m, 1)  # noqa: E731
+    points = tuple(
+        CurvePoint(x_value=x, stats={"mnlr": stats(m), "flat": stats(0.25)})
+        for x, m in zip(spec.grid, (0.2, 0.4, 0.3))
+    )
+    files = {"gauss": gauss, "csv": csv, "bad": bad}
+    paths = {name: str(tmp_path / f"{name}.json") for name in (*files, "result")}
+    for name, cfg in files.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+    emit_json(CurveResult(spec=spec, points=points, provenance=Provenance(0, riskcurves.__version__)), paths["result"])
+    return paths
+
+
+_NUMPY = ("numpy",)
+
+
+@pytest.mark.parametrize(
+    "code, forbidden",
+    [
+        ("import riskcurves.io_cli", ("urllib.request", "http.client", "ssl", "email")),
+        ("import riskcurves.io_cli", ("concurrent.futures", "logging")),
+        (
+            "from riskcurves import GaussianSpec, MaxMargin, Mnlr, Pfld, Ridge, SemiSupPfld, SweepSpec\n"
+            "learners = (Mnlr(), Pfld(), Ridge(lam=0.1), SemiSupPfld(unlabeled_count=10), MaxMargin())\n"
+            "SweepSpec(kind='feature_curve', grid=(2, 4), fixed_n=6, learners=learners, data_source=GaussianSpec())",
+            _NUMPY,
+        ),
+        ("from riskcurves.io_cli import load_config\nload_config({gauss!r})\nload_config({csv!r})", _NUMPY),
+        ("from riskcurves.io_cli import cli_main\nassert cli_main(['feature-curve', '--config', {bad!r}]) == 2", _NUMPY),
+        # alpha_train_size, and the flat learner's first-maximum report
+        ("from riskcurves.io_cli import cli_main\nassert cli_main(['report', '--in', {result!r}]) == 0", _NUMPY),
+    ],
+    ids=["io_cli-network", "io_cli-thread-pool", "specs", "load_config", "config-exit-2", "report"],
+)
+def test_fresh_interpreter_leaves_modules_out(code, forbidden, probe_files):
+    probe = code.format(**probe_files) + f"\nimport sys\nprint([m for m in {forbidden!r} if m in sys.modules])"
+    assert _fresh_interpreter(probe).splitlines()[-1] == "[]"
+
+
+def test_sweep_after_a_numpy_free_read_matches_in_process(probe_files):
+    probe = (
+        "import json, sys\n"
+        "from riskcurves.io_cli import load_config, result_to_json_dict, run_sweep\n"
+        f"config = load_config({probe_files['gauss']!r})\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(json.dumps(result_to_json_dict(run_sweep(config.sweep, keep_reps=True))))"
+    )
+    expected = result_to_json_dict(run_sweep(load_config(probe_files["gauss"]).sweep, keep_reps=True))
+    assert _fresh_interpreter(probe) == json.dumps(expected) + "\n"
 
 
 def test_atomic_write_leaves_no_temp_on_failure(tmp_path):
