@@ -47,7 +47,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _Checked, _float, _param, _risk, fit
+from .learners import LEARNERS, _Checked, _FitContext, _float, _param, _risk, fit
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -342,11 +342,10 @@ def run_alpha_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 
     return run_sweep(_of_kind(spec, CurveKind.ALPHA), keep_reps=keep_reps, workers=workers)
 
 
-def _fit_cell(learner, train, test, unlab_x, metric, x_value, rep):
-    """Risk on ``test`` of ``learner`` fit on ``train``; both are ``(x, y)`` arrays."""
+def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
+    """Risk on ``(test_x, test_y)`` of ``learner`` fit from the context ``cell``."""
     try:
-        model = fit(learner, *train, x_unlabeled=unlab_x)
-        test_x, test_y = test
+        model = fit(learner, cell.x, cell.y, x_unlabeled=cell)
         return _risk(test_x @ model.weights + model.bias, test_y, metric)
     except (RiskCurvesError, ValueError) as exc:
         raise type(exc)(
@@ -360,8 +359,9 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     Per rep: draw (or re-split) a pool and split it into train/test.  At each
     grid point's cell (n, N) the sweep keeps the first N columns and, where n
     is below the pool, a stratified subsample of n training rows (a subsample
-    of the whole pool would be every row, in order).  Every learner is fit on
-    the same arrays.
+    of the whole pool would be every row, in order).  Every learner is fit
+    from one context per cell, which checks the arrays once and factors
+    the centred features at most once.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -421,13 +421,13 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             if n_train < train_rows:
                 rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
             # contiguous, as BLAS may round differently on a strided view
-            cell_train = (np.ascontiguousarray(train.x[rows, :cols]), train.y[rows])
-            cell_test = (test.x[:, :cols], test.y)
-            cell_unlab = unlab_x[:, :cols] if unlab_x is not None else None
+            unlab = unlab_x[:, :cols] if unlab_x is not None else None
+            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlab)
             for li, learner in enumerate(spec.learners):
                 out[pi, li] = _fit_cell(
-                    learner, cell_train, cell_test, cell_unlab, spec.risk_metric, float(x_val), rep
+                    learner, cell, test.x[:, :cols], test.y, spec.risk_metric, float(x_val), rep
                 )
+            del cell  # the cell's factorization goes before the next cell's
         return out
 
     risks = np.empty((n_points, len(labels), spec.reps))

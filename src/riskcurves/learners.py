@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, numeric_rank, ridge_least_squares, thin_svd
+from .linalg import DEFAULT_REL_TOL, SvdFactorization, min_norm_least_squares, numeric_rank, thin_svd
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ class LinearModel:
 # ``io_cli`` reads and writes all of them from their fields.  Each learner
 # spec also declares its config ``kind``, any config key that differs from a
 # field name (``config_keys``), its parameters with their defaults and lower
-# bounds, and its fit (``_fit``), which trusts the arrays that ``fit`` has
-# checked.  The public ``fit_*`` build a spec and call ``fit``, so they check
-# their parameters through the spec and their arrays once.  ``LEARNERS`` maps
-# each kind to its spec and drives ``fit``, config parsing and the JSON
-# round trip.
+# bounds, and its fit (``_fit``), which reads the checked arrays of a
+# ``_FitContext``.  The public ``fit_*`` build a spec and call ``fit``, so
+# they check their parameters through the spec and their arrays once.
+# ``LEARNERS`` maps each kind to its spec and drives ``fit``, config parsing
+# and the JSON round trip.
 
 
 def _param(op: str, low, default=MISSING, error=None):
@@ -115,26 +115,26 @@ class Mnlr(_LearnerSpec):
     rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def _fit(self, x, y, x_unlabeled):
-        return _mnlr(x, y, self.rel_tol)
+    def _fit(self, cell):
+        return _mnlr(cell.x, cell.yf, self.rel_tol)
 
 
 @dataclass(frozen=True)
 class Pfld(_LearnerSpec):
-    """Pseudo-Fisher linear discriminant (mean-centered minimum-norm fit)."""
+    """Pseudo-Fisher linear discriminant, the ridgeless limit of ridge: the
+    minimum-norm fit of ``[x - mean, 1]``, whose largest singular value is
+    ``max(s_1, sqrt(n))`` with ``s`` those of ``x - mean``."""
 
     kind: ClassVar[str] = "pfld"
     rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def _fit(self, x, y, x_unlabeled):
-        _require_both_classes(y)
-        mean = x.mean(axis=0)
-        centered = _mnlr(x - mean, y, self.rel_tol)
-        return LinearModel(
-            weights=centered.weights,
-            bias=centered.bias - float(centered.weights @ mean),
-        )
+    def _fit(self, cell):
+        _require_both_classes(cell.y)
+        x_mean, y_mean, f, uty = cell.centred()
+        r = np.count_nonzero(f.s > self.rel_tol * max([math.sqrt(len(cell.y)), *f.s[:1]]))
+        w = f.v[:, :r] @ (uty[:r] / f.s[:r])
+        return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,9 @@ class Ridge(_LearnerSpec):
     lam: float = _param(">", 0, error=NonPositiveLambda)
     name: str | None = None
 
-    def _fit(self, x, y, x_unlabeled):
-        yf = y.astype(np.float64)
-        x_mean = x.mean(axis=0)
-        y_mean = float(yf.mean())
-        w = ridge_least_squares(x - x_mean, yf - y_mean, self.lam)
+    def _fit(self, cell):
+        x_mean, y_mean, f, uty = cell.centred()
+        w = f.v @ (f.s / (f.s**2 + self.lam) * uty)  # ridge_least_squares's filter
         return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
 
     @property
@@ -167,10 +165,11 @@ class SemiSupPfld(_LearnerSpec):
     rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
-    def _fit(self, x, y, x_unlabeled):
-        if x_unlabeled is None:
+    def _fit(self, cell):
+        x, y = cell.x, cell.y
+        if cell.unlabeled is None:
             raise ValueError("SemiSupPfld needs an unlabeled pool")
-        xu = np.asarray(x_unlabeled, dtype=np.float64)[: self.unlabeled_count]
+        xu = np.asarray(cell.unlabeled, dtype=np.float64)[: self.unlabeled_count]
         if xu.size == 0:
             xu = xu.reshape(0, x.shape[1])
         if xu.ndim != 2 or xu.shape[1] != x.shape[1]:
@@ -180,7 +179,7 @@ class SemiSupPfld(_LearnerSpec):
         if xu.size and not np.all(np.isfinite(xu)):
             raise ValueError("unlabeled features must be finite")
         if x.shape[1] == 0:
-            return _mnlr(x, y, self.rel_tol)
+            return _mnlr(x, cell.yf, self.rel_tol)
         pooled = np.vstack([x, xu])
         mean = pooled.mean(axis=0)
         centered = pooled - mean
@@ -191,7 +190,7 @@ class SemiSupPfld(_LearnerSpec):
         if rank == 0:  # every pooled point identical: only the bias is learnable
             return LinearModel(weights=np.zeros(x.shape[1]), bias=float(y.mean()))
         transform = f.v[:, :rank] / sigma[:rank]  # d x rank
-        whitened = _mnlr((x - mean) @ transform, y, self.rel_tol)
+        whitened = _mnlr((x - mean) @ transform, cell.yf, self.rel_tol)
         w = transform @ whitened.weights
         return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
 
@@ -209,9 +208,9 @@ class MaxMargin(_LearnerSpec):
     max_iters: int = _param(">=", 1, default=20_000)
     name: str | None = None
 
-    def _fit(self, x, y, x_unlabeled):
-        _require_both_classes(y)
-        c, yf = self.c, y.astype(np.float64)
+    def _fit(self, cell):
+        _require_both_classes(cell.y)
+        x, c, yf = cell.x, self.c, cell.yf
         n = yf.shape[0]
         q = (x @ x.T) * np.outer(yf, yf)
         # Start inside the box with y^T a = 0, which every Newton step preserves;
@@ -219,19 +218,26 @@ class MaxMargin(_LearnerSpec):
         pos = yf > 0
         a = (c / 2) * min(pos.sum(), n - pos.sum()) / np.where(pos, pos.sum(), n - pos.sum())
         b, z, s = 0.0, np.ones(n), np.ones(n)
+        # Newton system [[Q + diag(z/a + s/t), y], [y^T, 0]]; the y border is set once
+        kkt, rhs, diag = np.zeros((n + 1, n + 1)), np.empty(n + 1), np.arange(n)
+        kkt[:n, n] = kkt[n, :n] = yf
 
         for it in range(self.max_iters + 1):
-            gap, primal = _duality_gap(q, yf, a, b, c)
+            g = q @ a
+            gap, primal = _duality_gap(g, yf, a, b, c)
             if gap <= GAP_TOL * primal:
                 break
             if it == self.max_iters or not np.isfinite(gap):
                 raise NonConvergence(f"relative duality gap {gap / primal:.3g} after {it} iterations")
             t = c - a
-            dual_res = q @ a - 1.0 + b * yf - z + s
-            kkt = np.block([[q + np.diag(z / a + s / t), yf[:, None]], [yf, 0.0]])
+            dual_res = g - 1.0 + b * yf - z + s
+            kkt[:n, :n] = q
+            kkt[diag, diag] += z / a + s / t
+            rhs[n] = -float(yf @ a)
 
             def direction(r_az, r_ts):  # Newton step toward a*z = r_az, t*s = r_ts
-                sol = np.linalg.solve(kkt, np.append(r_az / a - r_ts / t - dual_res, -float(yf @ a)))
+                rhs[:n] = r_az / a - r_ts / t - dual_res
+                sol = np.linalg.solve(kkt, rhs)
                 da = sol[:n]
                 return da, sol[n], (r_az - z * da) / a, (r_ts + s * da) / t
 
@@ -301,15 +307,37 @@ def _require_both_classes(y: "np.ndarray"):
 
 
 # --------------------------------------------------------------------------
-# Fits.  The spec bodies above take checked arrays: float64 features and
-# int64 +-1 labels with one label per row.
+# Fits.  The spec bodies above read a ``_FitContext``: float64 features and
+# int64 +-1 labels with one label per row, checked once per cell.
 
 
-def _mnlr(x, y, rel_tol: float) -> LinearModel:
-    """The minimum-norm fit with an appended bias column that MNLR, PFLD and
-    semi-supervised PFLD share."""
+class _FitContext:
+    """A training cell that all its learners fit from: the arrays, checked
+    once, their float targets ``yf`` and the cell's unlabeled rows (which
+    ``SemiSupPfld`` checks as it reads them)."""
+
+    def __init__(self, x, y, unlabeled=None):
+        self.x, self.y = _check_training_pair(x, y)
+        self.yf, self.unlabeled, self._centred = self.y.astype(np.float64), unlabeled, None
+
+    def centred(self):
+        """``(x_mean, y_mean, f, f.u.T @ (yf - y_mean))``, ``f`` the thin SVD of
+        ``x - x_mean``, computed on the first call: PFLD and every ridge share it."""
+        if self._centred is None:
+            (n, d), x_mean, y_mean = self.x.shape, self.x.mean(axis=0), float(self.yf.mean())
+            if d:
+                f = thin_svd(self.x - x_mean)
+            else:  # no feature columns: every centred fit is bias-only
+                f = SvdFactorization(np.zeros((n, 0)), np.zeros(0), np.zeros((0, 0)))
+            self._centred = x_mean, y_mean, f, f.u.T @ (self.yf - y_mean)
+        return self._centred
+
+
+def _mnlr(x, yf, rel_tol: float) -> LinearModel:
+    """The minimum-norm fit of float targets ``yf`` with an appended bias
+    column, which MNLR and semi-supervised PFLD share."""
     aug = np.hstack([x, np.ones((x.shape[0], 1))])
-    w = min_norm_least_squares(aug, y.astype(np.float64), rel_tol)
+    w = min_norm_least_squares(aug, yf, rel_tol)
     return LinearModel(weights=w[:-1], bias=float(w[-1]))
 
 
@@ -328,10 +356,9 @@ def hinge_objective(model: LinearModel, x, y, c: float) -> float:
     )
 
 
-def _duality_gap(q, yf, a, b, c) -> tuple[float, float]:
-    """``(primal - dual, primal)``: the hinge objective at ``w = X^T (a * y)``,
-    whose margins are ``Q a + b y``, and the dual value ``sum(a) - ||w||^2 / 2``."""
-    g = q @ a
+def _duality_gap(g, yf, a, b, c) -> tuple[float, float]:
+    """``(primal - dual, primal)`` given ``g = Q a``: the hinge objective at
+    ``w = X^T (a * y)``, whose margins are ``g + b y``, and ``sum(a) - ||w||^2 / 2``."""
     norm2 = float(a @ g)
     primal = 0.5 * norm2 + c * float(np.sum(np.maximum(0.0, 1.0 - g - b * yf)))
     return primal - float(a.sum()) + 0.5 * norm2, primal
@@ -350,7 +377,7 @@ def _crossover(q, yf, a, b, z, s, c):
     except np.linalg.LinAlgError:
         return a, b
     ax[free], bx = sol[:-1], float(sol[-1])
-    if np.all((ax >= 0.0) & (ax <= c)) and _duality_gap(q, yf, ax, bx, c)[0] <= _duality_gap(q, yf, a, b, c)[0]:
+    if np.all((ax >= 0.0) & (ax <= c)) and _duality_gap(q @ ax, yf, ax, bx, c)[0] <= _duality_gap(q @ a, yf, a, b, c)[0]:
         return ax, bx
     return a, b
 
@@ -361,11 +388,16 @@ def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     Checks ``(x, y)`` once, then runs the spec's fit on the checked arrays.
     ``x_unlabeled`` is only consulted for :class:`SemiSupPfld`; the pool is
     truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
-    is smaller, e.g. limited leftover rows of a fixed dataset).
+    is smaller, e.g. limited leftover rows of a fixed dataset).  A sweep
+    passes its cell's ``_FitContext`` instead, with that context's own (checked)
+    ``x`` and ``y``; paired with other arrays, it lends only its unlabeled rows.
     """
     if type(spec) not in LEARNERS.values():
         raise TypeError(f"unknown learner spec {spec!r}")
-    return spec._fit(*_check_training_pair(x, y), x_unlabeled)
+    cell = x_unlabeled
+    if not (isinstance(cell, _FitContext) and x is cell.x and y is cell.y):
+        cell = _FitContext(x, y, cell.unlabeled if isinstance(cell, _FitContext) else cell)
+    return spec._fit(cell)
 
 
 def fit_mnlr(x, y, rel_tol: float = Mnlr.rel_tol) -> LinearModel:
@@ -442,22 +474,17 @@ def decision_values(model: LinearModel, x) -> "np.ndarray":
     return xm @ model.weights + model.bias
 
 
-def _sign(values: "np.ndarray") -> "np.ndarray":
-    """+-1 labels of decision values; sign(0) resolves to +1."""
-    return np.where(values >= 0.0, 1, -1).astype(np.int64)
-
-
 def _risk(values: "np.ndarray", y: "np.ndarray", metric: str) -> float:
     """Risk of decision ``values`` (or of labels) against +-1 labels ``y``,
-    unchecked: the 0-1 rate of ``_sign(values) != y`` or the squared loss."""
+    unchecked: the rate of ``sign(values) != y`` (sign(0) = +1) or the squared loss."""
     if metric == "zero_one":
-        return float(np.mean(_sign(values) != y))
+        return np.count_nonzero((values >= 0.0) != (y > 0)) / len(y)
     return float(np.mean((values - y) ** 2))
 
 
 def predict(model: LinearModel, x) -> "np.ndarray":
     """Predicted +-1 labels; sign(0) resolves to +1."""
-    return _sign(decision_values(model, x))
+    return np.where(decision_values(model, x) >= 0.0, 1, -1).astype(np.int64)
 
 
 def zero_one_risk(pred, truth) -> float:

@@ -5,10 +5,12 @@ All solvers go through one thin SVD so the pseudo-inverse and the ridge
 filter share the same factorization semantics.  Matrices are plain 2-D
 float64 ``numpy`` arrays, vectors 1-D.  :func:`thin_svd` checks that a
 matrix is nonempty and finite; the solvers leave that to it and check
-only their right-hand side.  The semi-supervised whitening in ``learners``
-hands :func:`thin_svd` the triangular QR factor ``R`` of a tall pool
-rather than the pool itself: it uses only the singular values and right
-singular vectors, which both share.
+only their right-hand side.  ``learners`` factors a cell's centred
+training matrix once and applies PFLD's filter ``1/s`` and every ridge
+filter ``s / (s^2 + lam)`` to that one SVD.  Its semi-supervised
+whitening hands :func:`thin_svd` the triangular QR factor ``R`` of a tall
+pool rather than the pool itself: it uses only the singular values and
+right singular vectors, which both share.
 """
 
 from dataclasses import dataclass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riskcurves import curves as cv
+from riskcurves import data, learners, linalg
 from riskcurves.curves import (
     CurvePoint,
     CurveResult,
@@ -37,7 +38,20 @@ from riskcurves.errors import (
     TooFewPoints,
 )
 from riskcurves.io_cli import emit_json
-from riskcurves.learners import Mnlr, Ridge, SemiSupPfld, fit_mnlr, fit_semisup_pfld, predict, zero_one_risk
+from riskcurves.learners import (
+    MaxMargin,
+    Mnlr,
+    Pfld,
+    Ridge,
+    SemiSupPfld,
+    decision_values,
+    fit_mnlr,
+    fit_ridge,
+    fit_semisup_pfld,
+    predict,
+    squared_risk,
+    zero_one_risk,
+)
 from riskcurves.oracle import bayes_risk
 
 GSPEC = GaussianSpec(dim=12, informative=3, separation=2.0)
@@ -266,6 +280,72 @@ def test_semisup_unlabeled_pool_matches_manual_run():
     model = fit_semisup_pfld(train.x, train.y, unlab)
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["semisup_pfld(10)"].mean_risk == manual
+
+
+def _count_calls(monkeypatch, owner, attr, counts, key=None):
+    """Count calls of ``owner.attr`` in ``counts[key()]`` (``key`` defaults to the name)."""
+    real = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        k = key() if key else attr
+        counts[k] = counts.get(k, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+
+
+def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
+    ridges = (Ridge(lam=0.1), Ridge(lam=10.0))
+    spec = _sweep(
+        grid=(2, 4, 8, 12),
+        learners=(Mnlr(), Pfld(), *ridges, SemiSupPfld(unlabeled_count=8)),
+        risk_metric="squared",
+    )
+    cells = len(spec.grid) * spec.reps
+    fitting = {"label": None}  # the learner whose fit is running
+    real_fit = cv.fit
+
+    def labelled_fit(learner, x, y, x_unlabeled=None):
+        fitting["label"] = learner.label
+        try:
+            return real_fit(learner, x, y, x_unlabeled=x_unlabeled)
+        finally:
+            fitting["label"] = None
+
+    svds, checks = {}, {}
+    monkeypatch.setattr(cv, "fit", labelled_fit)
+    for owner in (learners, linalg):
+        _count_calls(monkeypatch, owner, "thin_svd", svds, key=lambda: fitting["label"])
+    _count_calls(monkeypatch, learners, "as_labels", checks)
+    _count_calls(monkeypatch, data.Dataset, "_hold", checks)
+    result = run_feature_curve(spec, keep_reps=True)
+
+    # one label check per cell beyond the data steps' own, none inside a fit
+    assert checks["as_labels"] == cells + checks["_hold"]
+    assert None not in svds  # no SVD outside a fit
+    # MNLR and SemiSupPfld keep their own SVDs; PFLD and both ridges share one
+    assert svds["mnlr"] == cells and svds["semisup_pfld(8)"] == 2 * cells
+    assert sum(svds.get(label, 0) for label in ("pfld", "ridge(0.1)", "ridge(10)")) == cells
+
+    # the shared factorization leaves each ridge risk equal to a fit of its own
+    for rep in range(spec.reps):
+        pool = gen_two_gaussians(replace(GSPEC, seed=mix(17, rep)), spec.fixed_n + spec.test_size)
+        train, test = split(pool, spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
+        for pi, cols in enumerate(spec.grid):
+            x = np.ascontiguousarray(train.x[:, :cols])
+            for ridge in ridges:
+                model = fit_ridge(x, train.y, ridge.lam)
+                alone = squared_risk(decision_values(model, test.x[:, :cols]), test.y)
+                assert result.rep_risks[ridge.label][pi][rep] == alone
+
+
+def test_sweep_without_centred_learners_factors_no_centred_matrix(monkeypatch):
+    spec = _sweep(learners=(Mnlr(), MaxMargin()))
+    svds = {}
+    for owner in (learners, linalg):
+        _count_calls(monkeypatch, owner, "thin_svd", svds)
+    run_feature_curve(spec)
+    assert svds == {"thin_svd": len(spec.grid) * spec.reps}  # MNLR's own, one per cell
 
 
 def test_learner_failure_identifies_cell(monkeypatch):

@@ -32,7 +32,7 @@ from riskcurves.learners import (
     squared_risk,
     zero_one_risk,
 )
-from riskcurves.linalg import thin_svd
+from riskcurves.linalg import min_norm_least_squares, thin_svd
 
 
 def _balanced(rng, n, d, delta=1.5):
@@ -172,6 +172,60 @@ def test_pfld_label_flip_negates_model():
 def test_pfld_requires_both_classes():
     with pytest.raises(SingleClassInput):
         fit_pfld([[1.0], [2.0]], [1, 1])
+
+
+def _pfld_reference(x, y):
+    """PFLD as the minimum-norm fit of ``[x - mean, 1]``, mapped back to raw features."""
+    mean = x.mean(axis=0)
+    w = min_norm_least_squares(np.hstack([x - mean, np.ones((len(x), 1))]), y.astype(np.float64))
+    return w[:-1], w[-1] - w[:-1] @ mean
+
+
+def _near_duplicate(x, rng):
+    # scaled by 1e-6, with a last column that repeats the first up to 1e-13: a
+    # singular value near 1e-12, kept against 1e-10 * s_1(Xc) but cut against
+    # 1e-10 * sqrt(n), the largest singular value of [Xc, 1]
+    x = 1e-6 * x
+    return np.hstack([x, x[:, :1] + 1e-13 * rng.standard_normal((len(x), 1))])
+
+
+_PFLD_CASES = {  # name: (n, N before the transform, transform)
+    "n<N": (10, 25, lambda x, rng: x),
+    "n=N+1": (12, 11, lambda x, rng: x),
+    "n>N": (40, 5, lambda x, rng: x),
+    "duplicated-wide": (10, 8, lambda x, rng: np.hstack([x, x, x[:, :2]])),
+    "duplicated-tall": (40, 6, lambda x, rng: np.hstack([x, x[:, :3]])),
+    "scaled-1e-6": (10, 25, lambda x, rng: 1e-6 * x),
+    "scaled-1e-6-near-duplicate": (40, 5, _near_duplicate),
+    "scaled-1e6": (10, 25, lambda x, rng: 1e6 * x),
+    "scaled-1e6-tall": (40, 5, lambda x, rng: 1e6 * x),
+}
+
+
+@pytest.mark.parametrize("case", list(_PFLD_CASES))
+def test_pfld_matches_the_minimum_norm_fit_of_the_centred_system(case):
+    n, d, transform = _PFLD_CASES[case]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x, y = _balanced(rng, n, d)
+        x = transform(x, rng)
+        w_ref, b_ref = _pfld_reference(x, y)
+        model = fit_pfld(x, y)
+        assert_allclose(model.weights, w_ref, rtol=1e-10, atol=1e-10 * np.abs(w_ref).max())
+        offset = np.abs(w_ref) @ np.abs(x.mean(axis=0))  # the scale of w @ mean in the bias
+        assert model.bias == pytest.approx(b_ref, rel=1e-10, abs=1e-10 * (1 + offset))
+        held_out = transform(_balanced(rng, 200, d)[0], rng)
+        assert_array_equal(predict(model, held_out), np.where(held_out @ w_ref + b_ref >= 0, 1, -1))
+
+
+def test_pfld_without_feature_columns_is_bias_only():
+    y = np.array([1, 1, 1, -1])
+    model = fit_pfld(np.empty((4, 0)), y)
+    w_ref, b_ref = _pfld_reference(np.empty((4, 0)), y)
+    assert model.weights.shape == (0,) and w_ref.shape == (0,)
+    assert model.bias == b_ref == 0.5
+    with pytest.raises(SingleClassInput):
+        fit_pfld(np.empty((3, 0)), [1, 1, 1])
 
 
 # -- ridge -----------------------------------------------------------------
@@ -496,6 +550,38 @@ def test_fit_checks_the_labels_once(monkeypatch):
         calls.clear()
         fit(spec, x, y, x_unlabeled=pool)
         assert len(calls) == 1, spec
+
+
+def test_fit_context_with_foreign_arrays_checks_them(monkeypatch):
+    rng = np.random.default_rng(17)
+    x, y = _balanced(rng, 10, 4)
+    other_x, other_y = _balanced(rng, 12, 4)
+    pool = rng.standard_normal((12, 4))
+    cell = learners._FitContext(x, y, pool)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        fit(Ridge(lam=0.5), x, np.where(y > 0, 2, -1), x_unlabeled=cell)
+    with pytest.raises(DimensionMismatch):
+        fit(Pfld(), x[:-1], cell.y, x_unlabeled=cell)
+    with pytest.raises(ValueError, match="finite"):
+        fit(Mnlr(), np.where(x > 0, np.nan, x), cell.y, x_unlabeled=cell)
+    calls = []
+    monkeypatch.setattr(learners, "as_labels", lambda labels: calls.append(labels) or as_labels(labels))
+    for spec, alone in (
+        (Ridge(lam=0.5), fit_ridge(other_x, other_y, 0.5)),
+        (Pfld(), fit_pfld(other_x, other_y)),
+        (SemiSupPfld(unlabeled_count=6), fit_semisup_pfld(other_x, other_y, pool[:6])),
+    ):
+        calls.clear()
+        model = fit(spec, other_x, other_y, x_unlabeled=cell)  # fit on these arrays, the context's pool
+        assert len(calls) == 1
+        assert_array_equal(model.weights, alone.weights)
+        assert model.bias == alone.bias
+    calls.clear()
+    fit(Ridge(lam=0.5), cell.x, cell.y.copy(), x_unlabeled=cell)  # equal labels, but not the context's
+    assert len(calls) == 1
+    calls.clear()
+    fit(Ridge(lam=0.5), cell.x, cell.y, x_unlabeled=cell)
+    assert calls == []
 
 
 def test_fit_semisup_requires_pool():
