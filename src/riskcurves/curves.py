@@ -48,6 +48,7 @@ from .errors import (
     TooFewPoints,
 )
 from .learners import LEARNERS, _Checked, _FitContext, _float, _param, _risk, fit
+from .linalg import single_blas_thread
 
 SEED_SPLIT = 1
 SEED_UNLABELED = 2
@@ -361,10 +362,12 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     is below the pool, a stratified subsample of n training rows (a subsample
     of the whole pool would be every row, in order).  Every learner is fit
     from one context per cell, which checks the arrays once and factors
-    the centred features at most once.
+    the centred features at most once.  Reps run on one BLAS thread (as does
+    any thread calling BLAS meanwhile), then the caller's count is restored;
+    ``workers`` runs reps in parallel, and no output byte depends on either.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     labels = [learner.label for learner in spec.learners]
     max_unlab = max(getattr(learner, "unlabeled_count", 0) for learner in spec.learners)
     train_rows = spec.train_rows()
@@ -431,15 +434,16 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
         return out
 
     risks = np.empty((n_points, len(labels), spec.reps))
-    if workers == 1:
-        for rep in range(spec.reps):
-            risks[:, :, rep] = run_rep(rep)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # pulls in logging; only threaded runs need it
+    with single_blas_thread:
+        if workers == 1:
+            for rep in range(spec.reps):
+                risks[:, :, rep] = run_rep(rep)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # pulls in logging; only threaded runs need it
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rep, cell in enumerate(pool.map(run_rep, range(spec.reps))):
-                risks[:, :, rep] = cell
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for rep, cell in enumerate(pool.map(run_rep, range(spec.reps))):
+                    risks[:, :, rep] = cell
 
     points = []
     for pi, g in enumerate(spec.grid):

@@ -348,9 +348,10 @@ _TO_BOUNDARY = 0.99
 
 
 def hinge_objective(model: LinearModel, x, y, c: float) -> float:
-    """Soft-margin objective ``0.5 ||w||^2 + c * sum hinge``."""
+    """Soft-margin objective ``0.5 ||w||^2 + c * sum hinge``; ``c`` is checked as ``MaxMargin``'s."""
     xm, ym = _check_training_pair(x, y)
-    margins = ym * (xm @ model.weights + model.bias)
+    c = MaxMargin(c=c).c
+    margins = ym * decision_values(model, xm)
     return 0.5 * float(model.weights @ model.weights) + c * float(
         np.sum(np.maximum(0.0, 1.0 - margins))
     )

@@ -11,8 +11,15 @@ filter ``s / (s^2 + lam)`` to that one SVD.  Its semi-supervised
 whitening hands :func:`thin_svd` the triangular QR factor ``R`` of a tall
 pool rather than the pool itself: it uses only the singular values and
 right singular vectors, which both share.
+
+A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
+one thread (the sweep's matrices are too small for more) and then restores
+the caller's count.  ``workers`` runs reps in parallel; the output bytes do
+not depend on the BLAS thread count.  A user thread calling BLAS while a
+sweep runs sees one thread for that time, as the count is process-wide.
 """
 
+import threading
 from dataclasses import dataclass
 
 from ._np import np
@@ -117,3 +124,51 @@ def ridge_least_squares(a, b, lam: float) -> "np.ndarray":
     rhs = _right_hand_side(b, f.u.shape[0])
     filt = f.s / (f.s**2 + lam)
     return f.v @ (filt * (f.u.T @ rhs))
+
+
+def _openblas_thread_funcs(numpy_dir: str) -> tuple:
+    """``(get, set)`` thread-count functions of the OpenBLAS in the numpy wheel
+    at ``numpy_dir``; ``()`` without one (MKL, Accelerate, a system BLAS)."""
+    import ctypes
+    import glob
+
+    # numpy.libs beside the package in Linux and Windows wheels, numpy/.dylibs in macOS ones
+    for path in sorted(glob.glob(numpy_dir + ".libs/*openblas*") + glob.glob(numpy_dir + "/.dylibs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)  # numpy has loaded it, so this is the same library
+        except OSError:
+            continue
+        # numpy 2 wheels, numpy 1.x wheels, plain OpenBLAS
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get, set_ = (getattr(lib, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return ()
+
+
+class _SingleBlasThread:
+    """Runs numpy's BLAS on one thread.  The first of several concurrent sweeps
+    to enter saves the thread count and sets 1; the last to leave restores it."""
+
+    def __init__(self):
+        self._lock, self._active, self.funcs = threading.Lock(), 0, None  # funcs: looked up on first entry
+
+    def __enter__(self):
+        with self._lock:
+            if self.funcs is None:
+                self.funcs = _openblas_thread_funcs(np.__path__[0])
+            if self.funcs and self._active == 0:
+                self._saved = self.funcs[0]()
+                self.funcs[1](1)
+            self._active += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._active -= 1
+            if self.funcs and self._active == 0:
+                self.funcs[1](self._saved)
+
+
+single_blas_thread = _SingleBlasThread()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,12 @@ def test_parallel_equals_serial():
     serial = run_feature_curve(spec, keep_reps=True)
     threaded = run_feature_curve(spec, keep_reps=True, workers=4)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, 2.0, True, False, "2"])
+def test_run_sweep_rejects_workers_that_are_not_a_positive_integer(workers):
+    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {re.escape(repr(workers))}$"):
+        cv.run_sweep(_sweep(), workers=workers)
 
 
 def test_learners_share_identical_data_per_cell():

@@ -489,6 +489,19 @@ def test_hinge_objective_hand_case():
     assert hinge_objective(m, [[2.0], [-1.0]], [1, -1], c=2.0) == 0.5
 
 
+def test_hinge_objective_checks_width_and_c_like_max_margin():
+    m = LinearModel(weights=np.array([1.0]), bias=0.0)
+    x, y = [[2.0], [-1.0]], [1, -1]
+    with pytest.raises(DimensionMismatch, match="2 feature columns but model has 1 weights"):
+        hinge_objective(m, [[2.0, 0.0], [-1.0, 0.0]], y, c=2.0)
+    for c in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True):
+        with pytest.raises(ValueError, match="^c must"):
+            hinge_objective(m, x, y, c=c)
+        with pytest.raises(ValueError, match="^c must"):
+            MaxMargin(c=c)
+    assert hinge_objective(m, x, y, c=2) == 0.5
+
+
 # -- declarative specs and dispatch ------------------------------------------
 
 
