@@ -47,7 +47,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _Checked, _FitContext, _float, _param, _risk, fit
+from .learners import LEARNERS, _check, _Checked, _FitContext, _param, _risk, fit
 from .linalg import single_blas_thread
 
 SEED_SPLIT = 1
@@ -116,7 +116,7 @@ class SweepSpec(_Checked):
     the seed carried by a Gaussian data source is ignored here.
 
     Fields are in the order of the result JSON's ``spec`` keys; ``learners``
-    and ``data_source`` hold entries of ``LEARNERS`` and ``SOURCES``.
+    and ``data_source`` hold entries ``of`` ``LEARNERS`` and ``SOURCES``.
     """
 
     _error = InvariantViolation
@@ -125,13 +125,13 @@ class SweepSpec(_Checked):
     kind: CurveKind
     grid: tuple
     base_seed: int = 0
-    learners: tuple = field(metadata={"table": LEARNERS, "tag": "kind"})
+    learners: tuple = field(metadata={"of": LEARNERS, "tag": "kind"})
     fixed_n: int | None = _param(">=", 2, default=None)
     fixed_N: int | None = _param(">=", 2, default=None)
     test_size: int = _param(">=", 1, default=2000)
     reps: int = _param(">=", 1, default=50)
     risk_metric: str = "zero_one"
-    data_source: GaussianSpec | CsvSource = field(metadata={"table": SOURCES, "tag": "source"})
+    data_source: GaussianSpec | CsvSource = field(metadata={"of": SOURCES, "tag": "source"})
 
     def __post_init__(self):
         try:
@@ -155,14 +155,8 @@ class SweepSpec(_Checked):
             raise InvariantViolation(f"grid must be a sequence, got {self.grid!r}") from None
         if not raw:
             raise InvariantViolation("grid must be nonempty")
-        ratio = self.kind is CurveKind.ALPHA  # alpha grids hold ratios n/N, the others counts
-        types, what = ((int, float), "numbers") if ratio else (numbers.Integral, "integers")
-        for g in raw:
-            if isinstance(g, bool) or not isinstance(g, types):
-                raise InvariantViolation(f"{self.x_name()} grid values must be {what}, got {g!r}")
-            if not 0 < g < math.inf:
-                raise InvariantViolation(f"{self.x_name()} grid values must be finite and > 0, got {g}")
-        grid = tuple(_float(g, "alpha grid value", InvariantViolation) if ratio else int(g) for g in raw)
+        typ = float if self.kind is CurveKind.ALPHA else int  # alpha grids hold ratios n/N, the others counts
+        grid = tuple(_check(g, typ, f"{self.x_name()} grid value", InvariantViolation, ">", 0) for g in raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvariantViolation("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -271,9 +265,11 @@ class LearnerStats(_Checked):
 
 
 @dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Checked):
+    """One grid value and each learner's stats there, keyed by label."""
+
     x_value: float
-    stats: dict
+    stats: dict = field(metadata={"of": LearnerStats})
 
 
 @dataclass(frozen=True)
@@ -283,16 +279,17 @@ class Provenance(_Checked):
 
 
 @dataclass(frozen=True)
-class CurveResult:
+class CurveResult(_Checked):
     """A finished sweep: one CurvePoint per grid value, in grid order.
 
     ``rep_risks[learner][point_index][rep]`` holds the raw per-rep risks
-    when the sweep ran with ``keep_reps=True``, else None.
+    when the sweep ran with ``keep_reps=True``, else None.  The fields are
+    the keys of the result JSON, in order.
     """
 
     spec: SweepSpec
-    points: tuple
-    provenance: Provenance
+    points: tuple = field(metadata={"of": CurvePoint})
+    provenance: Provenance = field(metadata={"of": Provenance})
     rep_risks: dict | None = None
 
 

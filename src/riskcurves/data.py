@@ -226,8 +226,9 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     All non-label columns become features in file order; label tokens map to
     +1 for ``positive_label`` and -1 for the single other token.  Missing or
     non-numeric feature cells are errors, reported with line and column.  A
-    leading byte-order mark is ignored.  Every content error is a
-    :class:`MalformedCsv` naming the file; an absent file is :class:`MissingFile`.
+    leading byte-order mark and blank lines are ignored.  Every content
+    error is a :class:`MalformedCsv` naming the file; an absent file is
+    :class:`MissingFile`.
     """
     if not os.path.exists(path):
         raise MissingFile(f"no such file: {path}")
@@ -248,6 +249,8 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
             buf = array("d")
             tokens: list[str] = []
             for line_no, row in enumerate(reader, start=2):
+                if not row:  # a blank line, skipped as csv.DictReader does
+                    continue
                 if len(row) != len(header):
                     raise MalformedCsv(
                         f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"

@@ -13,10 +13,15 @@ File contracts
   learner), risks printed with 17 significant digits, LF endings, trailing
   newline.  With kept reps a
   companion ``<path>.reps.csv`` holds the per-rep risks.
-* Result JSON round-trips a :class:`~riskcurves.curves.CurveResult`
-  bit-exactly (floats are emitted in shortest round-trip form).
+* Result JSON holds the fields of :class:`~riskcurves.curves.CurveResult`
+  and of the schema classes inside it (``CurvePoint``, ``LearnerStats``,
+  ``Provenance``, the spec's learners and data source); both directions
+  follow those fields (:func:`_from_dict`, :func:`_to_dict`), and reader
+  errors name the full path, such as ``result.points[0]``.  A result
+  round-trips bit-exactly (floats are emitted in shortest round-trip form).
 * All writes go to a temp file first and are renamed into place, so a
-  failed run never leaves a partial output.
+  failed run never leaves a partial output.  Files take the mode the
+  umask leaves of 0o666, as ``open`` would give them.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O failure.
@@ -24,20 +29,17 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from ._np import np
 from .curves import (
     CurveKind,
-    CurvePoint,
     CurveResult,
     LearnerStats,
-    Provenance,
     SweepSpec,
     detect_peak,
     interpolation_threshold,
@@ -55,7 +57,7 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
-from .learners import _Checked, _float
+from .learners import _check, _Checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,52 +80,60 @@ class RunConfig(_Checked):
 # Config parsing.
 
 
-def _expect(value, types, where, what):
-    """``value``, checked to be one of ``types``; a number comes back as a finite float."""
-    if isinstance(value, bool) and bool not in types:
-        raise InvariantViolation(f"{where}: {what} must be {types[-1].__name__}, got a boolean")
-    if not isinstance(value, types):
-        raise InvariantViolation(
-            f"{where}: {what} must be {types[-1].__name__}, got {type(value).__name__}"
-        )
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InvariantViolation(f"{where}: {what} must be finite, got {value}")
-    return _float(value, f"{where}: {what}", InvariantViolation) if float in types else value
+def _expect(value, container: type, where, what):
+    """``value``, checked to be a JSON object (``dict``) or list."""
+    if not isinstance(value, container):
+        raise InvariantViolation(f"{where}: {what} must be {container.__name__}, got {type(value).__name__}")
+    return value
 
 
-def _check_keys(d: dict, allowed: set, where: str):
+def _check_keys(d: dict, allowed, where: str):
     for key in d:
         if key not in allowed:
             raise UnknownKey(f"{where}: unknown key {key!r}")
 
 
-def _from_dict(cls, entry: dict, where: str, *, json_only: bool = False):
-    """Build schema dataclass ``cls`` from ``entry``, keyed by ``cls.config_keys``.
+def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool = False):
+    """Build a schema dataclass from the JSON object ``entry`` at path ``where``.
 
-    A field whose metadata names a ``table`` holds the entry of that table
-    whose ``tag`` key names its class, or a list of such entries if the
-    field is a ``tuple``.  A field whose metadata marks it ``json_only`` is
-    a key of result files only: it is accepted when ``json_only`` is true,
-    else unknown.
+    ``of`` is the class, or with ``tag`` a table in which ``entry[tag]``
+    names it; the other keys are the class's ``config_keys``.  A field
+    whose metadata names ``of`` (and ``tag``) holds entries read the same
+    way: a ``tuple`` field a JSON list of them, a ``dict`` field a
+    label-keyed object of them, any other field one.  A field whose
+    metadata marks it ``json_only`` is a key of result files only: it is
+    accepted when ``json_only`` is true, else unknown.  Errors name the
+    path of the entry, such as ``config.learners[2]``.
     """
+    _expect(entry, dict, where, "the entry")
+    cls = of
+    if tag:
+        name = entry.get(tag)
+        cls = of.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise InvariantViolation(f"{where}: {tag} must be one of {', '.join(of)}, got {name!r}")
+        entry = {k: v for k, v in entry.items() if k != tag}
     by_key = {
         cls.config_keys.get(f.name, f.name): f
         for f in dataclasses.fields(cls)
         if json_only or not f.metadata.get("json_only")
     }
-    _check_keys(entry, by_key.keys(), where)
+    _check_keys(entry, by_key, where)
     values = {}
     for key, f in by_key.items():
         if key not in entry:
             if f.default is dataclasses.MISSING:
                 raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
             continue
-        value = entry[key]
-        if "table" in f.metadata and f.type is tuple:
-            items = enumerate(_expect(value, (list,), key, f"'{key}'"))
-            value = tuple(_tagged_from_dict(e, f, f"{key}[{i}]", json_only) for i, e in items)
-        elif "table" in f.metadata:
-            value = _tagged_from_dict(value, f, key, json_only)
+        value, at = entry[key], f"{where}.{key}"
+        if "of" in f.metadata:
+            read = functools.partial(_from_dict, f.metadata["of"], tag=f.metadata.get("tag"), json_only=json_only)
+            if f.type is tuple:
+                value = tuple(read(e, f"{at}[{i}]") for i, e in enumerate(_expect(value, list, at, f"'{key}'")))
+            elif f.type is dict:
+                value = {label: read(e, f"{at}[{label!r}]") for label, e in _expect(value, dict, at, f"'{key}'").items()}
+            else:
+                value = read(value, at)
         values[f.name] = value
     try:
         return cls(**values)
@@ -131,28 +141,25 @@ def _from_dict(cls, entry: dict, where: str, *, json_only: bool = False):
         raise InvariantViolation(f"{where}: {exc}") from exc
 
 
-def _tagged_from_dict(entry, f: dataclasses.Field, where: str, json_only: bool):
-    """:func:`_from_dict` for the class in field ``f``'s table that ``entry[tag]`` names."""
-    table, tag = f.metadata["table"], f.metadata["tag"]
-    _expect(entry, (dict,), where, "the entry")
-    name = entry.get(tag)
-    cls = table.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise InvariantViolation(f"{where}: {tag} must be one of {', '.join(table)}, got {name!r}")
-    return _from_dict(cls, {k: v for k, v in entry.items() if k != tag}, where, json_only=json_only)
-
-
 def _to_dict(obj) -> dict:
     """Inverse of :func:`_from_dict`: each field that is not None, by config key."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if tag := f.metadata.get("tag"):
-            tagged = lambda v: {tag: getattr(v, tag), **_to_dict(v)}  # noqa: E731
-            value = [tagged(v) for v in value] if f.type is tuple else tagged(value)
-        if value is not None:
-            out[obj.config_keys.get(f.name, f.name)] = value
-    return out
+    return {
+        obj.config_keys.get(f.name, f.name): _to_json(value, f.metadata.get("tag"))
+        for f in dataclasses.fields(obj)
+        if (value := getattr(obj, f.name)) is not None
+    }
+
+
+def _to_json(value, tag: str | None = None):
+    """A field value as JSON: a schema entry as its object, with its ``tag``
+    first if it has one, and a tuple or dict of values member by member."""
+    if isinstance(value, tuple):
+        return [_to_json(v, tag) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v, tag) for k, v in value.items()}
+    if isinstance(value, _Checked):
+        return {tag: getattr(value, tag), **_to_dict(value)} if tag else _to_dict(value)
+    return value
 
 
 def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSpec:
@@ -202,77 +209,43 @@ def load_config(path) -> RunConfig:
 
 
 def result_to_json_dict(result: CurveResult) -> dict:
-    out = {
-        "spec": _to_dict(result.spec),
-        "points": [
-            {"x_value": p.x_value, "stats": {name: _to_dict(s) for name, s in p.stats.items()}}
-            for p in result.points
-        ],
-        "provenance": _to_dict(result.provenance),
-    }
-    if result.rep_risks is not None:
-        out["rep_risks"] = {
-            name: [list(point) for point in per_point]
-            for name, per_point in result.rep_risks.items()
-        }
-    return out
+    """The result JSON: the fields of ``result``, see :func:`_to_dict`."""
+    return _to_dict(result)
 
 
-def result_from_json_dict(d: dict) -> CurveResult:
-    """Rebuild a result; its points must match the spec's grid and learners."""
-    try:
-        _expect(d, (dict,), "result", "the result document")
-        _check_keys(d, {"spec", "points", "provenance", "rep_risks"}, "result")
-        spec_d = _expect(d.get("spec"), (dict,), "result.spec", "'spec'")
-        sweep = _sweep_from_dict(spec_d, "result.spec", json_only=True)
-        point_list = _expect(d.get("points"), (list,), "result.points", "'points'")
-        if len(point_list) != len(sweep.grid):
-            raise InvariantViolation(
-                f"result.points: {len(point_list)} points for a {len(sweep.grid)}-point grid"
-            )
-        labels = sorted(learner.label for learner in sweep.learners)
-        points = []
-        for i, (pd, x_value) in enumerate(zip(point_list, sweep.grid)):
-            _expect(pd, (dict,), f"result.points[{i}]", "each point")
-            _check_keys(pd, {"x_value", "stats"}, f"result.points[{i}]")
-            got = _expect(pd["x_value"], (int, float), f"result.points[{i}]", "x_value")
-            if got != x_value or sorted(pd["stats"]) != labels:
-                raise InvariantViolation(
-                    f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}"
-                )
-            stats = {
-                name: _from_dict(LearnerStats, sd, f"result.points[{i}].stats[{name!r}]")
-                for name, sd in pd["stats"].items()
-            }
-            points.append(CurvePoint(x_value=got, stats=stats))
-        prov = _expect(d.get("provenance"), (dict,), "result.provenance", "'provenance'")
-        rep_risks = None
-        if "rep_risks" in d:
-            rep_d = _expect(d["rep_risks"], (dict,), "result.rep_risks", "'rep_risks'")
-            if sorted(rep_d) != labels or any(
-                len(per_point) != len(sweep.grid) or any(len(point) != sweep.reps for point in per_point)
-                for per_point in rep_d.values()
-            ):
-                raise InvariantViolation(
-                    f"result.rep_risks: expected {sweep.reps} risks at each of "
-                    f"{len(sweep.grid)} points for each of {labels}"
-                )
-            rep_risks = {}
-            for name, per_point in rep_d.items():
-                where = f"result.rep_risks[{name!r}]"
-                rep_risks[name] = tuple(
-                    tuple(_expect(r, (int, float), where, "each risk") for r in point) for point in per_point
-                )
-        return CurveResult(
-            spec=sweep,
-            points=tuple(points),
-            provenance=_from_dict(Provenance, prov, "result.provenance"),
-            rep_risks=rep_risks,
+def result_from_json_dict(d) -> CurveResult:
+    """Rebuild a result from the fields of :class:`CurveResult`.
+
+    The spec is read under the config's rules, the per-rep risks are
+    checked here, and the points and per-rep risks must match the spec's
+    grid, learners and reps.
+    """
+    _expect(d, dict, "result", "the result document")
+    spec = _sweep_from_dict(_expect(d.get("spec"), dict, "result.spec", "'spec'"), "result.spec", json_only=True)
+    result = _from_dict(CurveResult, {**d, "spec": spec}, "result", json_only=True)
+    labels = sorted(learner.label for learner in spec.learners)
+    if len(result.points) != len(spec.grid):
+        raise InvariantViolation(f"result.points: {len(result.points)} points for a {len(spec.grid)}-point grid")
+    for i, (point, x_value) in enumerate(zip(result.points, spec.grid)):
+        if point.x_value != x_value or sorted(point.stats) != labels:
+            raise InvariantViolation(f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}")
+    if "rep_risks" not in d:
+        return result
+    rep_risks = {}
+    for name, per_point in _expect(d["rep_risks"], dict, "result.rep_risks", "'rep_risks'").items():
+        at = f"result.rep_risks[{name!r}]"
+        rep_risks[name] = tuple(
+            tuple(_check(r, float, f"{at}: each risk", InvariantViolation) for r in _expect(point, list, at, "each point"))
+            for point in _expect(per_point, list, at, "the entry")
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        raise InvariantViolation(f"malformed result document: {exc!r}") from exc
+    if sorted(rep_risks) != labels or any(
+        len(per_point) != len(spec.grid) or any(len(point) != spec.reps for point in per_point)
+        for per_point in rep_risks.values()
+    ):
+        raise InvariantViolation(
+            f"result.rep_risks: expected {spec.reps} risks at each of {len(spec.grid)} points for each of {labels}"
+        )
+    return dataclasses.replace(result, rep_risks=rep_risks)
 
 
 def load_result(path) -> CurveResult:
@@ -285,8 +258,10 @@ def load_result(path) -> CurveResult:
 
 
 def _atomic_write(path, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riskcurves-")
+    """Write ``text`` to a fresh file beside ``path`` and rename it into
+    place; the file is created with mode 0o666, so the umask applies."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".riskcurves-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -40,10 +40,11 @@ class LinearModel:
 
 
 # --------------------------------------------------------------------------
-# Declarative schema.  Learner specs (here), data sources (``data``) and the
-# per-point stats and provenance of a result (``curves``) are flat frozen
-# dataclasses whose field annotations are their type checks (``_Checked``);
-# ``io_cli`` reads and writes all of them from their fields.  Each learner
+# Declarative schema.  Learner specs (here), data sources (``data``), sweep
+# specs and results (``curves``) are frozen dataclasses whose field
+# annotations are their type checks (``_Checked``); a field whose metadata
+# names ``of`` holds entries of another schema, and ``io_cli`` reads and
+# writes all of them from their fields.  Each learner
 # spec also declares its config ``kind``, any config key that differs from a
 # field name (``config_keys``), its parameters with their defaults and lower
 # bounds, and its fit (``_fit``), which reads the checked arrays of a
@@ -67,15 +68,35 @@ def _float(value, what: str, error: type = ValueError) -> float:
         raise error(f"{what} must be a finite float, got an integer with {digits} digits") from None
 
 
-class _Checked:
-    """Base of the schema dataclasses: a field's annotation is its type check.
+def _check(value, annotation, what: str, error: type = ValueError, op=None, low=None):
+    """``value`` checked against the type ``annotation``, the one number rule.
 
-    ``int`` and ``float`` fields, and ``int | None`` fields that are set,
-    reject booleans and are stored as ``int`` or ``float``, and ``float``
-    fields reject NaN and infinities; any other
-    annotation (``str``, ``bool``, ``str | None``) is an ``isinstance``
-    check.  :func:`_param` adds a lower bound.  A failed check raises the
-    class's ``_error`` unless the field's :func:`_param` names another.
+    ``int`` and ``float``, and ``int | None`` when set, reject booleans and
+    return an ``int`` or ``float``, and ``float`` rejects NaN and
+    infinities; any other annotation (``str``, ``bool``, ``str | None``, a
+    class) is an ``isinstance`` check.  ``op`` (``>`` or ``>=``) ``low`` is
+    a lower bound.  A failed check raises ``error`` naming ``what``.
+    """
+    if value is None and isinstance(None, annotation):  # an optional value left unset
+        return value
+    typ = int if annotation == int | None else annotation
+    number = {int: numbers.Integral, float: numbers.Real}.get(typ)
+    if (number and isinstance(value, bool)) or not isinstance(value, number or typ):
+        raise error(f"{what} must be {getattr(annotation, '__name__', annotation)}, got {value!r}")
+    if number:
+        value = _float(value, what, error) if typ is float else typ(value)
+    if typ is float and not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value!r}")
+    if op and not (value > low if op == ">" else value >= low):
+        raise error(f"{what} must be {op} {low}, got {value}")
+    return value
+
+
+class _Checked:
+    """Base of the schema dataclasses: a field's annotation is its type
+    check (:func:`_check`), and :func:`_param` adds a lower bound.  A failed
+    check raises the class's ``_error`` unless the field's :func:`_param`
+    names another.
     """
 
     config_keys: ClassVar[dict] = {}
@@ -83,22 +104,8 @@ class _Checked:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and isinstance(None, f.type):  # an optional field left unset
-                continue
-            error = f.metadata.get("error") or self._error
-            typ = int if f.type == int | None else f.type
-            number = {int: numbers.Integral, float: numbers.Real}.get(typ)
-            if (number and isinstance(value, bool)) or not isinstance(value, number or typ):
-                raise error(f"{f.name} must be {getattr(f.type, '__name__', f.type)}, got {value!r}")
-            if number:
-                value = _float(value, f.name, error) if typ is float else typ(value)
-                object.__setattr__(self, f.name, value)
-            if typ is float and not math.isfinite(value):
-                raise error(f"{f.name} must be finite, got {value!r}")
-            op, low = f.metadata.get("op"), f.metadata.get("low")
-            if op and not (value > low if op == ">" else value >= low):
-                raise error(f"{f.name} must be {op} {low}, got {value}")
+            error, op, low = f.metadata.get("error") or self._error, f.metadata.get("op"), f.metadata.get("low")
+            object.__setattr__(self, f.name, _check(getattr(self, f.name), f.type, f.name, error, op, low))
 
 
 class _LearnerSpec(_Checked):

@@ -355,6 +355,21 @@ def test_load_csv_structural_errors(tmp_path):
         load_csv(_write(tmp_path, "cls\np\nq\n", "nofeat.csv"), "cls", "p")
 
 
+def test_load_csv_skips_blank_lines(tmp_path):
+    ds = load_csv(_write(tmp_path, "a,b,label\n1,2,p\n\n3,4,n\n\n", "blank.csv"), "label", "p")
+    np.testing.assert_array_equal(ds.x, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ds.y, [1, -1])
+    # later errors keep their physical line numbers; spaces or a ragged row are no blank line
+    for text, message in (
+        ("a,b,label\n1,2,p\n\n3,oops,n\n", "non-numeric value 'oops' at line 4"),
+        ("a,b,label\n1,2,p\n \n3,4,n\n", "line 3 has 1 cells, expected 3"),
+        ("a,b,label\n1,2,p\n\n3,4\n", "line 4 has 2 cells, expected 3"),
+        ("a,b,label\n\n\n", "no data rows"),
+    ):
+        with pytest.raises(MalformedCsv, match=message):
+            load_csv(_write(tmp_path, text, "bad.csv"), "label", "p")
+
+
 def test_informative_prefix_bayes_decay():
     spec = GaussianSpec(dim=12, informative=4, separation=2.0, seed=0)
     mu = spec.mean_vector()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -121,6 +122,14 @@ def test_config_learner_validation():
     ):
         with pytest.raises(InvariantViolation):
             config_from_dict(_minimal_config(learners=[bad]))
+    # an error names the full path of its entry
+    for learners, data, where in (
+        ([{"kind": "mnlr"}, {"kind": "pfld"}, {"kind": "ridge", "lambda": "0.1"}], {}, "config.learners[2]: lam"),
+        ([{"kind": "mnlr"}, "pfld"], {}, "config.learners[1]: the entry"),
+        ([{"kind": "mnlr"}], {"dim": True}, "config.data: dim"),
+    ):
+        with pytest.raises(InvariantViolation, match=re.escape(where)):
+            config_from_dict(_minimal_config(learners=learners, data=data))
     rc = config_from_dict(
         _minimal_config(
             learners=[
@@ -346,6 +355,25 @@ def test_json_dict_round_trip_preserves_spec_types(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, grid, pinned",
+    [("feature_curve", (2, 4, 8), {"fixed_n": 6}), ("learning_curve", (4, 6, 10), {"fixed_N": 4}),
+     ("alpha_curve", (0.5, 1.0, 2.5), {"fixed_N": 4})],
+)
+def test_result_of_each_kind_round_trips(tmp_path, kind, grid, pinned):
+    learners = (Mnlr(), Pfld(), Ridge(lam=0.5), SemiSupPfld(unlabeled_count=4), MaxMargin(c=5.0))
+    spec = SweepSpec(
+        kind=kind, grid=grid, learners=learners, data_source=GaussianSpec(dim=8, informative=2),
+        test_size=90, reps=3, base_seed=2, **pinned,
+    )
+    result = run_sweep(spec, keep_reps=True)
+    emit_json(result, tmp_path / "a.json")
+    loaded = load_result(tmp_path / "a.json")
+    assert loaded == result
+    emit_json(loaded, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, grid, pinned",
     [("feature_curve", (2, 4), {"fixed_n": 6}), ("learning_curve", (4, 6), {"fixed_N": 4}),
      ("alpha_curve", (0.5, 1.0), {"fixed_N": 4})],
 )
@@ -508,6 +536,25 @@ def test_atomic_write_leaves_no_temp_on_failure(tmp_path):
         emit_csv(result, target)  # os.replace onto a directory fails
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
     assert list(target.iterdir()) == []
+
+
+def test_emitted_files_take_the_umask_mode(tmp_path):
+    result = _tiny_result()
+    stale = tmp_path / "r.json"
+    stale.write_text("{}", encoding="utf-8")
+    os.chmod(stale, 0o600)
+    old = os.umask(0o027)
+    try:
+        emit_csv(result, tmp_path / "r.csv")
+        emit_json(result, stale)
+        emit_svg_plot(result, tmp_path / "r.svg")
+        mode = 0o666 & ~os.umask(0o027)
+    finally:
+        os.umask(old)
+    assert mode == 0o640
+    for name in ("r.csv", "r.csv.reps.csv", "r.json", "r.svg"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.reps.csv", "r.json", "r.svg"]
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -729,6 +776,24 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} must be a finite float, got an integer with 401 digits" in captured.err
+    # a malformed entry at any depth is named by its full path
+    unknown_key, no_x, list_stats, text_provenance = (json.loads(json.dumps(good)) for _ in range(4))
+    unknown_key["points"][2]["median_risk"] = 0.5
+    del no_x["points"][0]["x_value"]
+    list_stats["points"][1]["stats"]["mnlr"] = [0.5]
+    text_provenance["provenance"] = "seed 3"
+    for doc, message in (
+        (unknown_key, "result.points[2]: unknown key 'median_risk'"),
+        (no_x, "result.points[0]: CurvePoint needs 'x_value'"),
+        (list_stats, "result.points[1].stats['mnlr']: the entry must be dict, got list"),
+        (text_provenance, "result.provenance: the entry must be dict, got str"),
+    ):
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["report", "--in", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_cli_report_unknown_learner(tmp_path, capsys):
