@@ -180,7 +180,7 @@ def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSp
 
 def config_from_dict(d) -> RunConfig:
     """Validate a parsed JSON object into a :class:`RunConfig`."""
-    _expect(d, (dict,), "config", "the configuration")
+    _expect(d, dict, "config", "the configuration")
     outputs = {f.name for f in dataclasses.fields(RunConfig)} - {"sweep"}
     sweep = _sweep_from_dict({k: v for k, v in d.items() if k not in outputs}, "config")
     return _from_dict(RunConfig, {k: v for k, v in d.items() if k in outputs} | {"sweep": sweep}, "config")
@@ -221,8 +221,9 @@ def result_from_json_dict(d) -> CurveResult:
     grid, learners and reps.
     """
     _expect(d, dict, "result", "the result document")
+    _check_keys(d, {f.name for f in dataclasses.fields(CurveResult)}, "result")
     spec = _sweep_from_dict(_expect(d.get("spec"), dict, "result.spec", "'spec'"), "result.spec", json_only=True)
-    result = _from_dict(CurveResult, {**d, "spec": spec}, "result", json_only=True)
+    result = _from_dict(CurveResult, {**d, "spec": spec, "rep_risks": None}, "result", json_only=True)
     labels = sorted(learner.label for learner in spec.learners)
     if len(result.points) != len(spec.grid):
         raise InvariantViolation(f"result.points: {len(result.points)} points for a {len(spec.grid)}-point grid")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -114,6 +115,9 @@ def test_config_learner_validation():
             config_from_dict(_minimal_config(learners=not_a_list))
     with pytest.raises(InvariantViolation):
         config_from_dict(_minimal_config(learners=[{"kind": "semisup_pfld"}]))
+    for not_an_object in ([], "x", 3, None):
+        with pytest.raises(InvariantViolation, match="config: the configuration must be dict"):
+            config_from_dict(not_an_object)
     for bad in (
         {"kind": "mnlr", "rel_tol": True},
         {"kind": "mnlr", "rel_tol": "0.001"},
@@ -339,7 +343,12 @@ def test_json_dict_round_trip_preserves_spec_types(tmp_path):
     )
     assert {type(source) for source in sources} == set(SOURCES.values())
     swept = _tiny_result(learners=learners)
-    for source in sources:
+    # a result of each curve kind, with its per-rep risks
+    results = [swept] + [
+        run_sweep(dataclasses.replace(swept.spec, kind=kind, grid=grid, fixed_n=None, fixed_N=4), keep_reps=True)
+        for kind, grid in (("learning_curve", (4, 6, 10)), ("alpha_curve", (0.5, 1.0, 2.5)))
+    ]
+    for swept, source in itertools.product(results, sources):
         result = dataclasses.replace(swept, spec=dataclasses.replace(swept.spec, data_source=source))
         loaded = result_from_json_dict(json.loads(json.dumps(result_to_json_dict(result))))
         assert loaded.spec == result.spec
@@ -351,25 +360,6 @@ def test_json_dict_round_trip_preserves_spec_types(tmp_path):
         emit_json(result, tmp_path / "a.json")
         emit_json(load_result(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "kind, grid, pinned",
-    [("feature_curve", (2, 4, 8), {"fixed_n": 6}), ("learning_curve", (4, 6, 10), {"fixed_N": 4}),
-     ("alpha_curve", (0.5, 1.0, 2.5), {"fixed_N": 4})],
-)
-def test_result_of_each_kind_round_trips(tmp_path, kind, grid, pinned):
-    learners = (Mnlr(), Pfld(), Ridge(lam=0.5), SemiSupPfld(unlabeled_count=4), MaxMargin(c=5.0))
-    spec = SweepSpec(
-        kind=kind, grid=grid, learners=learners, data_source=GaussianSpec(dim=8, informative=2),
-        test_size=90, reps=3, base_seed=2, **pinned,
-    )
-    result = run_sweep(spec, keep_reps=True)
-    emit_json(result, tmp_path / "a.json")
-    loaded = load_result(tmp_path / "a.json")
-    assert loaded == result
-    emit_json(loaded, tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -611,6 +601,10 @@ def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path):
     out = tmp_path / "never.csv"
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
     assert not out.exists()
+    for not_an_object in ([], "x", 3, None):
+        cfg.write_text(json.dumps(not_an_object), encoding="utf-8")
+        assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
@@ -777,16 +771,18 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         assert captured.out == ""
         assert f"{field} must be a finite float, got an integer with 401 digits" in captured.err
     # a malformed entry at any depth is named by its full path
-    unknown_key, no_x, list_stats, text_provenance = (json.loads(json.dumps(good)) for _ in range(4))
+    unknown_key, no_x, list_stats, text_provenance, list_reps = (json.loads(json.dumps(good)) for _ in range(5))
     unknown_key["points"][2]["median_risk"] = 0.5
     del no_x["points"][0]["x_value"]
     list_stats["points"][1]["stats"]["mnlr"] = [0.5]
     text_provenance["provenance"] = "seed 3"
+    list_reps["rep_risks"] = list(list_reps["rep_risks"].values())
     for doc, message in (
         (unknown_key, "result.points[2]: unknown key 'median_risk'"),
         (no_x, "result.points[0]: CurvePoint needs 'x_value'"),
         (list_stats, "result.points[1].stats['mnlr']: the entry must be dict, got list"),
         (text_provenance, "result.provenance: the entry must be dict, got str"),
+        (list_reps, "result.rep_risks: 'rep_risks' must be dict, got list\n"),
     ):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
