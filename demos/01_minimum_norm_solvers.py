@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Walk through the linear-algebra layer: thin SVD, the minimum-norm
-# least-squares solution, its brute-force verification, and the ridge path.
+# least-squares solution and the ridge path.
 
 import numpy as np
 
@@ -24,18 +24,10 @@ for t in (0.1, 1.0, 2.5):
     v = t * np.array([1.0, -1.0]) / np.sqrt(2.0)
     print(f"  moving {t:>4} along the null space: norm {np.linalg.norm(w + v):.6f}")
 
-print("\n=== brute-force cross-check ===")
-bf = rc.min_norm_bruteforce([[1.0, 1.0]], [2.0], candidates=301)
-print(f"grid search over exact solutions lands at {bf}")
-print(f"norms agree to {abs(np.linalg.norm(bf) - np.linalg.norm(w)):.2e}")
-
-print("\n=== normal-equation oracle on a full-rank system ===")
+print("\n=== ridge shrinkage path ===")
+# a random full-rank 12x4 system
 a = rng.standard_normal((12, 4))
 b = rng.standard_normal(12)
-gap = np.max(np.abs(rc.min_norm_least_squares(a, b) - rc.normal_equation_solve(a, b)))
-print(f"12x4 random system: solver vs direct elimination differ by {gap:.2e}")
-
-print("\n=== ridge shrinkage path ===")
 for lam in (1e-6, 1e-3, 1.0, 1e3):
     norm = np.linalg.norm(rc.ridge_least_squares(a, b, lam))
     print(f"  lambda = {lam:<8g} ||w|| = {norm:.6f}")

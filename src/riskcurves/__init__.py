@@ -12,8 +12,6 @@ again on both sides.  This package provides:
   feature augmentation, stratified splits and CSV loading,
 * ``curves``  – the Monte Carlo sweep harness (feature / learning / alpha
   curves) plus peak detection,
-* ``oracle``  – independent checks: normal equations, brute-force minimum
-  norm, SMO soft-margin optimum, closed-form Gaussian risk,
 * ``io_cli``  – JSON config, CSV/JSON/SVG emission and the command line.
 
 Every public name is importable from the package itself.  numpy loads on
@@ -45,10 +43,6 @@ _EXPORTS = {
     "linalg": (
         "DEFAULT_REL_TOL", "SvdFactorization", "min_norm_least_squares",
         "numeric_rank", "ridge_least_squares", "thin_svd",
-    ),
-    "oracle": (
-        "analytic_gaussian_risk", "bayes_risk", "min_norm_bruteforce",
-        "normal_equation_solve", "smo_max_margin", "std_normal_cdf",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

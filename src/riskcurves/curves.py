@@ -385,34 +385,28 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             )
 
     def run_rep(rep: int) -> np.ndarray:
-        leftover_x = None
         split_seed = mix(spec.base_seed, rep, SEED_SPLIT)
         if full is None:
             gspec = replace(spec.data_source, seed=mix(spec.base_seed, rep))
             # the draw goes straight into split, so the pool is freed before the fits
             train, test = split(gen_two_gaussians(gspec, train_rows + spec.test_size), train_rows, split_seed)
+            unlab_x = np.zeros((0, train.n_features))
+            if max_unlab:
+                ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
+                unlab_x = gen_two_gaussians(ugspec, max_unlab + max_unlab % 2).x[:max_unlab]
         else:
             train, test = split(full, train_rows, split_seed)
+            unlab_x = np.zeros((0, train.n_features))
             if test.n_samples > spec.test_size:
                 test, leftover = split(
                     test, spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1)
                 )
                 # only the rows a semi-supervised learner reads, copied so the rest is freed
-                leftover_x = leftover.x[:max_unlab].copy() if max_unlab else None
+                unlab_x = leftover.x[:max_unlab].copy()
                 del leftover
             if spec.data_source.standardize:
                 train, test, tf = standardize(train, test)
-                if leftover_x is not None:
-                    leftover_x = tf.apply(leftover_x)
-
-        unlab_x = None
-        if max_unlab > 0:
-            if full is None:
-                draw = max_unlab + (max_unlab % 2)
-                ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
-                unlab_x = gen_two_gaussians(ugspec, draw).x[:max_unlab]
-            else:
-                unlab_x = leftover_x if leftover_x is not None else np.zeros((0, train.n_features))
+                unlab_x = tf.apply(unlab_x)
 
         out = np.empty((n_points, len(labels)))
         for pi, x_val in enumerate(spec.grid):
@@ -421,8 +415,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             if n_train < train_rows:
                 rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
             # contiguous, as BLAS may round differently on a strided view
-            unlab = unlab_x[:, :cols] if unlab_x is not None else None
-            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlab)
+            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlab_x[:, :cols])
             for li, learner in enumerate(spec.learners):
                 out[pi, li] = _fit_cell(
                     learner, cell, test.x[:, :cols], test.y, spec.risk_metric, float(x_val), rep

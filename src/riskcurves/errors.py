@@ -63,14 +63,6 @@ class TooFewPoints(RiskCurvesError, ValueError):
     """Peak detection needs at least three grid points."""
 
 
-class SingularSystem(RiskCurvesError, ValueError):
-    """Normal equations are numerically singular."""
-
-
-class InconsistentSystem(RiskCurvesError, ValueError):
-    """The linear system has no exact solution."""
-
-
 class ConfigError(RiskCurvesError, ValueError):
     """Base class for configuration-file problems."""
 

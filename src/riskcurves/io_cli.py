@@ -195,7 +195,7 @@ def _load_json(path, what: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, or an integer over 4300 digits
         raise ParseError(f"{path}: cannot decode {what} file: {exc}") from exc
 
 

@@ -75,7 +75,9 @@ def _check(value, annotation, what: str, error: type = ValueError, op=None, low=
     return an ``int`` or ``float``, and ``float`` rejects NaN and
     infinities; any other annotation (``str``, ``bool``, ``str | None``, a
     class) is an ``isinstance`` check.  ``op`` (``>`` or ``>=``) ``low`` is
-    a lower bound.  A failed check raises ``error`` naming ``what``.
+    a lower bound, and an integer with one (a count) must also be below
+    2**63, numpy's largest index.  A failed check raises ``error`` naming
+    ``what``.
     """
     if value is None and isinstance(None, annotation):  # an optional value left unset
         return value
@@ -89,6 +91,8 @@ def _check(value, annotation, what: str, error: type = ValueError, op=None, low=
         raise error(f"{what} must be finite, got {value!r}")
     if op and not (value > low if op == ">" else value >= low):
         raise error(f"{what} must be {op} {low}, got {value}")
+    if op and typ is int and value >= 2**63:
+        raise error(f"{what} must be < 2**63, got an integer with {len(str(value))} digits")
     return value
 
 

@@ -1,19 +1,29 @@
-"""Independent verification oracles.
+"""Independent verification oracles for the tests.
 
 Deliberately avoids the solvers' paths: the normal-equation solver uses
 hand-rolled Gaussian elimination, the brute-force minimum-norm search
-enumerates exact solutions on a grid, and the soft-margin optimum comes from
-sequential minimal optimization rather than an interior-point method.  Tests
-use these to cross-check the main solvers, so they must not share code with
-them.
+enumerates exact solutions on a grid, and the Gaussian risk comes in
+closed form rather than by sampling.  Tests use these to cross-check the
+package, so they must not share code with it.  The max-margin learner is
+checked against the certified soft-margin reference in
+``perfbench/reference.py`` instead.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentSystem, NonConvergence, SingularSystem
-from .learners import LinearModel
+from riskcurves.errors import DimensionMismatch
+from riskcurves.learners import LinearModel
+
+
+class SingularSystem(ValueError):
+    """Normal equations are numerically singular."""
+
+
+class InconsistentSystem(ValueError):
+    """The linear system has no exact solution."""
+
 
 # Brute-force null-space coefficients are searched inside this box; the
 # minimum-norm solutions of the intended small test systems lie well inside,
@@ -21,10 +31,6 @@ from .learners import LinearModel
 BRUTE_FORCE_BOUND = 3.0
 
 _MAX_CANDIDATES = 20_000_000
-
-# SMO stops once the maximal KKT violation is below this.
-SMO_TOL = 1e-10
-_SMO_MAX_ITERS = 1_000_000
 
 
 def std_normal_cdf(t: float) -> float:
@@ -156,40 +162,6 @@ def min_norm_bruteforce(a, b, candidates: int) -> np.ndarray:
     sols = x0[None, :] + coeffs @ z.T
     best = int(np.argmin(np.einsum("ij,ij->i", sols, sols)))
     return sols[best]
-
-
-def smo_max_margin(x, y, c: float) -> tuple[LinearModel, np.ndarray]:
-    """Soft-margin optimum by sequential minimal optimization (Platt 1998)
-    with the maximal-violating-pair choice of Keerthi et al. (2001).
-
-    Returns the model and its dual variables ``a`` (``0 <= a <= c``,
-    ``y^T a = 0``, ``w = X^T (a * y)``); the bias is the middle of the KKT
-    interval left by the final violating pair.
-    """
-    xm = np.asarray(x, dtype=np.float64)
-    ym = np.asarray(y, dtype=np.float64)
-    if xm.ndim != 2 or ym.ndim != 1 or xm.shape[0] != ym.shape[0]:
-        raise DimensionMismatch(f"need a matrix and matching labels, got {xm.shape} and {ym.shape}")
-    if not (np.all(np.abs(ym) == 1.0) and ym.min() < ym.max() and c > 0):
-        raise ValueError("need +-1 labels of both classes and c > 0")
-    k = xm @ xm.T
-    a = np.zeros(ym.shape[0])
-    for _ in range(_SMO_MAX_ITERS):
-        err = k @ (a * ym) - ym  # bias-free score minus label, recomputed to avoid drift
-        up = np.flatnonzero(np.where(ym > 0, a < c, a > 0))  # y_i a_i may grow
-        low = np.flatnonzero(np.where(ym > 0, a > 0, a < c))  # y_j a_j may shrink
-        i, j = up[np.argmin(err[up])], low[np.argmax(err[low])]
-        violation = err[j] - err[i]
-        if violation <= SMO_TOL:
-            w = xm.T @ (a * ym)
-            return LinearModel(weights=w, bias=-0.5 * (err[i] + err[j])), a
-        # Move y_i a_i up and y_j a_j down by delta, keeping y^T a fixed.
-        room = min(c - a[i] if ym[i] > 0 else a[i], a[j] if ym[j] > 0 else c - a[j])
-        curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        delta = min(room, violation / curvature) if curvature > 0 else room
-        a[i] += ym[i] * delta
-        a[j] -= ym[j] * delta
-    raise NonConvergence(f"SMO still violates KKT by {violation:.3g} after {_SMO_MAX_ITERS} steps")
 
 
 def analytic_gaussian_risk(model: LinearModel, mu) -> float:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import bayes_risk
 
 from riskcurves import curves as cv
 from riskcurves import data, learners, linalg
@@ -53,7 +54,6 @@ from riskcurves.learners import (
     squared_risk,
     zero_one_risk,
 )
-from riskcurves.oracle import bayes_risk
 
 GSPEC = GaussianSpec(dim=12, informative=3, separation=2.0)
 
@@ -146,9 +146,12 @@ def test_spec_rejects_bad_counts_and_metric():
         dict(base_seed=1.5), dict(learners=("mnlr",)), dict(data_source={"dim": 12}),
         dict(fixed_n=True),
         dict(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=True),
+        # counts stay below 2**63, numpy's largest index
+        dict(reps=2**63), dict(test_size=10**55), dict(fixed_n=10**55), dict(grid=(2, 2**63)),
     ):
         with pytest.raises(InvariantViolation):
             _sweep(**bad)
+    assert _sweep(reps=2**63 - 1).reps == 2**63 - 1
 
 
 def test_spec_stores_numpy_integers_as_plain_ints(tmp_path):
@@ -287,6 +290,13 @@ def test_semisup_unlabeled_pool_matches_manual_run():
     model = fit_semisup_pfld(train.x, train.y, unlab)
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["semisup_pfld(10)"].mean_risk == manual
+
+
+def test_semisup_without_unlabeled_rows_fits_from_an_empty_pool():
+    zero = SemiSupPfld(unlabeled_count=0)
+    alone = run_feature_curve(_sweep(learners=(Pfld(), zero)), keep_reps=True)
+    beside = run_feature_curve(_sweep(learners=(zero, SemiSupPfld(unlabeled_count=40))), keep_reps=True)
+    assert alone.rep_risks["semisup_pfld(0)"] == beside.rep_risks["semisup_pfld(0)"]
 
 
 def _count_calls(monkeypatch, owner, attr, counts, key=None):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import bayes_risk, std_normal_cdf
 
 from riskcurves.data import (
     CsvSource,
@@ -25,7 +26,6 @@ from riskcurves.errors import (
     OddSampleSize,
     OutOfRange,
 )
-from riskcurves.oracle import bayes_risk, std_normal_cdf
 
 
 def _spec(**kw):
@@ -99,7 +99,7 @@ def test_gaussian_spec_validation():
         GaussianSpec(dim=3, informative=4, separation=1.0)
     with pytest.raises(ValueError):
         GaussianSpec(dim=3, informative=1, separation=-0.5)
-    for bad in (dict(dim=True), dict(dim=8.0), dict(separation="2")):
+    for bad in (dict(dim=True), dict(dim=8.0), dict(dim=2**63), dict(separation="2")):
         with pytest.raises(ValueError):
             GaussianSpec(**{"dim": 8, "informative": 2, "separation": 2.0, **bad})
 

@@ -239,7 +239,9 @@ def test_undecodable_files_exit_with_their_codes(tmp_path, capsys):
     not_utf8.write_bytes(b'{"kind": "\xff"}')
     too_deep = tmp_path / "deep.json"
     too_deep.write_text("[" * 100_000, encoding="utf-8")
-    for path in (not_utf8, too_deep):
+    too_long = tmp_path / "long.json"  # an integer beyond Python's 4300-digit conversion limit
+    too_long.write_text('{"reps": 1' + "0" * 5000 + "}", encoding="utf-8")
+    for path in (not_utf8, too_deep, too_long):
         with pytest.raises(ParseError):
             load_config(path)
         with pytest.raises(ParseError):
@@ -596,7 +598,7 @@ def test_cli_missing_config_names_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path):
+def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = _write_config(tmp_path, reps=0)
     out = tmp_path / "never.csv"
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
@@ -605,6 +607,12 @@ def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path):
         cfg.write_text(json.dumps(not_an_object), encoding="utf-8")
         assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
         assert not out.exists()
+    # a count numpy cannot index is named, not left to fail inside numpy
+    _write_config(tmp_path, reps=10**55)
+    capsys.readouterr()
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
+    assert not out.exists()
+    assert "config: reps must be < 2**63, got an integer with 56 digits" in capsys.readouterr().err
 
 
 def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
@@ -771,18 +779,22 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         assert captured.out == ""
         assert f"{field} must be a finite float, got an integer with 401 digits" in captured.err
     # a malformed entry at any depth is named by its full path
-    unknown_key, no_x, list_stats, text_provenance, list_reps = (json.loads(json.dumps(good)) for _ in range(5))
+    unknown_key, no_x, list_stats, text_provenance, list_reps, huge_count = (
+        json.loads(json.dumps(good)) for _ in range(6)
+    )
     unknown_key["points"][2]["median_risk"] = 0.5
     del no_x["points"][0]["x_value"]
     list_stats["points"][1]["stats"]["mnlr"] = [0.5]
     text_provenance["provenance"] = "seed 3"
     list_reps["rep_risks"] = list(list_reps["rep_risks"].values())
+    huge_count["spec"]["fixed_n"] = 10**400
     for doc, message in (
         (unknown_key, "result.points[2]: unknown key 'median_risk'"),
         (no_x, "result.points[0]: CurvePoint needs 'x_value'"),
         (list_stats, "result.points[1].stats['mnlr']: the entry must be dict, got list"),
         (text_provenance, "result.provenance: the entry must be dict, got str"),
         (list_reps, "result.rep_risks: 'rep_risks' must be dict, got list\n"),
+        (huge_count, "result.spec: fixed_n must be < 2**63, got an integer with 401 digits"),
     ):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()

@@ -602,6 +602,8 @@ def test_fit_semisup_requires_pool():
         fit(SemiSupPfld(unlabeled_count=4), [[1.0], [-1.0]], [1, -1])
     with pytest.raises(ValueError):
         SemiSupPfld(unlabeled_count=2.5)
+    with pytest.raises(ValueError):
+        SemiSupPfld(unlabeled_count=2**63)
 
 
 def test_linear_model_validation():

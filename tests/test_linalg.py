@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import normal_equation_solve
 
 from riskcurves.errors import ConvergenceFailure, DimensionMismatch, NonPositiveLambda
 from riskcurves.linalg import (
@@ -9,7 +10,6 @@ from riskcurves.linalg import (
     ridge_least_squares,
     thin_svd,
 )
-from riskcurves.oracle import normal_equation_solve
 
 
 def test_thin_svd_identity():

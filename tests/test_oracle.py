@@ -1,21 +1,30 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-
-from riskcurves.errors import DimensionMismatch, InconsistentSystem, SingularSystem
-from riskcurves.learners import LinearModel, fit_max_margin, hinge_objective, predict, zero_one_risk
-from riskcurves.linalg import min_norm_least_squares
-from riskcurves.oracle import (
-    SMO_TOL,
+from oracles import (
+    InconsistentSystem,
+    SingularSystem,
     analytic_gaussian_risk,
     bayes_risk,
     min_norm_bruteforce,
     normal_equation_solve,
-    smo_max_margin,
     std_normal_cdf,
 )
+
+from riskcurves.errors import DimensionMismatch
+from riskcurves.learners import LinearModel, fit_max_margin, hinge_objective, predict, zero_one_risk
+from riskcurves.linalg import min_norm_least_squares
+
+# The benchmark's certified soft-margin reference, loaded by path as it is not a package.
+_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference.py")
+_spec = importlib.util.spec_from_file_location("soft_margin_reference", _REFERENCE)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 PHI_MINUS_ONE = 0.15865525393145707  # standard normal CDF at -1
 
@@ -182,34 +191,10 @@ def _soft_margin_problems(draw):
 @given(_soft_margin_problems())
 def test_max_margin_matches_smo_oracle(problem):
     x, y, c = problem
-    oracle, a = smo_max_margin(x, y, c)
-    # The oracle's dual point is feasible and satisfies KKT: no pair of
-    # points can still trade dual mass with a gain.
-    err = x @ x.T @ (a * y) - y
-    up = np.where(y > 0, a < c, a > 0)
-    low = np.where(y > 0, a > 0, a < c)
-    assert np.all((a >= 0.0) & (a <= c)) and abs(float(y @ a)) <= 1e-9 * c * len(y)
-    assert err[low].max() - err[up].min() <= SMO_TOL
-    model = fit_max_margin(x, y, c)
-    primal = hinge_objective(model, x, y, c)
-    reference = hinge_objective(oracle, x, y, c)
-    # The oracle's dual value is an independent lower bound on the optimum.
-    dual = float(a.sum()) - 0.5 * float(oracle.weights @ oracle.weights)
-    assert primal - dual <= 1e-6 * primal
-    assert abs(primal - reference) <= 1e-6 * reference
-
-
-def test_smo_oracle_symmetric_pair():
-    model, a = smo_max_margin([[1.0], [-1.0]], [1, -1], 10.0)
-    assert_allclose(a, [0.5, 0.5], atol=1e-12)
-    assert_allclose(model.weights, [1.0], atol=1e-12)
-    assert abs(model.bias) <= 1e-12
-
-
-def test_smo_oracle_validation():
-    with pytest.raises(DimensionMismatch):
-        smo_max_margin([[1.0], [2.0]], [1], 1.0)
-    with pytest.raises(ValueError):
-        smo_max_margin([[1.0], [2.0]], [1, 1], 1.0)
-    with pytest.raises(ValueError):
-        smo_max_margin([[1.0], [2.0]], [1, -1], 0.0)
+    ref = reference.solve(x, y, c)
+    # The reference's duality gap is certified, so its primal and dual values
+    # bound the optimum from above and below.
+    assert ref.certified
+    primal = hinge_objective(fit_max_margin(x, y, c), x, y, c)
+    assert primal - ref.dual <= 1e-6 * primal
+    assert abs(primal - ref.primal) <= 1e-6 * ref.primal

@@ -6,7 +6,7 @@ import pytest
 
 import riskcurves
 
-SUBMODULES = ("_version", "curves", "data", "learners", "linalg", "oracle")
+SUBMODULES = ("_version", "curves", "data", "learners", "linalg")
 
 
 def test_every_public_name_is_its_defining_modules_object():
