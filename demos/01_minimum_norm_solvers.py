@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-# Walk through the linear-algebra layer: thin SVD, the minimum-norm
-# least-squares solution and the ridge path.
+# Walk through the linear-algebra layer and the centred learners: thin SVD,
+# the minimum-norm least-squares solution, and the ridge path toward PFLD.
 
 import numpy as np
 
@@ -25,10 +25,11 @@ for t in (0.1, 1.0, 2.5):
     print(f"  moving {t:>4} along the null space: norm {np.linalg.norm(w + v):.6f}")
 
 print("\n=== ridge shrinkage path ===")
-# a random full-rank 12x4 system
-a = rng.standard_normal((12, 4))
-b = rng.standard_normal(12)
+# 12 random points in 4 dimensions, labelled by the sign of a random draw
+x = rng.standard_normal((12, 4))
+y = np.where(rng.standard_normal(12) >= 0, 1, -1)
 for lam in (1e-6, 1e-3, 1.0, 1e3):
-    norm = np.linalg.norm(rc.ridge_least_squares(a, b, lam))
+    norm = np.linalg.norm(rc.fit(rc.Ridge(lam=lam), x, y).weights)
     print(f"  lambda = {lam:<8g} ||w|| = {norm:.6f}")
-print("norms shrink monotonically; at lambda -> 0 the pseudo-inverse returns.")
+print(f"  {'PFLD':<17} ||w|| = {np.linalg.norm(rc.fit(rc.Pfld(), x, y).weights):.6f}")
+print("norms shrink monotonically; at lambda -> 0 ridge returns PFLD, its ridgeless limit.")

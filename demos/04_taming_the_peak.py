@@ -46,14 +46,15 @@ for rep in range(REPS):
         ts = test if test_set is None else test_set
         return rc.zero_one_risk(rc.predict(model, ts.x), ts.y)
 
-    risks["mnlr"].append(risk(rc.fit_mnlr(train.x, train.y)))
-    risks["ridge"].append(risk(rc.fit_ridge(train.x, train.y, 0.1)))
-    risks["pfld"].append(risk(rc.fit_pfld(train.x, train.y)))
-    risks["semisup"].append(risk(rc.fit_semisup_pfld(train.x, train.y, unlabeled)))
+    risks["mnlr"].append(risk(rc.fit(rc.Mnlr(), train.x, train.y)))
+    risks["ridge"].append(risk(rc.fit(rc.Ridge(lam=0.1), train.x, train.y)))
+    risks["pfld"].append(risk(rc.fit(rc.Pfld(), train.x, train.y)))
+    semisup = rc.fit(rc.SemiSupPfld(unlabeled_count=400), train.x, train.y, x_unlabeled=unlabeled)
+    risks["semisup"].append(risk(semisup))
 
     tr_aug = rc.append_random_features(train, 40, 1.0, mix(SEED, rep, SEED_AUGMENT))
     te_aug = rc.append_random_features(test, 40, 1.0, mix(SEED, rep, SEED_AUGMENT, 1))
-    risks["augmented"].append(risk(rc.fit_mnlr(tr_aug.x, tr_aug.y), te_aug))
+    risks["augmented"].append(risk(rc.fit(rc.Mnlr(), tr_aug.x, tr_aug.y), te_aug))
 
 print(f"at the interpolation threshold N = n = {N} ({REPS} paired reps):")
 print(f"  {'plain MNLR':<24} mean risk {np.mean(risks['mnlr']):.3f}")

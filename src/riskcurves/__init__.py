@@ -5,9 +5,9 @@ a characteristic risk peak where the number of features N meets the number
 of training points n (equivalently alpha = n/N = 1), with the risk falling
 again on both sides.  This package provides:
 
-* ``linalg``  – SVD-backed minimum-norm and ridge least squares,
-* ``learners`` – MNLR, PFLD, ridge, semi-supervised PFLD and an exact
-  max-margin classifier, with prediction and 0-1 / squared risk,
+* ``linalg``  – thin SVD, numeric rank and minimum-norm least squares,
+* ``learners`` – the specs of MNLR, PFLD, ridge, semi-supervised PFLD and
+  exact max-margin learners, ``fit``, prediction and 0-1 / squared risk,
 * ``data``    – a seeded two-Gaussian generator, feature slicing, random
   feature augmentation, stratified splits and CSV loading,
 * ``curves``  – the Monte Carlo sweep harness (feature / learning / alpha
@@ -32,17 +32,16 @@ _EXPORTS = {
     "data": (
         "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec",
         "append_random_features", "gen_two_gaussians", "load_csv", "split",
-        "standardize", "subsample", "take_features",
+        "standardize", "take_features",
     ),
     "learners": (
         "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",
-        "decision_values", "fit", "fit_max_margin", "fit_mnlr", "fit_pfld",
-        "fit_ridge", "fit_semisup_pfld", "hinge_objective", "predict",
-        "squared_risk", "zero_one_risk",
+        "decision_values", "fit", "hinge_objective", "predict", "squared_risk",
+        "zero_one_risk",
     ),
     "linalg": (
         "DEFAULT_REL_TOL", "SvdFactorization", "min_norm_least_squares",
-        "numeric_rank", "ridge_least_squares", "thin_svd",
+        "numeric_rank", "thin_svd",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -83,6 +83,9 @@ def mix(base_seed: int, *parts: int) -> int:
 
 
 class CurveKind(str, Enum):
+    """The path a curve takes through the (n, N) plane; its value is the
+    config ``kind``."""
+
     FEATURE = "feature_curve"
     LEARNING = "learning_curve"
     ALPHA = "alpha_curve"
@@ -274,6 +277,8 @@ class CurvePoint(_Checked):
 
 @dataclass(frozen=True)
 class Provenance(_Checked):
+    """What produced a result: the sweep's base seed and the package version."""
+
     base_seed: int
     version: str
 

@@ -185,14 +185,9 @@ def split(ds: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
     )
 
 
-def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
-    """n rows drawn stratified without replacement, deterministic in seed."""
-    idx = subsample_indices(ds, n, seed)
-    return Dataset._own(ds.x[idx], ds.y[idx])
-
-
 def subsample_indices(ds: Dataset, n: int, seed: int) -> "np.ndarray":
-    """Row indices :func:`subsample` would keep (sorted ascending)."""
+    """Indices of n rows drawn stratified without replacement, deterministic
+    in seed, sorted ascending."""
     if not 2 <= n <= ds.n_samples:
         raise OutOfRange(f"n must be in 2..{ds.n_samples}, got {n}")
     rng = np.random.default_rng(seed)

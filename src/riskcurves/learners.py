@@ -48,10 +48,9 @@ class LinearModel:
 # spec also declares its config ``kind``, any config key that differs from a
 # field name (``config_keys``), its parameters with their defaults and lower
 # bounds, and its fit (``_fit``), which reads the checked arrays of a
-# ``_FitContext``.  The public ``fit_*`` build a spec and call ``fit``, so
-# they check their parameters through the spec and their arrays once.
-# ``LEARNERS`` maps each kind to its spec and drives ``fit``, config parsing
-# and the JSON round trip.
+# ``_FitContext``.  A spec checks its parameters when built, and ``fit``
+# checks the arrays once.  ``LEARNERS`` maps each kind to its spec and
+# drives ``fit``, config parsing and the JSON round trip.
 
 
 def _param(op: str, low, default=MISSING, error=None):
@@ -59,13 +58,20 @@ def _param(op: str, low, default=MISSING, error=None):
     return field(default=default, metadata={"op": op, "low": low, "error": error})
 
 
+def _digits(value: int) -> int:
+    """Decimal digits of ``abs(value)``, counted without ``str``, which refuses
+    integers of more than 4300 digits."""
+    value = abs(value)
+    digits = int((value.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
+    return digits + (value >= 10**digits)
+
+
 def _float(value, what: str, error: type = ValueError) -> float:
     """``float(value)``; an integer too large for a float raises ``error`` naming ``what``."""
     try:
         return float(value)
     except OverflowError:
-        digits = len(str(abs(value)))
-        raise error(f"{what} must be a finite float, got an integer with {digits} digits") from None
+        raise error(f"{what} must be a finite float, got an integer with {_digits(value)} digits") from None
 
 
 def _check(value, annotation, what: str, error: type = ValueError, op=None, low=None):
@@ -92,7 +98,7 @@ def _check(value, annotation, what: str, error: type = ValueError, op=None, low=
     if op and not (value > low if op == ">" else value >= low):
         raise error(f"{what} must be {op} {low}, got {value}")
     if op and typ is int and value >= 2**63:
-        raise error(f"{what} must be < 2**63, got an integer with {len(str(value))} digits")
+        raise error(f"{what} must be < 2**63, got an integer with {_digits(value)} digits")
     return value
 
 
@@ -120,7 +126,10 @@ class _LearnerSpec(_Checked):
 
 @dataclass(frozen=True)
 class Mnlr(_LearnerSpec):
-    """Minimum-norm linear regression on +-1 targets."""
+    """Minimum-norm linear regression on +-1 targets: the least-squares fit
+    of ``[x, 1]`` with the smallest norm.  In the interpolation regime (rows
+    <= features + 1 with full row rank) the training residual is exactly
+    zero."""
 
     kind: ClassVar[str] = "mnlr"
     rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
@@ -134,7 +143,9 @@ class Mnlr(_LearnerSpec):
 class Pfld(_LearnerSpec):
     """Pseudo-Fisher linear discriminant, the ridgeless limit of ridge: the
     minimum-norm fit of ``[x - mean, 1]``, whose largest singular value is
-    ``max(s_1, sqrt(n))`` with ``s`` those of ``x - mean``."""
+    ``max(s_1, sqrt(n))`` with ``s`` those of ``x - mean``.  The centring
+    shift is folded into the bias, so the model predicts from raw features;
+    its decisions agree with :class:`Mnlr`'s on class-balanced data."""
 
     kind: ClassVar[str] = "pfld"
     rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
@@ -150,7 +161,13 @@ class Pfld(_LearnerSpec):
 
 @dataclass(frozen=True)
 class Ridge(_LearnerSpec):
-    """L2-regularized least squares with an unpenalized bias."""
+    """L2-regularized least squares with the bias left out of the penalty.
+
+    Solved by centring features and targets, which is algebraically the same
+    as excluding the constant column from the penalty: the optimal bias is
+    ``mean(y) - mean(x) @ w``, and ``w`` is the filter ``s / (s^2 + lam)``
+    applied to the SVD of the centred features.
+    """
 
     kind: ClassVar[str] = "ridge"
     config_keys: ClassVar[dict] = {"lam": "lambda"}
@@ -159,7 +176,7 @@ class Ridge(_LearnerSpec):
 
     def _fit(self, cell):
         x_mean, y_mean, f, uty = cell.centred()
-        w = f.v @ (f.s / (f.s**2 + self.lam) * uty)  # ridge_least_squares's filter
+        w = f.v @ (f.s / (f.s**2 + self.lam) * uty)
         return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
 
     @property
@@ -169,7 +186,19 @@ class Ridge(_LearnerSpec):
 
 @dataclass(frozen=True)
 class SemiSupPfld(_LearnerSpec):
-    """Pseudo-Fisher variant that centers and whitens with unlabeled data."""
+    """Pseudo-Fisher variant that pools unlabeled points into the preprocessing.
+
+    Centres on the pooled mean, whitens with the pooled total-covariance SVD
+    truncated at ``rel_tol``, fits MNLR in the whitened coordinates, and
+    composes the transform back so the model predicts from raw features.
+    With no unlabeled points this reproduces :class:`Pfld`'s decisions: the
+    truncated whitening is then a bijection on the span of the training data.
+
+    The whitening uses only singular values and right singular vectors, so
+    a pool with at least twice as many rows as columns is first reduced to
+    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
+    the same reduction at that shape, so the whitening is unchanged.
+    """
 
     kind: ClassVar[str] = "semisup_pfld"
     unlabeled_count: int = _param(">=", 0)
@@ -212,7 +241,16 @@ class SemiSupPfld(_LearnerSpec):
 
 @dataclass(frozen=True)
 class MaxMargin(_LearnerSpec):
-    """Exact soft-margin linear classifier; ``max_iters`` caps the solver."""
+    """Exact minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` (bias unpenalized).
+
+    Solves the dual ``min 0.5 a^T Q a - sum(a)``, ``0 <= a <= c``,
+    ``y^T a = 0``, ``Q = (y y^T) * (X X^T)``, by Mehrotra's predictor-corrector
+    primal-dual interior-point method (Ferris & Munson 2002); the multiplier
+    of ``y^T a = 0`` is the bias and ``w = X^T (a * y)``.  Stops at a relative
+    duality gap of ``GAP_TOL``, then takes one crossover step to the exact
+    active-set solution when that is no worse.  Deterministic.  ``max_iters``
+    only caps the iterations: reaching it raises :class:`NonConvergence`.
+    """
 
     kind: ClassVar[str] = "max_margin"
     c: float = _param(">", 0, default=100.0)
@@ -410,66 +448,6 @@ def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     if not (isinstance(cell, _FitContext) and x is cell.x and y is cell.y):
         cell = _FitContext(x, y, cell.unlabeled if isinstance(cell, _FitContext) else cell)
     return spec._fit(cell)
-
-
-def fit_mnlr(x, y, rel_tol: float = Mnlr.rel_tol) -> LinearModel:
-    """Minimum-norm least squares on +-1 targets with an appended bias column.
-
-    In the interpolation regime (rows <= features + 1 with full row rank)
-    the training residual is exactly zero.
-    """
-    return fit(Mnlr(rel_tol=rel_tol), x, y)
-
-
-def fit_pfld(x, y, rel_tol: float = Pfld.rel_tol) -> LinearModel:
-    """Pseudo-Fisher discriminant: center by the global mean, then MNLR.
-
-    The centering shift is folded into the bias so prediction operates on
-    raw features.  Decisions agree with :func:`fit_mnlr` on class-balanced
-    data.
-    """
-    return fit(Pfld(rel_tol=rel_tol), x, y)
-
-
-def fit_ridge(x, y, lam: float) -> LinearModel:
-    """Ridge fit with the bias left out of the penalty.
-
-    Solved by centering features and targets, which is algebraically the
-    same as excluding the constant column from the penalty: the optimal bias
-    is ``mean(y) - mean(x) @ w``.
-    """
-    return fit(Ridge(lam=lam), x, y)
-
-
-def fit_semisup_pfld(x_lab, y, x_unlab, rel_tol: float = SemiSupPfld.rel_tol) -> LinearModel:
-    """Pseudo-Fisher fit that pools unlabeled points into the preprocessing.
-
-    Centers on the pooled mean, whitens with the pooled total-covariance SVD
-    truncated at ``rel_tol``, fits MNLR in the whitened coordinates, and
-    composes the transform back so the model predicts from raw features.
-    With no unlabeled points this reproduces :func:`fit_pfld` decisions: the
-    truncated whitening is then a bijection on the span of the training data.
-
-    The whitening uses only singular values and right singular vectors, so
-    a pool with at least twice as many rows as columns is first reduced to
-    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
-    the same reduction at that shape, so the whitening is unchanged.
-    """
-    return fit(SemiSupPfld(unlabeled_count=len(x_unlab), rel_tol=rel_tol), x_lab, y, x_unlabeled=x_unlab)
-
-
-def fit_max_margin(x, y, c: float = MaxMargin.c, max_iters: int = MaxMargin.max_iters) -> LinearModel:
-    """Exact minimizer of ``0.5 ||w||^2 + c * sum_i hinge_i`` (bias unpenalized).
-
-    Solves the dual ``min 0.5 a^T Q a - sum(a)``, ``0 <= a <= c``,
-    ``y^T a = 0``, ``Q = (y y^T) * (X X^T)``, by Mehrotra's predictor-corrector
-    primal-dual interior-point method (Ferris & Munson 2002); the multiplier
-    of ``y^T a = 0`` is the bias and ``w = X^T (a * y)``.  Stops at a relative
-    duality gap of ``GAP_TOL``, then takes one crossover step to the exact
-    active-set solution when that is no worse.  Deterministic.  ``max_iters``
-    only caps the iterations: reaching it raises :class:`NonConvergence`.
-    """
-    return fit(MaxMargin(c=c, max_iters=max_iters), x, y)
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Dense linear algebra kernel: SVD, numeric rank, minimum-norm and ridge
-least squares.
+"""Dense linear algebra kernel: SVD, numeric rank and minimum-norm least
+squares.
 
-All solvers go through one thin SVD so the pseudo-inverse and the ridge
-filter share the same factorization semantics.  Matrices are plain 2-D
-float64 ``numpy`` arrays, vectors 1-D.  :func:`thin_svd` checks that a
-matrix is nonempty and finite; the solvers leave that to it and check
-only their right-hand side.  ``learners`` factors a cell's centred
-training matrix once and applies PFLD's filter ``1/s`` and every ridge
-filter ``s / (s^2 + lam)`` to that one SVD.  Its semi-supervised
-whitening hands :func:`thin_svd` the triangular QR factor ``R`` of a tall
-pool rather than the pool itself: it uses only the singular values and
-right singular vectors, which both share.
+Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
+:func:`thin_svd` checks that a matrix is nonempty and finite;
+:func:`min_norm_least_squares` leaves that to it and checks only its
+right-hand side.  ``learners`` factors a cell's centred training matrix
+once and applies PFLD's filter ``1/s`` and every ridge filter
+``s / (s^2 + lam)`` to that one SVD.  Its semi-supervised whitening hands
+:func:`thin_svd` the triangular QR factor ``R`` of a tall pool rather than
+the pool itself: it uses only the singular values and right singular
+vectors, which both share.
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores
@@ -23,7 +22,7 @@ import threading
 from dataclasses import dataclass
 
 from ._np import np
-from .errors import ConvergenceFailure, DimensionMismatch, NonPositiveLambda
+from .errors import ConvergenceFailure, DimensionMismatch
 
 # Relative cutoff below which singular values count as zero.  Far below the
 # noise scale of any experiment in this library.
@@ -84,18 +83,6 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _right_hand_side(b, rows: int) -> "np.ndarray":
-    """``b`` as a finite 1-D float64 vector with one entry per matrix row."""
-    rhs = np.asarray(b, dtype=np.float64)
-    if rhs.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got ndim={rhs.ndim}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    if rhs.shape[0] != rows:
-        raise DimensionMismatch(f"matrix has {rows} rows but right-hand side has {rhs.shape[0]} entries")
-    return rhs
-
-
 def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarray":
     """Least-squares solution of ``a w = b`` with minimum Euclidean norm.
 
@@ -105,25 +92,17 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
     unique one of smallest ``||w||``.  A zero matrix yields ``w = 0``.
     """
     f = thin_svd(a)
-    rhs = _right_hand_side(b, f.u.shape[0])
+    rhs = np.asarray(b, dtype=np.float64)
+    if rhs.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got ndim={rhs.ndim}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    if rhs.shape[0] != len(f.u):
+        raise DimensionMismatch(f"matrix has {len(f.u)} rows but right-hand side has {rhs.shape[0]} entries")
     r = numeric_rank(f.s, rel_tol)
     if r == 0:
         return np.zeros(f.v.shape[0])
     return f.v[:, :r] @ ((f.u[:, :r].T @ rhs) / f.s[:r])
-
-
-def ridge_least_squares(a, b, lam: float) -> "np.ndarray":
-    """Unique minimizer of ``||a w - b||^2 + lam * ||w||^2``.
-
-    Uses the SVD filter ``s / (s^2 + lam)``, which shrinks every direction
-    and needs no rank decision.
-    """
-    if not lam > 0:
-        raise NonPositiveLambda(f"ridge penalty must be > 0, got {lam}")
-    f = thin_svd(a)
-    rhs = _right_hand_side(b, f.u.shape[0])
-    filt = f.s / (f.s**2 + lam)
-    return f.v @ (filt * (f.u.T @ rhs))
 
 
 def _openblas_thread_funcs(numpy_dir: str) -> tuple:

@@ -252,7 +252,7 @@ def test_c08_random_features_relieve_the_peak(feature_bench):
         te40 = rc.take_features(test, 40)
         tr_aug = rc.append_random_features(tr40, 40, 1.0, mix(BENCH_SEED, rep, SEED_AUGMENT))
         te_aug = rc.append_random_features(te40, 40, 1.0, mix(BENCH_SEED, rep, SEED_AUGMENT, 1))
-        model = rc.fit_mnlr(tr_aug.x, tr_aug.y)
+        model = rc.fit(rc.Mnlr(), tr_aug.x, tr_aug.y)
         augmented.append(rc.zero_one_risk(rc.predict(model, te_aug.x), te_aug.y))
     augmented = np.array(augmented)
     gap = float(base.mean() - augmented.mean())

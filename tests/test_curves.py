@@ -29,7 +29,7 @@ from riskcurves.data import (
     load_csv,
     split,
     standardize,
-    subsample,
+    subsample_indices,
     take_features,
 )
 from riskcurves.errors import (
@@ -47,9 +47,7 @@ from riskcurves.learners import (
     Ridge,
     SemiSupPfld,
     decision_values,
-    fit_mnlr,
-    fit_ridge,
-    fit_semisup_pfld,
+    fit,
     predict,
     squared_risk,
     zero_one_risk,
@@ -148,6 +146,7 @@ def test_spec_rejects_bad_counts_and_metric():
         dict(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=True),
         # counts stay below 2**63, numpy's largest index
         dict(reps=2**63), dict(test_size=10**55), dict(fixed_n=10**55), dict(grid=(2, 2**63)),
+        dict(reps=10**5000),  # beyond the digits str() converts
     ):
         with pytest.raises(InvariantViolation):
             _sweep(**bad)
@@ -201,7 +200,7 @@ def test_single_point_feature_sweep_matches_manual_run():
         spec.fixed_n + spec.test_size,
     )
     train, test = split(pool, spec.fixed_n, mix(17, 0, cv.SEED_SPLIT))
-    model = fit_mnlr(train.x, train.y)
+    model = fit(Mnlr(), train.x, train.y)
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["mnlr"].mean_risk == manual
 
@@ -214,8 +213,8 @@ def test_single_point_learning_sweep_matches_manual_run():
     )
     pool8 = take_features(pool, 8)
     train_pool, test = split(pool8, 6, mix(17, 0, cv.SEED_SPLIT))
-    sub = subsample(train_pool, 6, mix(17, 0, cv.SEED_SUBSAMPLE, 6))
-    model = fit_mnlr(sub.x, sub.y)
+    rows = subsample_indices(train_pool, 6, mix(17, 0, cv.SEED_SUBSAMPLE, 6))
+    model = fit(Mnlr(), train_pool.x[rows], train_pool.y[rows])
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["mnlr"].mean_risk == manual
 
@@ -287,7 +286,7 @@ def test_semisup_unlabeled_pool_matches_manual_run():
         GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0, cv.SEED_UNLABELED)),
         10,
     ).x[:10]
-    model = fit_semisup_pfld(train.x, train.y, unlab)
+    model = fit(SemiSupPfld(unlabeled_count=10), train.x, train.y, x_unlabeled=unlab)
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["semisup_pfld(10)"].mean_risk == manual
 
@@ -351,7 +350,7 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
         for pi, cols in enumerate(spec.grid):
             x = np.ascontiguousarray(train.x[:, :cols])
             for ridge in ridges:
-                model = fit_ridge(x, train.y, ridge.lam)
+                model = fit(ridge, x, train.y)
                 alone = squared_risk(decision_values(model, test.x[:, :cols]), test.y)
                 assert result.rep_risks[ridge.label][pi][rep] == alone
 
@@ -425,7 +424,8 @@ def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
         train, test, tf = standardize(train, test)
         unlab = tf.apply(leftover.x)[:5]
         for pi, cols in enumerate(spec.grid):
-            model = fit_semisup_pfld(np.ascontiguousarray(train.x[:, :cols]), train.y, unlab[:, :cols])
+            x = np.ascontiguousarray(train.x[:, :cols])
+            model = fit(SemiSupPfld(unlabeled_count=5), x, train.y, x_unlabeled=unlab[:, :cols])
             scores = test.x[:, :cols] @ model.weights + model.bias
             assert result.rep_risks["semisup_pfld(5)"][pi][rep] == float(np.mean((scores - test.y) ** 2))
     alone = run_feature_curve(replace(spec, learners=(Mnlr(),)), keep_reps=True)

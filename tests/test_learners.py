@@ -22,11 +22,6 @@ from riskcurves.learners import (
     as_labels,
     decision_values,
     fit,
-    fit_max_margin,
-    fit_mnlr,
-    fit_pfld,
-    fit_ridge,
-    fit_semisup_pfld,
     hinge_objective,
     predict,
     squared_risk,
@@ -90,14 +85,14 @@ def test_squared_risk_values():
 
 
 def test_mnlr_symmetric_pair():
-    m = fit_mnlr([[1.0], [-1.0]], [1, -1])
+    m = fit(Mnlr(), [[1.0], [-1.0]], [1, -1])
     assert_allclose(m.weights, [1.0], atol=1e-12)
     assert abs(m.bias) < 1e-12
     assert_array_equal(predict(m, [[1.0], [-1.0]]), [1, -1])
 
 
 def test_mnlr_single_point_pseudo_inverse():
-    m = fit_mnlr([[2.0]], [1])
+    m = fit(Mnlr(), [[2.0]], [1])
     assert_allclose(m.weights, [0.4], atol=1e-12)
     assert abs(m.bias - 0.2) < 1e-12
 
@@ -109,7 +104,7 @@ def test_mnlr_interpolates_at_threshold():
         x = rng.standard_normal((n, d))
         y = np.where(rng.random(n) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        m = fit_mnlr(x, y)
+        m = fit(Mnlr(), x, y)
         assert zero_one_risk(predict(m, x), y) == 0.0
         assert squared_risk(decision_values(m, x), y.astype(float)) <= 1e-16 * n
 
@@ -117,22 +112,22 @@ def test_mnlr_interpolates_at_threshold():
 def test_mnlr_label_flip_negates_model():
     rng = np.random.default_rng(1)
     x, y = _balanced(rng, 10, 4)
-    m = fit_mnlr(x, y)
-    flipped = fit_mnlr(x, -y)
+    m = fit(Mnlr(), x, y)
+    flipped = fit(Mnlr(), x, -y)
     assert_array_equal(flipped.weights, -m.weights)
     assert flipped.bias == -m.bias
 
 
 def test_mnlr_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        fit_mnlr([[1.0], [2.0]], [1])
+        fit(Mnlr(), [[1.0], [2.0]], [1])
 
 
 # -- PFLD ------------------------------------------------------------------
 
 
 def test_pfld_symmetric_pair():
-    m = fit_pfld([[1.0], [-1.0]], [1, -1])
+    m = fit(Pfld(), [[1.0], [-1.0]], [1, -1])
     assert_allclose(m.weights, [1.0], atol=1e-12)
     assert abs(m.bias) < 1e-12
 
@@ -143,8 +138,8 @@ def test_pfld_matches_mnlr_signs_on_balanced_data():
     for _ in range(100):
         x, y = _balanced(rng, 12, 6)
         xt = rng.standard_normal((40, 6))
-        vp = decision_values(fit_pfld(x, y), xt)
-        vm = decision_values(fit_mnlr(x, y), xt)
+        vp = decision_values(fit(Pfld(), x, y), xt)
+        vm = decision_values(fit(Mnlr(), x, y), xt)
         confident = (np.abs(vp) > 1e-9) & (np.abs(vm) > 1e-9)
         agree += int(np.sum(np.sign(vp[confident]) == np.sign(vm[confident])))
         total += int(np.sum(confident))
@@ -156,22 +151,22 @@ def test_pfld_translation_invariance():
     x, y = _balanced(rng, 8, 3)
     shift = np.array([5.0, -2.0, 11.0])
     xt = rng.standard_normal((20, 3))
-    base = decision_values(fit_pfld(x, y), xt)
-    shifted = decision_values(fit_pfld(x + shift, y), xt + shift)
+    base = decision_values(fit(Pfld(), x, y), xt)
+    shifted = decision_values(fit(Pfld(), x + shift, y), xt + shift)
     assert_allclose(shifted, base, rtol=1e-7, atol=1e-8)
 
 
 def test_pfld_label_flip_negates_model():
     rng = np.random.default_rng(4)
     x, y = _balanced(rng, 10, 4)
-    m, f = fit_pfld(x, y), fit_pfld(x, -y)
+    m, f = fit(Pfld(), x, y), fit(Pfld(), x, -y)
     assert_array_equal(f.weights, -m.weights)
     assert f.bias == -m.bias
 
 
 def test_pfld_requires_both_classes():
     with pytest.raises(SingleClassInput):
-        fit_pfld([[1.0], [2.0]], [1, 1])
+        fit(Pfld(), [[1.0], [2.0]], [1, 1])
 
 
 def _pfld_reference(x, y):
@@ -210,7 +205,7 @@ def test_pfld_matches_the_minimum_norm_fit_of_the_centred_system(case):
         x, y = _balanced(rng, n, d)
         x = transform(x, rng)
         w_ref, b_ref = _pfld_reference(x, y)
-        model = fit_pfld(x, y)
+        model = fit(Pfld(), x, y)
         assert_allclose(model.weights, w_ref, rtol=1e-10, atol=1e-10 * np.abs(w_ref).max())
         offset = np.abs(w_ref) @ np.abs(x.mean(axis=0))  # the scale of w @ mean in the bias
         assert model.bias == pytest.approx(b_ref, rel=1e-10, abs=1e-10 * (1 + offset))
@@ -220,12 +215,12 @@ def test_pfld_matches_the_minimum_norm_fit_of_the_centred_system(case):
 
 def test_pfld_without_feature_columns_is_bias_only():
     y = np.array([1, 1, 1, -1])
-    model = fit_pfld(np.empty((4, 0)), y)
+    model = fit(Pfld(), np.empty((4, 0)), y)
     w_ref, b_ref = _pfld_reference(np.empty((4, 0)), y)
     assert model.weights.shape == (0,) and w_ref.shape == (0,)
     assert model.bias == b_ref == 0.5
     with pytest.raises(SingleClassInput):
-        fit_pfld(np.empty((3, 0)), [1, 1, 1])
+        fit(Pfld(), np.empty((3, 0)), [1, 1, 1])
 
 
 # -- ridge -----------------------------------------------------------------
@@ -234,10 +229,20 @@ def test_pfld_without_feature_columns_is_bias_only():
 def test_ridge_small_lambda_matches_mnlr_overdetermined():
     rng = np.random.default_rng(5)
     x, y = _balanced(rng, 30, 5)
-    r = fit_ridge(x, y, 1e-12)
-    m = fit_mnlr(x, y)
+    r = fit(Ridge(lam=1e-12), x, y)
+    m = fit(Mnlr(), x, y)
     assert np.max(np.abs(r.weights - m.weights)) < 1e-6
     assert abs(r.bias - m.bias) < 1e-6
+
+
+# the square cell n = N + 1 is left out: its smallest singular value is small
+# enough there that lam = 1e-12 still shrinks the fit measurably
+@pytest.mark.parametrize("n, d", [(40, 10), (40, 30), (40, 60), (20, 80)])
+def test_pfld_is_the_ridgeless_limit_of_ridge(n, d):
+    x, y = _balanced(np.random.default_rng(n + d), n, d)
+    r, p = fit(Ridge(lam=1e-12), x, y), fit(Pfld(), x, y)
+    assert np.linalg.norm(r.weights - p.weights) <= 1e-8 * np.linalg.norm(p.weights)
+    assert abs(r.bias - p.bias) <= 1e-8 * abs(p.bias)
 
 
 def test_ridge_huge_lambda_predicts_label_mean():
@@ -245,7 +250,7 @@ def test_ridge_huge_lambda_predicts_label_mean():
     x, y = _balanced(rng, 12, 4)
     y = y.copy()
     y[:8] = 1  # unbalanced on purpose
-    m = fit_ridge(x, y, 1e12)
+    m = fit(Ridge(lam=1e12), x, y)
     assert np.max(np.abs(m.weights)) < 1e-9
     assert abs(m.bias - y.mean()) < 1e-9
 
@@ -253,7 +258,7 @@ def test_ridge_huge_lambda_predicts_label_mean():
 def test_ridge_two_point_closed_form():
     x = np.array([[1.0], [-1.0]])
     y = np.array([1, -1])
-    m = fit_ridge(x, y, 1.0)
+    m = fit(Ridge(lam=1.0), x, y)
     assert_allclose(m.weights, [2.0 / 3.0], atol=1e-12)
     assert abs(m.bias) < 1e-12
     # independent check through the regularized normal equations
@@ -266,30 +271,27 @@ def test_ridge_shrinks_monotonically_and_continuously():
     rng = np.random.default_rng(7)
     x, y = _balanced(rng, 14, 6)
     lams = [1e-3, 1e-2, 0.1, 1.0, 10.0]
-    norms = [np.linalg.norm(fit_ridge(x, y, lam).weights) for lam in lams]
+    norms = [np.linalg.norm(fit(Ridge(lam=lam), x, y).weights) for lam in lams]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-    near = fit_ridge(x, y, 0.1 * (1 + 1e-9))
-    base = fit_ridge(x, y, 0.1)
+    near = fit(Ridge(lam=0.1 * (1 + 1e-9)), x, y)
+    base = fit(Ridge(lam=0.1), x, y)
     assert np.max(np.abs(near.weights - base.weights)) < 1e-8
 
 
 def test_ridge_label_flip_negates_model():
     rng = np.random.default_rng(8)
     x, y = _balanced(rng, 10, 4)
-    m, f = fit_ridge(x, y, 0.3), fit_ridge(x, -y, 0.3)
+    m, f = fit(Ridge(lam=0.3), x, y), fit(Ridge(lam=0.3), x, -y)
     assert_array_equal(f.weights, -m.weights)
     assert f.bias == -m.bias
 
 
 def test_ridge_rejects_nonpositive_lambda():
-    with pytest.raises(NonPositiveLambda):
-        fit_ridge([[1.0]], [1], 0.0)
-    with pytest.raises(NonPositiveLambda):
-        Ridge(lam=-1.0)
-    with pytest.raises(NonPositiveLambda):
-        Ridge(lam=True)
-    with pytest.raises(NonPositiveLambda):
-        fit_ridge([[1.0], [-1.0]], [1, -1], True)
+    for lam in (0.0, -1.0, True):
+        with pytest.raises(NonPositiveLambda):
+            Ridge(lam=lam)
+    with pytest.raises(NonPositiveLambda, match="^lam must be a finite float, got an integer with 5001 digits$"):
+        Ridge(lam=10**5000)
 
 
 # -- semi-supervised PFLD ----------------------------------------------------
@@ -300,8 +302,8 @@ def test_semisup_empty_pool_reproduces_pfld():
     xt = rng.standard_normal((30, 5))
     for n in (4, 8, 40):  # under- and over-determined regimes
         x, y = _balanced(rng, n, 5)
-        vs = decision_values(fit_semisup_pfld(x, y, np.zeros((0, 5))), xt)
-        vp = decision_values(fit_pfld(x, y), xt)
+        vs = decision_values(fit(SemiSupPfld(unlabeled_count=0), x, y, x_unlabeled=np.zeros((0, 5))), xt)
+        vp = decision_values(fit(Pfld(), x, y), xt)
         assert_allclose(vs, vp, rtol=1e-6, atol=1e-8)
 
 
@@ -309,8 +311,8 @@ def test_semisup_duplicated_points_keep_symmetric_decisions():
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     y = np.array([1, -1, 1, -1])
     xt = np.array([[2.0, 0.3], [-2.0, -0.3], [0.4, 1.5], [-0.4, -1.5]])
-    semis = fit_semisup_pfld(x, y, x.copy())
-    plain = fit_pfld(x, y)
+    semis = fit(SemiSupPfld(unlabeled_count=4), x, y, x_unlabeled=x.copy())
+    plain = fit(Pfld(), x, y)
     assert_array_equal(predict(semis, xt), predict(plain, xt))
 
 
@@ -327,7 +329,7 @@ def _whitened_reference(x, y, pool, rel_tol=1e-10):
     if rank == 0:
         return rank, LinearModel(weights=np.zeros(x.shape[1]), bias=float(np.mean(y)))
     transform = f.v[:, :rank] / (f.s[:rank] / np.sqrt(pooled.shape[0]))
-    inner = fit_mnlr((x - mean) @ transform, y, rel_tol)
+    inner = fit(Mnlr(rel_tol=rel_tol), (x - mean) @ transform, y)
     w = transform @ inner.weights
     return rank, LinearModel(weights=w, bias=inner.bias - float(w @ mean))
 
@@ -364,7 +366,7 @@ def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_
         return f
 
     monkeypatch.setattr(learners, "thin_svd", recording_svd)
-    model = fit_semisup_pfld(x, y, pool)
+    model = fit(SemiSupPfld(unlabeled_count=pool_rows), x, y, x_unlabeled=pool)
     (shape, s), = seen
     rows = n + pool_rows
     assert shape == ((cols, cols) if rows >= 2 * cols else (rows, cols))
@@ -376,15 +378,15 @@ def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_
 
 def test_semisup_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        fit_semisup_pfld([[1.0], [-1.0]], [1, -1], np.zeros((3, 2)))
+        fit(SemiSupPfld(unlabeled_count=3), [[1.0], [-1.0]], [1, -1], x_unlabeled=np.zeros((3, 2)))
 
 
 def test_semisup_changes_weights_with_informative_pool():
     rng = np.random.default_rng(10)
     x, y = _balanced(rng, 8, 8)
     pool = rng.standard_normal((200, 8)) * np.linspace(1.0, 3.0, 8)
-    semis = fit_semisup_pfld(x, y, pool)
-    plain = fit_pfld(x, y)
+    semis = fit(SemiSupPfld(unlabeled_count=200), x, y, x_unlabeled=pool)
+    plain = fit(Pfld(), x, y)
     assert not np.allclose(semis.weights, plain.weights)
 
 
@@ -414,7 +416,7 @@ def test_as_labels_rejects_other_values(labels):
 
 
 def test_max_margin_symmetric_pair():
-    m = fit_max_margin([[1.0], [-1.0]], [1, -1], c=10.0, max_iters=2_000)
+    m = fit(MaxMargin(c=10.0, max_iters=2_000), [[1.0], [-1.0]], [1, -1])
     assert m.bias == 0.0  # symmetric updates never move the bias
     assert m.weights[0] > 0
     assert_array_equal(predict(m, [[3.0], [-3.0]]), [1, -1])
@@ -430,7 +432,7 @@ def test_max_margin_separable_training_risk_zero():
         ]
     )
     y = np.concatenate([np.ones(half, dtype=int), -np.ones(half, dtype=int)])
-    m = fit_max_margin(x, y, c=100.0, max_iters=5_000)
+    m = fit(MaxMargin(c=100.0, max_iters=5_000), x, y)
     assert zero_one_risk(predict(m, x), y) == 0.0
 
 
@@ -445,8 +447,8 @@ def test_max_margin_feature_scaling_keeps_decisions():
     )
     y = np.concatenate([np.ones(half, dtype=int), -np.ones(half, dtype=int)])
     xt = rng.uniform(-2.5, 2.5, size=(30, 3))
-    base = fit_max_margin(x, y, c=100.0, max_iters=4_000)
-    scaled = fit_max_margin(10.0 * x, y, c=100.0, max_iters=4_000)
+    base = fit(MaxMargin(c=100.0, max_iters=4_000), x, y)
+    scaled = fit(MaxMargin(c=100.0, max_iters=4_000), 10.0 * x, y)
     assert_array_equal(predict(scaled, 10.0 * xt), predict(base, xt))
 
 
@@ -455,9 +457,9 @@ def test_max_margin_equals_pfld_when_every_point_is_a_support_vector(dim, all_su
     # With every point on the margin the soft-margin fit interpolates
     # y = X w + b with minimum ||w|| and a free bias, which is the pseudo-Fisher fit.
     ds = gen_two_gaussians(GaussianSpec(dim=dim, informative=10, separation=2.5, seed=40), 40)
-    svm = fit_max_margin(ds.x, ds.y)
+    svm = fit(MaxMargin(), ds.x, ds.y)
     margins = ds.y * decision_values(svm, ds.x)
-    pfld = fit_pfld(ds.x, ds.y)
+    pfld = fit(Pfld(), ds.x, ds.y)
     gap = max(np.max(np.abs(svm.weights - pfld.weights)), abs(svm.bias - pfld.bias))
     if all_support:
         assert np.max(np.abs(margins - 1.0)) <= 1e-8
@@ -469,19 +471,14 @@ def test_max_margin_equals_pfld_when_every_point_is_a_support_vector(dim, all_su
 
 def test_max_margin_validation():
     with pytest.raises(SingleClassInput):
-        fit_max_margin([[1.0], [2.0]], [1, 1])
-    with pytest.raises(ValueError):
-        fit_max_margin([[1.0], [-1.0]], [1, -1], c=0.0)
-    with pytest.raises(ValueError):
-        MaxMargin(max_iters=0)
-    with pytest.raises(ValueError):
-        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=0)
+        fit(MaxMargin(), [[1.0], [2.0]], [1, 1])
     with pytest.raises(NonConvergence):
-        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=1)
-    with pytest.raises(ValueError):
-        fit_max_margin([[1.0], [-1.0]], [1, -1], c=True)
-    with pytest.raises(ValueError):
-        fit_max_margin([[1.0], [-1.0]], [1, -1], max_iters=2.5)
+        fit(MaxMargin(max_iters=1), [[1.0], [-1.0]], [1, -1])
+    for params in (dict(c=0.0), dict(c=True), dict(max_iters=0), dict(max_iters=2.5)):
+        with pytest.raises(ValueError):
+            MaxMargin(**params)
+    with pytest.raises(ValueError, match=r"^max_iters must be < 2\*\*63, got an integer with 5001 digits$"):
+        MaxMargin(max_iters=10**5000)
 
 
 def test_hinge_objective_hand_case():
@@ -515,37 +512,31 @@ def test_labels_and_custom_names():
 
 
 def test_fit_dispatch_matches_direct_calls():
+    # the pool reaches SemiSupPfld only, which reads its first unlabeled_count rows
     rng = np.random.default_rng(15)
     x, y = _balanced(rng, 10, 4)
     pool = rng.standard_normal((12, 4))
     pairs = [
-        (Mnlr(), fit_mnlr(x, y)),
-        (Pfld(), fit_pfld(x, y)),
-        (Ridge(lam=0.5), fit_ridge(x, y, 0.5)),
-        (SemiSupPfld(unlabeled_count=6), fit_semisup_pfld(x, y, pool[:6])),
-        (MaxMargin(max_iters=500), fit_max_margin(x, y, 100.0, 500)),
+        (Mnlr(), None),
+        (Pfld(), None),
+        (Ridge(lam=0.5), None),
+        (SemiSupPfld(unlabeled_count=6), pool[:6]),
+        (MaxMargin(max_iters=500), None),
     ]
-    for spec, direct in pairs:
+    for spec, own_pool in pairs:
         via = fit(spec, x, y, x_unlabeled=pool)
+        direct = fit(spec, x, y, x_unlabeled=own_pool)
         assert_array_equal(via.weights, direct.weights)
         assert via.bias == direct.bias
 
 
 @pytest.mark.parametrize(
-    "public, spec",
-    [
-        (fit_mnlr, Mnlr),
-        (fit_pfld, Pfld),
-        (lambda x, y, **params: fit_semisup_pfld(x, y, x, **params), partial(SemiSupPfld, unlabeled_count=2)),
-    ],
-    ids=["mnlr", "pfld", "semisup_pfld"],
+    "spec", [Mnlr, Pfld, partial(SemiSupPfld, unlabeled_count=2)], ids=["mnlr", "pfld", "semisup_pfld"]
 )
 @pytest.mark.parametrize("rel_tol", [True, 0.0, float("nan")])
-def test_public_fits_reject_the_rel_tol_their_spec_rejects(public, spec, rel_tol):
+def test_public_fits_reject_the_rel_tol_their_spec_rejects(spec, rel_tol):
     with pytest.raises(ValueError):
         spec(rel_tol=rel_tol)
-    with pytest.raises(ValueError):
-        public([[1.0], [-1.0]], [1, -1], rel_tol=rel_tol)
 
 
 def test_fit_checks_the_labels_once(monkeypatch):
@@ -579,11 +570,8 @@ def test_fit_context_with_foreign_arrays_checks_them(monkeypatch):
         fit(Mnlr(), np.where(x > 0, np.nan, x), cell.y, x_unlabeled=cell)
     calls = []
     monkeypatch.setattr(learners, "as_labels", lambda labels: calls.append(labels) or as_labels(labels))
-    for spec, alone in (
-        (Ridge(lam=0.5), fit_ridge(other_x, other_y, 0.5)),
-        (Pfld(), fit_pfld(other_x, other_y)),
-        (SemiSupPfld(unlabeled_count=6), fit_semisup_pfld(other_x, other_y, pool[:6])),
-    ):
+    for spec in (Ridge(lam=0.5), Pfld(), SemiSupPfld(unlabeled_count=6)):
+        alone = fit(spec, other_x, other_y, x_unlabeled=pool)
         calls.clear()
         model = fit(spec, other_x, other_y, x_unlabeled=cell)  # fit on these arrays, the context's pool
         assert len(calls) == 1

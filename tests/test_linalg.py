@@ -3,13 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import normal_equation_solve
 
-from riskcurves.errors import ConvergenceFailure, DimensionMismatch, NonPositiveLambda
-from riskcurves.linalg import (
-    min_norm_least_squares,
-    numeric_rank,
-    ridge_least_squares,
-    thin_svd,
-)
+from riskcurves.errors import ConvergenceFailure, DimensionMismatch
+from riskcurves.linalg import min_norm_least_squares, numeric_rank, thin_svd
 
 
 def test_thin_svd_identity():
@@ -153,49 +148,3 @@ def test_min_norm_matches_normal_equations():
         assert np.max(
             np.abs(min_norm_least_squares(a, b) - normal_equation_solve(a, b))
         ) <= 1e-8
-
-
-def test_ridge_two_equal_rows():
-    assert_allclose(ridge_least_squares([[1.0], [1.0]], [1.0, 1.0], 2.0), [0.5], atol=1e-12)
-
-
-def test_ridge_identity_shrinkage():
-    assert_allclose(ridge_least_squares(np.eye(2), [2.0, 4.0], 1.0), [1.0, 2.0], atol=1e-12)
-
-
-def test_ridge_huge_lambda_kills_solution():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 3))
-    b = rng.standard_normal(6)
-    lam = 1e12
-    w = ridge_least_squares(a, b, lam)
-    assert np.linalg.norm(w) <= np.linalg.norm(a.T @ b) / lam + 1e-15
-
-
-def test_ridge_validation():
-    with pytest.raises(NonPositiveLambda):
-        ridge_least_squares(np.eye(2), [1.0, 2.0], 0.0)
-    with pytest.raises(NonPositiveLambda):
-        ridge_least_squares(np.eye(2), [1.0, 2.0], -1.0)
-    with pytest.raises(DimensionMismatch):
-        ridge_least_squares(np.eye(2), [1.0], 1.0)
-
-
-def test_ridge_tends_to_pseudo_inverse():
-    rng = np.random.default_rng(11)
-    for shape in [(8, 4), (4, 8), (5, 5)]:
-        # well-conditioned full-rank input
-        a = rng.standard_normal(shape) + 3.0 * np.eye(*shape)
-        b = rng.standard_normal(shape[0])
-        w_ridge = ridge_least_squares(a, b, 1e-12)
-        w_pinv = min_norm_least_squares(a, b)
-        assert np.max(np.abs(w_ridge - w_pinv)) <= 1e-6
-
-
-def test_ridge_monotone_shrinkage():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((10, 6))
-    b = rng.standard_normal(10)
-    lams = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3]
-    norms = [np.linalg.norm(ridge_least_squares(a, b, lam)) for lam in lams]
-    assert all(n2 <= n1 + 1e-15 for n1, n2 in zip(norms, norms[1:]))

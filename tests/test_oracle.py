@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from riskcurves.errors import DimensionMismatch
-from riskcurves.learners import LinearModel, fit_max_margin, hinge_objective, predict, zero_one_risk
+from riskcurves.learners import LinearModel, MaxMargin, fit, hinge_objective, predict, zero_one_risk
 from riskcurves.linalg import min_norm_least_squares
 
 # The benchmark's certified soft-margin reference, loaded by path as it is not a package.
@@ -195,6 +195,6 @@ def test_max_margin_matches_smo_oracle(problem):
     # The reference's duality gap is certified, so its primal and dual values
     # bound the optimum from above and below.
     assert ref.certified
-    primal = hinge_objective(fit_max_margin(x, y, c), x, y, c)
+    primal = hinge_objective(fit(MaxMargin(c=c), x, y), x, y, c)
     assert primal - ref.dual <= 1e-6 * primal
     assert abs(primal - ref.primal) <= 1e-6 * ref.primal

@@ -1,6 +1,7 @@
 """The package's public names, which it resolves from its submodules on first use."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -35,3 +36,16 @@ def test_star_import_binds_the_public_names():
 def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="'riskcurves' has no attribute 'no_such_name'"):
         riskcurves.no_such_name  # noqa: B018
+
+
+def test_every_public_class_and_function_has_a_docstring_of_its_own():
+    for name in riskcurves.__all__:
+        value = getattr(riskcurves, name)
+        if inspect.isclass(value):
+            doc, inherited = vars(value).get("__doc__"), {base.__doc__ for base in value.__mro__[1:]}
+        elif inspect.isfunction(value):
+            doc, inherited = value.__doc__, set()
+        else:
+            continue
+        assert doc and doc.strip() and doc not in inherited, name  # an Enum inherits one
+        assert not doc.startswith(f"{name}("), name  # the signature a dataclass generates
