@@ -157,7 +157,7 @@ class SweepSpec(_Checked):
         except TypeError:
             raise InvariantViolation(f"grid must be a sequence, got {self.grid!r}") from None
         if not raw:
-            raise InvariantViolation("grid must be nonempty")
+            raise InvariantViolation("grid must not be empty")
         typ = float if self.kind is CurveKind.ALPHA else int  # alpha grids hold ratios n/N, the others counts
         grid = tuple(_check(g, typ, f"{self.x_name()} grid value", InvariantViolation, ">", 0) for g in raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -191,18 +191,9 @@ class SweepSpec(_Checked):
             )
 
     def _validate_source(self):
-        if isinstance(self.data_source, CsvSource):
-            return
-        dim = self.data_source.dim
-        if (need := self._columns()) > dim:
-            raise GridExceedsDimension(
-                f"the curve needs {need} features but the generator has dim={dim}"
-            )
-        pool = self.train_rows() + self.test_size
-        if pool % 2 != 0:
-            raise InvariantViolation(
-                f"generator pools must have even size; train rows + test_size = {pool}"
-            )
+        src = self.data_source
+        if isinstance(src, GaussianSpec) and (need := self._columns()) > src.dim:
+            raise GridExceedsDimension(f"the curve needs {need} features but the generator has dim={src.dim}")
 
     # -- derived quantities ----------------------------------------------
 
@@ -398,7 +389,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             unlab_x = np.zeros((0, train.n_features))
             if max_unlab:
                 ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
-                unlab_x = gen_two_gaussians(ugspec, max_unlab + max_unlab % 2).x[:max_unlab]
+                unlab_x = gen_two_gaussians(ugspec, max_unlab).x
         else:
             train, test = split(full, train_rows, split_seed)
             unlab_x = np.zeros((0, train.n_features))
@@ -474,17 +465,11 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
 # Peak detection.
 
 
-def _descend_left(means, i):
-    j = i - 1
-    while j - 1 >= 0 and means[j - 1] <= means[j]:
-        j -= 1
-    return means[j]
-
-
-def _descend_right(means, i):
-    j = i + 1
-    while j + 1 < len(means) and means[j + 1] <= means[j]:
-        j += 1
+def _descend(means, j, step):
+    """The local minimum reached from ``means[j]`` by stepping ``step`` (-1 or
+    +1) through equal or lower means; a curve edge counts as one."""
+    while 0 <= j + step < len(means) and means[j + step] <= means[j]:
+        j += step
     return means[j]
 
 
@@ -505,7 +490,7 @@ def detect_peak(result: CurveResult, learner: str) -> PeakReport:
         while j + 1 < len(means) and means[j + 1] == means[i]:
             j += 1
         if means[i] > means[i - 1] and j + 1 < len(means) and means[i] > means[j + 1]:
-            prominence = means[i] - max(_descend_left(means, i), _descend_right(means, j))
+            prominence = means[i] - max(_descend(means, i - 1, -1), _descend(means, j + 1, +1))
             if best is None or prominence > best[0]:
                 best = (prominence, i)
 

@@ -20,7 +20,6 @@ from .errors import (
     MissingFile,
     MoreThanTwoClasses,
     NonNumericFeature,
-    OddSampleSize,
     OutOfRange,
 )
 from .learners import _Checked, _check_training_pair, _param
@@ -108,18 +107,22 @@ SOURCES = {cls.source: cls for cls in (GaussianSpec, CsvSource)}
 
 
 def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
-    """Draw n/2 points per class from Normal(+-mu, I), deterministically."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n % 2 != 0:
-        raise OddSampleSize(f"sample size must be even, got {n}")
+    """Draw n points from Normal(+-mu, I), deterministically: class +1 gets
+    the first ceil(n/2) rows, class -1 the rest.
+
+    An odd-n draw equals the first n rows of the (n + 1)-row draw, as the
+    generator fills rows in order; a longer draw's prefix is not a shorter
+    draw in general, since the class boundary moves with n.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
     mu = spec.mean_vector()
-    half = n // 2
+    half = (n + 1) // 2
     x = rng.standard_normal((n, spec.dim))  # the same stream as one block per class
     x[:half] += mu
     x[half:] -= mu
-    y = np.concatenate([np.ones(half, dtype=np.int64), -np.ones(half, dtype=np.int64)])
+    y = np.concatenate([np.ones(half, dtype=np.int64), -np.ones(n - half, dtype=np.int64)])
     return Dataset._own(x, y)
 
 

@@ -31,10 +31,6 @@ class NonConvergence(RiskCurvesError, RuntimeError):
     """The max-margin solver did not certify its optimum within max_iters."""
 
 
-class OddSampleSize(RiskCurvesError, ValueError):
-    """The two-class generator needs an even sample count."""
-
-
 class OutOfRange(RiskCurvesError, ValueError):
     """A count argument lies outside the valid range for the data."""
 

@@ -339,8 +339,6 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -529,7 +527,7 @@ def cli_main(argv) -> int:
             raise InvariantViolation(
                 "no output requested; set out_csv/out_json/out_svg or pass --out-*"
             )
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             raise InvariantViolation(f"workers must be >= 1, got {args.workers}")
     except (ConfigError, MissingFile, RiskCurvesError) as exc:
         _perr(str(exc))

@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, SvdFactorization, min_norm_least_squares, numeric_rank, thin_svd
+from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, numeric_rank, thin_svd
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,6 @@ class SemiSupPfld(_LearnerSpec):
             )
         if xu.size and not np.all(np.isfinite(xu)):
             raise ValueError("unlabeled features must be finite")
-        if x.shape[1] == 0:
-            return _mnlr(x, cell.yf, self.rel_tol)
         pooled = np.vstack([x, xu])
         mean = pooled.mean(axis=0)
         centered = pooled - mean
@@ -371,13 +369,11 @@ class _FitContext:
 
     def centred(self):
         """``(x_mean, y_mean, f, f.u.T @ (yf - y_mean))``, ``f`` the thin SVD of
-        ``x - x_mean``, computed on the first call: PFLD and every ridge share it."""
+        ``x - x_mean``, computed on the first call: PFLD and every ridge share it.
+        With no feature columns ``f`` has k = 0, so every centred fit is bias-only."""
         if self._centred is None:
-            (n, d), x_mean, y_mean = self.x.shape, self.x.mean(axis=0), float(self.yf.mean())
-            if d:
-                f = thin_svd(self.x - x_mean)
-            else:  # no feature columns: every centred fit is bias-only
-                f = SvdFactorization(np.zeros((n, 0)), np.zeros(0), np.zeros((0, 0)))
+            x_mean, y_mean = self.x.mean(axis=0), float(self.yf.mean())
+            f = thin_svd(self.x - x_mean)
             self._centred = x_mean, y_mean, f, f.u.T @ (self.yf - y_mean)
         return self._centred
 

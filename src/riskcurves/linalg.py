@@ -2,14 +2,14 @@
 squares.
 
 Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
-:func:`thin_svd` checks that a matrix is nonempty and finite;
-:func:`min_norm_least_squares` leaves that to it and checks only its
-right-hand side.  ``learners`` factors a cell's centred training matrix
-once and applies PFLD's filter ``1/s`` and every ridge filter
-``s / (s^2 + lam)`` to that one SVD.  Its semi-supervised whitening hands
-:func:`thin_svd` the triangular QR factor ``R`` of a tall pool rather than
-the pool itself: it uses only the singular values and right singular
-vectors, which both share.
+:func:`thin_svd` checks that a matrix is finite, and factors one with no
+rows or no columns with k = 0; :func:`min_norm_least_squares` leaves
+that to it and checks only its right-hand side.  ``learners`` factors a
+cell's centred training matrix once and applies PFLD's filter ``1/s`` and
+every ridge filter ``s / (s^2 + lam)`` to that one SVD.  Its
+semi-supervised whitening hands :func:`thin_svd` the triangular QR factor
+``R`` of a tall pool rather than the pool itself: it uses only the
+singular values and right singular vectors, which both share.
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores
@@ -46,14 +46,13 @@ class SvdFactorization:
 def thin_svd(a) -> SvdFactorization:
     """Thin singular value decomposition of a dense matrix.
 
-    Raises ConvergenceFailure if the underlying iteration fails, which
-    signals a pathological input rather than a recoverable condition.
+    A matrix with no rows or no columns factors with k = 0.  Raises
+    ConvergenceFailure if the underlying iteration fails, which signals a
+    pathological input rather than a recoverable condition.
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     try:

@@ -108,6 +108,8 @@ def test_alpha_train_size_rounds_half_away_from_zero():
 def test_spec_rejects_bad_grids():
     with pytest.raises(InvariantViolation):
         _sweep(grid=())
+    with pytest.raises(InvariantViolation, match="grid must be a sequence"):
+        _sweep(grid=5)
     with pytest.raises(InvariantViolation):
         _sweep(grid=(4, 4))
     with pytest.raises(InvariantViolation):
@@ -147,6 +149,7 @@ def test_spec_rejects_bad_counts_and_metric():
         # counts stay below 2**63, numpy's largest index
         dict(reps=2**63), dict(test_size=10**55), dict(fixed_n=10**55), dict(grid=(2, 2**63)),
         dict(reps=10**5000),  # beyond the digits str() converts
+        dict(kind="bogus"),
     ):
         with pytest.raises(InvariantViolation):
             _sweep(**bad)
@@ -173,9 +176,17 @@ def test_spec_grid_exceeding_generator_dim():
         _sweep(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=16)
 
 
-def test_spec_generator_pool_must_be_even():
-    with pytest.raises(InvariantViolation):
-        _sweep(test_size=93)
+def test_spec_with_odd_generator_pool_runs():
+    spec = _sweep(grid=(12,), reps=1, test_size=93)  # a pool of 8 + 93 rows
+    result = run_feature_curve(spec)
+    pool = gen_two_gaussians(replace(GSPEC, seed=mix(17, 0)), 101)
+    train, test = split(pool, 8, mix(17, 0, cv.SEED_SPLIT))
+    manual = zero_one_risk(predict(fit(Mnlr(), train.x, train.y), test.x), test.y)
+    assert result.points[0].stats["mnlr"].mean_risk == manual
+    # a learning curve that ends on the square cell n = N + 1
+    square = _sweep(kind="learning_curve", grid=(4, 8, 9), fixed_n=None, fixed_N=8, test_size=92)
+    assert square.train_rows() == 9
+    assert all(np.isfinite(p.stats["mnlr"].mean_risk) for p in run_learning_curve(square).points)
 
 
 def test_run_kind_dispatch_guards():
@@ -289,6 +300,23 @@ def test_semisup_unlabeled_pool_matches_manual_run():
     model = fit(SemiSupPfld(unlabeled_count=10), train.x, train.y, x_unlabeled=unlab)
     manual = zero_one_risk(predict(model, test.x), test.y)
     assert result.points[0].stats["semisup_pfld(10)"].mean_risk == manual
+
+
+def test_semisup_odd_pool_is_the_prefix_of_the_next_even_draw(monkeypatch):
+    pools = []
+
+    class Recording(cv._FitContext):
+        def __init__(self, x, y, unlabeled=None):
+            super().__init__(x, y, unlabeled)
+            pools.append(unlabeled)
+
+    monkeypatch.setattr(cv, "_FitContext", Recording)
+    spec = _sweep(reps=1, learners=(SemiSupPfld(unlabeled_count=7),))
+    run_feature_curve(spec)
+    eight = gen_two_gaussians(replace(GSPEC, seed=mix(17, 0, cv.SEED_UNLABELED)), 8).x
+    assert [p.shape for p in pools] == [(7, cols) for cols in spec.grid]
+    for pool, cols in zip(pools, spec.grid):
+        assert np.array_equal(pool, eight[:7, :cols])
 
 
 def test_semisup_without_unlabeled_rows_fits_from_an_empty_pool():

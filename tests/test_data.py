@@ -22,7 +22,6 @@ from riskcurves.errors import (
     MissingFile,
     MoreThanTwoClasses,
     NonNumericFeature,
-    OddSampleSize,
     OutOfRange,
 )
 
@@ -119,9 +118,12 @@ def test_gen_deterministic_and_balanced():
     assert gen_two_gaussians(_spec(seed=43), 40).x[0, 0] != ds1.x[0, 0]
 
 
-def test_gen_rejects_odd_or_tiny():
-    with pytest.raises(OddSampleSize):
-        gen_two_gaussians(_spec(), 7)
+def test_gen_draws_any_size_and_rejects_empty():
+    odd, even = gen_two_gaussians(_spec(), 7), gen_two_gaussians(_spec(), 8)
+    assert odd.y.tolist() == [1, 1, 1, 1, -1, -1, -1]  # class +1 gets the extra row, first
+    assert np.array_equal(odd.x, even.x[:7]) and np.array_equal(odd.y, even.y[:7])
+    one = gen_two_gaussians(_spec(), 1)
+    assert one.y.tolist() == [1] and np.array_equal(one.x, odd.x[:1])
     with pytest.raises(ValueError):
         gen_two_gaussians(_spec(), 0)
 

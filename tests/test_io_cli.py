@@ -408,6 +408,15 @@ def test_svg_single_point(tmp_path):
     assert "<polyline" not in text
     assert "<circle" in text
     assert text.count('class="threshold"') == 1
+    # x and the threshold coincide, so the x range is widened around them
+    emit_svg_plot(_tiny_result(grid=(6,), learners=(Mnlr(), Ridge(lam=0.5))), path)
+    root = ET.fromstring(path.read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert root.findall(f"{ns}polyline") == []
+    circles = root.findall(f"{ns}circle")
+    assert len(circles) == 2  # one marker per learner
+    (rule,) = [e for e in root.findall(f"{ns}line") if e.get("class") == "threshold"]
+    assert {c.get("cx") for c in circles} == {rule.get("x1")} == {"321.00"}  # the plot's middle
 
 
 def test_svg_multi_learner(tmp_path):
@@ -613,6 +622,15 @@ def test_cli_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
     assert not out.exists()
     assert "config: reps must be < 2**63, got an integer with 56 digits" in capsys.readouterr().err
+    _write_config(tmp_path, kind="bogus")
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
+    assert not out.exists()
+    assert "'bogus'" in capsys.readouterr().err
+    _write_config(tmp_path)
+    for workers in ("0", "-1"):
+        assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out), "--workers", workers]) == 2
+        assert not out.exists()
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
@@ -621,6 +639,12 @@ def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
     assert not out.exists()
     assert "'a,b'" in capsys.readouterr().err
+    # a hand-built result skips the spec's check; the CSV emitter has its own
+    tiny = _tiny_result(keep_reps=False)
+    points = tuple(CurvePoint(x_value=p.x_value, stats={"a,b": p.stats["mnlr"]}) for p in tiny.points)
+    with pytest.raises(ValueError, match="cannot appear in CSV output"):
+        emit_csv(dataclasses.replace(tiny, points=points), out)
+    assert not out.exists()
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

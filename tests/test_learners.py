@@ -379,6 +379,19 @@ def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_
 def test_semisup_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit(SemiSupPfld(unlabeled_count=3), [[1.0], [-1.0]], [1, -1], x_unlabeled=np.zeros((3, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unlabeled features must be finite"):
+            fit(SemiSupPfld(unlabeled_count=3), [[1.0], [-1.0]], [1, -1], x_unlabeled=[[0.0], [bad], [1.0]])
+
+
+@pytest.mark.parametrize("unlabeled_count", [0, 1, 3, 7])
+def test_semisup_without_feature_columns_equals_pfld(unlabeled_count):
+    # no feature columns: the pooled whitening has rank 0 and the fit is PFLD's bias
+    x, y = np.empty((9, 0)), np.array([1, -1, 1, 1, -1, 1, -1, 1, 1])
+    model = fit(SemiSupPfld(unlabeled_count=unlabeled_count), x, y, x_unlabeled=np.empty((7, 0)))
+    ref = fit(Pfld(), x, y)
+    assert model.weights.shape == ref.weights.shape == (0,)
+    assert model.bias == ref.bias
 
 
 def test_semisup_changes_weights_with_informative_pool():
@@ -528,6 +541,8 @@ def test_fit_dispatch_matches_direct_calls():
         direct = fit(spec, x, y, x_unlabeled=own_pool)
         assert_array_equal(via.weights, direct.weights)
         assert via.bias == direct.bias
+    with pytest.raises(TypeError, match="unknown learner spec"):
+        fit(object(), x, y)
 
 
 @pytest.mark.parametrize(
@@ -597,5 +612,7 @@ def test_fit_semisup_requires_pool():
 def test_linear_model_validation():
     with pytest.raises(ValueError):
         LinearModel(weights=np.array([np.nan]), bias=0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        LinearModel(weights=np.ones((2, 1)), bias=0.0)
     with pytest.raises(ValueError):
         LinearModel(weights=np.array([1.0]), bias=float("inf"))

@@ -47,8 +47,9 @@ def test_thin_svd_rejects_bad_input():
         thin_svd([[np.nan, 1.0]])
     with pytest.raises(ValueError):
         thin_svd([1.0, 2.0])
-    with pytest.raises(ValueError):
-        thin_svd(np.zeros((0, 3)))
+    for shape in ((0, 3), (3, 0)):  # empty matrices factor with k = 0
+        f = thin_svd(np.zeros(shape))
+        assert (f.u.shape, f.s.shape, f.v.shape) == ((shape[0], 0), (0,), (shape[1], 0))
 
 
 def test_thin_svd_wraps_nonconvergence(monkeypatch):
@@ -81,6 +82,8 @@ def test_numeric_rank_validation():
         numeric_rank(np.array([1.0, 2.0]), 1e-10)  # increasing
     with pytest.raises(ValueError):
         numeric_rank(np.array([1.0, -0.5]), 1e-10)
+    with pytest.raises(ValueError, match="1-D"):
+        numeric_rank(np.eye(2), 1e-10)
 
 
 def test_min_norm_underdetermined_row():
@@ -106,6 +109,11 @@ def test_min_norm_zero_matrix():
 def test_min_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         min_norm_least_squares(np.eye(2), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="1-D"):
+        min_norm_least_squares(np.eye(2), np.ones((2, 1)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            min_norm_least_squares(np.eye(2), [1.0, bad])
 
 
 def test_min_norm_is_minimum_over_null_space():
