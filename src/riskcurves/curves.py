@@ -31,13 +31,14 @@ from ._np import np
 from ._version import __version__
 from .data import (
     SOURCES,
+    ColumnTransform,
     CsvSource,
     Dataset,
     GaussianSpec,
     gen_two_gaussians,
     load_csv,
     split,
-    standardize,
+    split_indices,
     subsample_indices,
 )
 from .errors import (
@@ -350,7 +351,10 @@ def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
 def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
     """Run the curve ``spec`` describes, ``workers`` reps at a time.
 
-    Per rep: draw (or re-split) a pool and split it into train/test.  At each
+    Per rep: draw a Gaussian pool and split it into train/test, or pick a
+    CSV's train, test and unlabeled row indices (as :func:`split` would, then
+    splitting the test part again) and gather each set from the loaded
+    matrix once, standardizing the three in place by the train rows.  At each
     grid point's cell (n, N) the sweep keeps the first N columns and, where n
     is below the pool, a stratified subsample of n training rows (a subsample
     of the whole pool would be every row, in order).  Every learner is fit
@@ -391,18 +395,19 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
                 ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
                 unlab_x = gen_two_gaussians(ugspec, max_unlab).x
         else:
-            train, test = split(full, train_rows, split_seed)
-            unlab_x = np.zeros((0, train.n_features))
-            if test.n_samples > spec.test_size:
-                test, leftover = split(
-                    test, spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1)
-                )
-                # only the rows a semi-supervised learner reads, copied so the rest is freed
-                unlab_x = leftover.x[:max_unlab].copy()
-                del leftover
+            tr, te = split_indices(full.y, train_rows, split_seed)
+            un = te[:0]  # no unlabeled rows
+            if len(te) > spec.test_size:
+                # as split(test, test_size, ...): its train part is the test set
+                keep, rest = split_indices(full.y[te], spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1))
+                te, un = te[keep], te[rest[:max_unlab]]
+            # each fancy index gathers a fresh array, standardized in place
+            train_x, test_x, unlab_x = full.x[tr], full.x[te], full.x[un]
             if spec.data_source.standardize:
-                train, test, tf = standardize(train, test)
-                unlab_x = tf.apply(unlab_x)
+                tf = ColumnTransform.fit(train_x)
+                for x in (train_x, test_x, unlab_x):
+                    tf.apply_in_place(x)
+            train, test = Dataset._own(train_x, full.y[tr]), Dataset._own(test_x, full.y[te])
 
         out = np.empty((n_points, len(labels)))
         for pi, x_val in enumerate(spec.grid):

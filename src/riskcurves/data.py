@@ -162,26 +162,31 @@ def _stratified_counts(y: "np.ndarray", n_take: int) -> dict[int, int]:
     return counts
 
 
+def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """Sorted row indices of :func:`split`'s train and test parts of labels ``y``."""
+    if not 1 <= n_train < len(y):
+        raise OutOfRange(
+            f"n_train must be in 1..{len(y) - 1}, got {n_train}"
+        )
+    rng = np.random.default_rng(seed)
+    counts = _stratified_counts(y, n_train)
+    train_idx, test_idx = [], []
+    for cls in _CLASS_ORDER:
+        idx = np.flatnonzero(y == cls)
+        perm = idx[rng.permutation(len(idx))]
+        train_idx.append(perm[: counts[cls]])
+        test_idx.append(perm[counts[cls] :])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+
 def split(ds: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint stratified train/test partition covering all rows.
+    """Disjoint stratified train/test partition covering all rows: the rows
+    at :func:`split_indices`.
 
     Class proportions in the train part stay within one row of proportional.
     Row order within each part follows the original dataset.
     """
-    if not 1 <= n_train < ds.n_samples:
-        raise OutOfRange(
-            f"n_train must be in 1..{ds.n_samples - 1}, got {n_train}"
-        )
-    rng = np.random.default_rng(seed)
-    counts = _stratified_counts(ds.y, n_train)
-    train_idx, test_idx = [], []
-    for cls in _CLASS_ORDER:
-        idx = np.flatnonzero(ds.y == cls)
-        perm = idx[rng.permutation(len(idx))]
-        train_idx.append(perm[: counts[cls]])
-        test_idx.append(perm[counts[cls] :])
-    tr = np.sort(np.concatenate(train_idx))
-    te = np.sort(np.concatenate(test_idx))
+    tr, te = split_indices(ds.y, n_train, seed)
     return (
         Dataset._own(ds.x[tr], ds.y[tr]),
         Dataset._own(ds.x[te], ds.y[te]),
@@ -288,25 +293,35 @@ class ColumnTransform:
     mean: "np.ndarray"
     scale: "np.ndarray"
 
+    @classmethod
+    def fit(cls, x: "np.ndarray") -> "ColumnTransform":
+        """Shift by the columns' mean, scale by their std; zero-variance
+        columns are centered but left unscaled."""
+        std = x.std(axis=0)
+        return cls(mean=x.mean(axis=0), scale=np.where(std > 0.0, std, 1.0))
+
     def apply(self, x: "np.ndarray") -> "np.ndarray":
-        out = np.asarray(x, dtype=np.float64) - self.mean
-        return np.divide(out, self.scale, out=out)
+        out = np.array(x, dtype=np.float64)
+        self.apply_in_place(out)
+        return out
+
+    def apply_in_place(self, x: "np.ndarray") -> None:
+        """Overwrite the float64 array ``x`` with its transform."""
+        x -= self.mean
+        x /= self.scale
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, ColumnTransform]:
-    """Shift/scale both sets by the train columns' mean and std.
+    """Shift/scale both sets by the train columns' mean and std
+    (:meth:`ColumnTransform.fit`), into new arrays.
 
-    Zero-variance columns are centered but left unscaled.  The returned
-    transform reapplies the identical mapping (bit for bit).
+    The returned transform reapplies the identical mapping (bit for bit).
     """
     if train.n_features != test.n_features:
         raise DimensionMismatch(
             f"train has {train.n_features} columns, test has {test.n_features}"
         )
-    mean = train.x.mean(axis=0)
-    std = train.x.std(axis=0)
-    scale = np.where(std > 0.0, std, 1.0)
-    transform = ColumnTransform(mean=mean, scale=scale)
+    transform = ColumnTransform.fit(train.x)
     return (
         Dataset._own(transform.apply(train.x), train.y),
         Dataset._own(transform.apply(test.x), test.y),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -431,7 +432,7 @@ def test_csv_source_sweep(tmp_path):
 
 
 def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
-    # 80 rows: 10 train, 20 test, 50 leftover, of which the learner reads 5
+    # 80 rows: 10 train, 20 test, 50 leftover, of which a semi-supervised learner reads 5
     rng = np.random.default_rng(29)
     rows = ["f1,f2,f3,f4,label"]
     for i in range(80):
@@ -444,20 +445,61 @@ def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
     spec = _sweep(
         grid=(2, 4), data_source=source, fixed_n=10, test_size=20, reps=3, learners=learners, risk_metric="squared"
     )
-    result = run_feature_curve(spec, keep_reps=True)
+    cases = [  # (spec, workers)
+        (spec, 1),
+        (spec, 2),
+        (replace(spec, data_source=replace(source, standardize=False)), 1),
+        # its cells below n = 10 subsample the gathered train rows
+        (replace(spec, kind="learning_curve", grid=(4, 7, 10), fixed_n=None, fixed_N=4), 1),
+        # no learner reads unlabeled rows, so the rep's pool is empty
+        (replace(spec, learners=(Mnlr(), Ridge(lam=0.5))), 1),
+    ]
     full = load_csv(path, "label", "pos")
-    for rep in range(3):
-        train, rest = split(full, 10, mix(17, rep, cv.SEED_SPLIT))
-        test, leftover = split(rest, 20, mix(17, rep, cv.SEED_SPLIT, 1))
-        train, test, tf = standardize(train, test)
-        unlab = tf.apply(leftover.x)[:5]
-        for pi, cols in enumerate(spec.grid):
-            x = np.ascontiguousarray(train.x[:, :cols])
-            model = fit(SemiSupPfld(unlabeled_count=5), x, train.y, x_unlabeled=unlab[:, :cols])
-            scores = test.x[:, :cols] @ model.weights + model.bias
-            assert result.rep_risks["semisup_pfld(5)"][pi][rep] == float(np.mean((scores - test.y) ** 2))
+    for case, workers in cases:
+        result = cv.run_sweep(case, keep_reps=True, workers=workers)
+        max_unlab = max(getattr(learner, "unlabeled_count", 0) for learner in case.learners)
+        for rep in range(3):
+            train, rest = split(full, 10, mix(17, rep, cv.SEED_SPLIT))
+            test, leftover = split(rest, 20, mix(17, rep, cv.SEED_SPLIT, 1))
+            unlab = leftover.x
+            if case.data_source.standardize:
+                train, test, tf = standardize(train, test)
+                unlab = tf.apply(leftover.x)
+            unlab = unlab[:max_unlab]
+            for pi, x_val in enumerate(case.grid):
+                n, cols = case._cell(x_val)
+                rows = slice(None) if n == 10 else subsample_indices(train, n, mix(17, rep, cv.SEED_SUBSAMPLE, n))
+                x = np.ascontiguousarray(train.x[rows, :cols])
+                for learner in case.learners:
+                    model = fit(learner, x, train.y[rows], x_unlabeled=unlab[:, :cols])
+                    scores = test.x[:, :cols] @ model.weights + model.bias
+                    assert result.rep_risks[learner.label][pi][rep] == float(np.mean((scores - test.y) ** 2))
     alone = run_feature_curve(replace(spec, learners=(Mnlr(),)), keep_reps=True)
-    assert alone.rep_risks["mnlr"] == result.rep_risks["mnlr"]
+    assert alone.rep_risks["mnlr"] == run_feature_curve(spec, keep_reps=True).rep_risks["mnlr"]
+
+
+def test_csv_sweep_holds_the_matrix_about_once(tmp_path):
+    # a rep gathers its train, test and unlabeled rows once each, so the
+    # sweep's peak is the load's, not a copy of every row beyond the train pool
+    rng = np.random.default_rng(37)
+    values = rng.standard_normal((4000, 30))
+    lines = [",".join([f"f{j}" for j in range(30)] + ["cls"])]
+    lines += [",".join([*map(repr, row.tolist()), "pq"[i % 2]]) for i, row in enumerate(values)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for standardize_rows in (True, False):
+        source = CsvSource(path=str(path), label_column="cls", positive_label="p", standardize=standardize_rows)
+        spec = _sweep(
+            grid=(5, 10, 30), data_source=source, fixed_n=10, test_size=50, reps=2,
+            learners=(Mnlr(), SemiSupPfld(unlabeled_count=20)),
+        )
+        tracemalloc.start()
+        try:
+            cv.run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes, (standardize_rows, peak / values.nbytes)
 
 
 def test_cell_rule_per_kind():
