@@ -48,7 +48,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _check, _Checked, _FitContext, _param, _risk, fit
+from .learners import LEARNERS, _check, _Checked, _FitContext, _param, _Pool, _risk, fit
 from .linalg import single_blas_thread
 
 SEED_SPLIT = 1
@@ -359,24 +359,31 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     is below the pool, a stratified subsample of n training rows (a subsample
     of the whole pool would be every row, in order).  Every learner is fit
     from one context per cell, which checks the arrays once and factors
-    the centred features at most once.  Reps run on one BLAS thread (as does
-    any thread calling BLAS meanwhile), then the caller's count is restored;
-    ``workers`` runs reps in parallel, and no output byte depends on either.
+    the centred features at most once.  Semi-supervised learners whiten with
+    a pool of the rep's training rows and its first unlabeled rows, cut to
+    the widest cell's columns; it is checked and factored once per rep and
+    unlabeled count, before the rep's first cell, and each cell reads the
+    leading block of its factor (a subsampled cell pools and factors its own
+    rows).  Reps run on one BLAS
+    thread (as does any thread calling BLAS meanwhile), then the caller's
+    count is restored; ``workers`` runs reps in parallel, and no output byte
+    depends on either.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     labels = [learner.label for learner in spec.learners]
-    max_unlab = max(getattr(learner, "unlabeled_count", 0) for learner in spec.learners)
-    train_rows = spec.train_rows()
+    counts = {learner.unlabeled_count for learner in spec.learners if hasattr(learner, "unlabeled_count")}
+    max_unlab = max(counts, default=0)
+    train_rows, width = spec.train_rows(), spec._columns()
     n_points = len(spec.grid)
 
     full: Dataset | None = None
     if isinstance(spec.data_source, CsvSource):
         src = spec.data_source
         full = load_csv(src.path, src.label_column, src.positive_label)
-        if full.n_features < (need := spec._columns()):
+        if full.n_features < width:
             raise GridExceedsDimension(
-                f"{src.path} has {full.n_features} feature columns, need {need}"
+                f"{src.path} has {full.n_features} feature columns, need {width}"
             )
         if full.n_samples < train_rows + spec.test_size:
             raise OutOfRange(
@@ -410,13 +417,20 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             train, test = Dataset._own(train_x, full.y[tr]), Dataset._own(test_x, full.y[te])
 
         out = np.empty((n_points, len(labels)))
+        pool = _Pool(train.x[:, :width], unlab_x[:, :width])
+        try:  # before the cells: factored amid their arrays, the kept factors raised peak RSS by 1.5 MiB
+            for u in counts:
+                pool.factor(u)
+        except ValueError as exc:
+            raise type(exc)(f"unlabeled pool of rep {rep}: {exc}") from exc
         for pi, x_val in enumerate(spec.grid):
             n_train, cols = spec._cell(x_val)
-            rows = slice(None)
+            rows, unlabeled = slice(None), pool  # a cell of every training row shares the rep's pool
             if n_train < train_rows:
                 rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
+                unlabeled = unlab_x[:, :cols]
             # contiguous, as BLAS may round differently on a strided view
-            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlab_x[:, :cols])
+            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlabeled)
             for li, learner in enumerate(spec.learners):
                 out[pi, li] = _fit_cell(
                     learner, cell, test.x[:, :cols], test.y, spec.risk_metric, float(x_val), rep

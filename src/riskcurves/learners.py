@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, min_norm_least_squares, numeric_rank, thin_svd
+from .linalg import DEFAULT_REL_TOL, _rank, min_norm_least_squares, thin_svd
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,12 @@ class SemiSupPfld(_LearnerSpec):
 
     The whitening uses only singular values and right singular vectors, so
     a pool with at least twice as many rows as columns is first reduced to
-    its QR factor ``R`` (the R-SVD, Chan 1982).  LAPACK's ``gesdd`` makes
-    the same reduction at that shape, so the whitening is unchanged.
+    its QR factor ``R`` (the R-SVD, Chan 1982).  A sweep computes the
+    pool's means and factor once per rep, at the curve's widest cell, for
+    every cell that trains on all the rep's rows: a cell of N columns reads
+    the leading N columns of the factor and, of ``R``, also its leading N
+    rows, which are the ``R`` of the pool's first N columns.  Its risks can
+    therefore differ from a ``fit`` of the cell's own arrays in the last bits.
     """
 
     kind: ClassVar[str] = "semisup_pfld"
@@ -207,26 +211,17 @@ class SemiSupPfld(_LearnerSpec):
 
     def _fit(self, cell):
         x, y = cell.x, cell.y
-        if cell.unlabeled is None:
+        if cell.pool is None:
             raise ValueError("SemiSupPfld needs an unlabeled pool")
-        xu = np.asarray(cell.unlabeled, dtype=np.float64)[: self.unlabeled_count]
-        if xu.size == 0:
-            xu = xu.reshape(0, x.shape[1])
-        if xu.ndim != 2 or xu.shape[1] != x.shape[1]:
-            raise DimensionMismatch(
-                f"unlabeled features have shape {xu.shape}, expected (*, {x.shape[1]})"
-            )
-        if xu.size and not np.all(np.isfinite(xu)):
-            raise ValueError("unlabeled features must be finite")
-        pooled = np.vstack([x, xu])
-        mean = pooled.mean(axis=0)
-        centered = pooled - mean
-        tall = centered.shape[0] >= 2 * centered.shape[1]
-        f = thin_svd(np.linalg.qr(centered, mode="r") if tall else centered)
-        sigma = f.s / np.sqrt(pooled.shape[0])
-        rank = numeric_rank(sigma, self.rel_tol)
+        rows, mean, factor = cell.pool.factor(self.unlabeled_count)
+        cols = x.shape[1]
+        mean = mean[:cols]
+        # R has fewer rows than the pool; the centred pool itself keeps every row
+        f = thin_svd(factor[: cols if len(factor) < rows else rows, :cols])
+        sigma = f.s / np.sqrt(rows)
+        rank = _rank(sigma, self.rel_tol)
         if rank == 0:  # every pooled point identical: only the bias is learnable
-            return LinearModel(weights=np.zeros(x.shape[1]), bias=float(y.mean()))
+            return LinearModel(weights=np.zeros(cols), bias=float(y.mean()))
         transform = f.v[:, :rank] / sigma[:rank]  # d x rank
         whitened = _mnlr((x - mean) @ transform, cell.yf, self.rel_tol)
         w = transform @ whitened.weights
@@ -358,14 +353,55 @@ def _require_both_classes(y: "np.ndarray"):
 # int64 +-1 labels with one label per row, checked once per cell.
 
 
+class _Pool:
+    """The rows ``SemiSupPfld`` whitens with: training rows ``x`` stacked on
+    the first u rows of ``unlabeled``, for each count u that a learner asks.
+
+    A sweep builds one per rep, from all its training rows and its unlabeled
+    rows cut to the widest cell's columns, and hands it to every cell that
+    trains on all those rows; ``fit`` builds one from its own arrays.  The
+    unlabeled rows a count reads are checked, and the pool factored, once per
+    count, on its first request.
+    """
+
+    def __init__(self, x, unlabeled):
+        self.x, self.unlabeled, self._factors = x, unlabeled, {}
+
+    def factor(self, u: int):
+        """``(rows, mean, factor)`` of the pool of the first ``u`` unlabeled
+        rows: its row count, column means and, when it has at least twice as
+        many rows as columns, the QR factor ``R`` of the centred pool, else
+        the centred pool itself."""
+        if u not in self._factors:
+            xu = np.asarray(self.unlabeled, dtype=np.float64)[:u]
+            if xu.size == 0:
+                xu = xu.reshape(0, self.x.shape[1])
+            if xu.ndim != 2 or xu.shape[1] != self.x.shape[1]:
+                raise DimensionMismatch(
+                    f"unlabeled features have shape {xu.shape}, expected (*, {self.x.shape[1]})"
+                )
+            if xu.size and not np.all(np.isfinite(xu)):
+                raise ValueError("unlabeled features must be finite")
+            centred = np.vstack([self.x, xu])
+            mean = centred.mean(axis=0)
+            centred -= mean
+            tall = centred.shape[0] >= 2 * centred.shape[1]
+            self._factors[u] = len(centred), mean, np.linalg.qr(centred, mode="r") if tall else centred
+        return self._factors[u]
+
+
 class _FitContext:
     """A training cell that all its learners fit from: the arrays, checked
-    once, their float targets ``yf`` and the cell's unlabeled rows (which
-    ``SemiSupPfld`` checks as it reads them)."""
+    once, their float targets ``yf`` and the :class:`_Pool` of the cell's
+    unlabeled rows.  ``unlabeled`` is those rows, or a rep's pool whose
+    training rows are this cell's rows, at least as wide."""
 
     def __init__(self, x, y, unlabeled=None):
         self.x, self.y = _check_training_pair(x, y)
-        self.yf, self.unlabeled, self._centred = self.y.astype(np.float64), unlabeled, None
+        self.yf, self._centred = self.y.astype(np.float64), None
+        if unlabeled is not None and not isinstance(unlabeled, _Pool):
+            unlabeled = _Pool(self.x, unlabeled)
+        self.pool = unlabeled
 
     def centred(self):
         """``(x_mean, y_mean, f, f.u.T @ (yf - y_mean))``, ``f`` the thin SVD of
@@ -436,13 +472,16 @@ def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
     is smaller, e.g. limited leftover rows of a fixed dataset).  A sweep
     passes its cell's ``_FitContext`` instead, with that context's own (checked)
-    ``x`` and ``y``; paired with other arrays, it lends only its unlabeled rows.
+    ``x`` and ``y``; paired with other arrays, it lends only its unlabeled
+    rows, at its own columns, never its training rows.
     """
     if type(spec) not in LEARNERS.values():
         raise TypeError(f"unknown learner spec {spec!r}")
     cell = x_unlabeled
     if not (isinstance(cell, _FitContext) and x is cell.x and y is cell.y):
-        cell = _FitContext(x, y, cell.unlabeled if isinstance(cell, _FitContext) else cell)
+        if isinstance(cell, _FitContext):
+            cell = cell.pool and cell.pool.unlabeled[:, : cell.x.shape[1]]
+        cell = _FitContext(x, y, cell)
     return spec._fit(cell)
 
 

@@ -4,12 +4,17 @@ squares.
 Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
 :func:`thin_svd` checks that a matrix is finite, and factors one with no
 rows or no columns with k = 0; :func:`min_norm_least_squares` leaves
-that to it and checks only its right-hand side.  ``learners`` factors a
+that to it and checks only its right-hand side.  The scan is safety code,
+not a redundant check: LAPACK's SVD can loop without end on an infinite
+entry, and an overflow in a caller's arithmetic (the mean of a column of
+``1.5e308``) reaches it as one.  ``learners`` factors a
 cell's centred training matrix once and applies PFLD's filter ``1/s`` and
 every ridge filter ``s / (s^2 + lam)`` to that one SVD.  Its
-semi-supervised whitening hands :func:`thin_svd` the triangular QR factor
-``R`` of a tall pool rather than the pool itself: it uses only the
-singular values and right singular vectors, which both share.
+semi-supervised whitening factors a rep's tall pool once, at the sweep's
+widest cell, to its triangular QR factor ``R``, and hands :func:`thin_svd`
+the leading N x N block of ``R`` at each cell of N columns: that block is
+the ``R`` of the pool's first N columns, and it shares their singular
+values and right singular vectors, the only part the whitening uses.
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores
@@ -77,9 +82,14 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
         return 0
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ValueError("singular values must be non-negative and non-increasing")
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return _rank(sv, rel_tol)
+
+
+def _rank(s, rel_tol: float) -> int:
+    """:func:`numeric_rank` of a spectrum :func:`thin_svd` returned, which
+    needs no checks: values above ``rel_tol`` times the largest (none of an
+    all-zero spectrum)."""
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size else 0
 
 
 def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarray":
@@ -98,7 +108,9 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     if rhs.shape[0] != len(f.u):
         raise DimensionMismatch(f"matrix has {len(f.u)} rows but right-hand side has {rhs.shape[0]} entries")
-    r = numeric_rank(f.s, rel_tol)
+    if rel_tol <= 0:
+        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    r = _rank(f.s, rel_tol)
     if r == 0:
         return np.zeros(f.v.shape[0])
     return f.v[:, :r] @ ((f.u[:, :r].T @ rhs) / f.s[:r])

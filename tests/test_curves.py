@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,15 +310,16 @@ def test_semisup_odd_pool_is_the_prefix_of_the_next_even_draw(monkeypatch):
     class Recording(cv._FitContext):
         def __init__(self, x, y, unlabeled=None):
             super().__init__(x, y, unlabeled)
-            pools.append(unlabeled)
+            pools.append(self.pool.unlabeled)
 
     monkeypatch.setattr(cv, "_FitContext", Recording)
     spec = _sweep(reps=1, learners=(SemiSupPfld(unlabeled_count=7),))
     run_feature_curve(spec)
     eight = gen_two_gaussians(replace(GSPEC, seed=mix(17, 0, cv.SEED_UNLABELED)), 8).x
-    assert [p.shape for p in pools] == [(7, cols) for cols in spec.grid]
+    # every cell shares the rep's pool, cut to the widest cell's columns
+    assert len(pools) == len(spec.grid) and all(p.shape == (7, max(spec.grid)) for p in pools)
     for pool, cols in zip(pools, spec.grid):
-        assert np.array_equal(pool, eight[:7, :cols])
+        assert np.array_equal(pool[:, :cols], eight[:7, :cols])
 
 
 def test_semisup_without_unlabeled_rows_fits_from_an_empty_pool():
@@ -391,6 +393,89 @@ def test_sweep_without_centred_learners_factors_no_centred_matrix(monkeypatch):
         _count_calls(monkeypatch, owner, "thin_svd", svds)
     run_feature_curve(spec)
     assert svds == {"thin_svd": len(spec.grid) * spec.reps}  # MNLR's own, one per cell
+
+
+def test_semisup_pool_is_factored_once_per_rep_and_count(monkeypatch):
+    qrs = {}
+    _count_calls(monkeypatch, np.linalg, "qr", qrs)
+    semisup = SemiSupPfld(unlabeled_count=8)  # 8 + 8 rows at 8 columns: factored to R
+    feature = _sweep(learners=(Mnlr(), semisup))
+    run_feature_curve(feature)
+    assert qrs == {"qr": feature.reps}
+    qrs.clear()
+    run_feature_curve(_sweep(learners=(semisup, SemiSupPfld(unlabeled_count=20))))
+    assert qrs == {"qr": 2 * feature.reps}  # one factor per count
+    qrs.clear()
+    # n = 4 and 6 subsample the 8 training rows: each such cell factors its own pool
+    learning = _sweep(kind="learning_curve", grid=(4, 6, 8), fixed_n=None, fixed_N=4, learners=(semisup,))
+    run_learning_curve(learning)
+    assert qrs == {"qr": 2 * learning.reps + learning.reps}  # and n = 8 shares the rep's pool
+
+
+def test_sweep_names_the_rep_of_a_non_finite_unlabeled_pool(monkeypatch):
+    real_draw = cv.gen_two_gaussians
+
+    def draw(spec, n):  # the unlabeled draw, the only one of 8 rows, gets a NaN
+        data = real_draw(spec, n)
+        return data if n != 8 else SimpleNamespace(x=np.where(np.arange(12) == 5, np.nan, data.x))
+
+    monkeypatch.setattr(cv, "gen_two_gaussians", draw)
+    with pytest.raises(ValueError, match="^unlabeled pool of rep 0: unlabeled features must be finite$"):
+        run_feature_curve(_sweep(learners=(Mnlr(), SemiSupPfld(unlabeled_count=8))))
+
+
+def _semisup_csv(tmp_path):
+    rng = np.random.default_rng(41)
+    rows = [",".join([f"f{j}" for j in range(8)] + ["label"])]
+    for i in range(100):
+        vals = rng.normal(0.7 if i % 2 else -0.7, 1.2, size=8)
+        rows.append(",".join([*(f"{v:.6f}" for v in vals), "pos" if i % 2 else "neg"]))
+    path = tmp_path / "semisup.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return CsvSource(path=str(path), label_column="label", positive_label="pos")
+
+
+def _rep_arrays(spec, rep, max_unlab):
+    """A rep's train and test sets and unlabeled rows, drawn as the sweep draws them."""
+    src = spec.data_source
+    if isinstance(src, GaussianSpec):
+        pool = gen_two_gaussians(replace(src, seed=mix(17, rep)), spec.fixed_n + spec.test_size)
+        train, test = split(pool, spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
+        return train, test, gen_two_gaussians(replace(src, seed=mix(17, rep, cv.SEED_UNLABELED)), max_unlab).x
+    train, rest = split(load_csv(src.path, "label", "pos"), spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
+    test, leftover = split(rest, spec.test_size, mix(17, rep, cv.SEED_SPLIT, 1))
+    train, test, tf = standardize(train, test)
+    return train, test, tf.apply(leftover.x)[:max_unlab]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("source", ["gaussian", "csv"])
+def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path, source, workers):
+    # 10 + 3 rows are too few for R at the widest 8 columns but not at 5: the
+    # sweep then reads the centred pool's leading columns, where a fit of the
+    # cell's own arrays factors R; 10 + 20 rows take R at every width
+    semisups = (SemiSupPfld(unlabeled_count=3), SemiSupPfld(unlabeled_count=20))
+    data_source = GaussianSpec(dim=8, informative=3, separation=1.5) if source == "gaussian" else _semisup_csv(tmp_path)
+    spec = _sweep(grid=(2, 5, 8), learners=semisups, data_source=data_source, fixed_n=10, test_size=60)
+    models, real_fit_cell = {}, cv._fit_cell
+
+    def recording(learner, cell, test_x, test_y, metric, x_value, rep):
+        models[learner.label, x_value, rep] = fit(learner, cell.x, cell.y, x_unlabeled=cell)
+        return real_fit_cell(learner, cell, test_x, test_y, metric, x_value, rep)
+
+    monkeypatch.setattr(cv, "_fit_cell", recording)
+    result = cv.run_sweep(spec, keep_reps=True, workers=workers)
+    for rep in range(spec.reps):
+        train, test, unlab = _rep_arrays(spec, rep, 20)
+        for pi, cols in enumerate(spec.grid):
+            x = np.ascontiguousarray(train.x[:, :cols])
+            for learner in semisups:
+                own = fit(learner, x, train.y, x_unlabeled=unlab[:, :cols])
+                risk = zero_one_risk(predict(own, test.x[:, :cols]), test.y)
+                assert result.rep_risks[learner.label][pi][rep] == risk
+                swept = models[learner.label, float(cols), rep]
+                np.testing.assert_allclose(swept.weights, own.weights, rtol=1e-10)
+                assert abs(swept.bias - own.bias) <= 1e-10  # on the scale of the +-1 targets, often ~0
 
 
 def test_learner_failure_identifies_cell(monkeypatch):
@@ -469,9 +554,12 @@ def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
             for pi, x_val in enumerate(case.grid):
                 n, cols = case._cell(x_val)
                 rows = slice(None) if n == 10 else subsample_indices(train, n, mix(17, rep, cv.SEED_SUBSAMPLE, n))
-                x = np.ascontiguousarray(train.x[rows, :cols])
+                # a cell of every train row whitens with the pool of the rep's widest rows
+                widest = case._columns()
+                pool = cv._Pool(train.x[:, :widest], unlab[:, :widest]) if n == 10 else unlab[:, :cols]
+                cell = cv._FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], pool)
                 for learner in case.learners:
-                    model = fit(learner, x, train.y[rows], x_unlabeled=unlab[:, :cols])
+                    model = fit(learner, cell.x, cell.y, x_unlabeled=cell)
                     scores = test.x[:, :cols] @ model.weights + model.bias
                     assert result.rep_risks[learner.label][pi][rep] == float(np.mean((scores - test.y) ** 2))
     alone = run_feature_curve(replace(spec, learners=(Mnlr(),)), keep_reps=True)

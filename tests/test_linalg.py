@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import normal_equation_solve
 
+import riskcurves
 from riskcurves.errors import ConvergenceFailure, DimensionMismatch
 from riskcurves.linalg import min_norm_least_squares, numeric_rank, thin_svd
 
@@ -50,6 +55,45 @@ def test_thin_svd_rejects_bad_input():
     for shape in ((0, 3), (3, 0)):  # empty matrices factor with k = 0
         f = thin_svd(np.zeros(shape))
         assert (f.u.shape, f.s.shape, f.v.shape) == ((shape[0], 0), (0,), (shape[1], 0))
+
+
+_NON_FINITE_CASES = """
+import numpy as np
+from riskcurves import Pfld, fit
+from riskcurves.linalg import thin_svd
+
+def outcome(call, *args):
+    try:
+        call(*args)
+    except ValueError:
+        return "ValueError"
+    return "returned"
+
+for shape in ((3, 3), (40, 5), (5, 40)):
+    a = np.ones(shape)
+    a[0, 0] = np.inf
+    print(shape, outcome(thin_svd, a))
+x = np.ones((6, 3))
+x[:, 1] = 1.5e308  # finite, but its column mean overflows to inf
+print("overflow", outcome(fit, Pfld(), x, np.array([1, -1] * 3)))
+"""
+
+
+def test_thin_svd_scan_stops_infinite_entries_that_hang_the_svd():
+    # numpy's SVD (OpenBLAS LAPACK) has been seen not to return on these
+    # matrices, so the cases run in a child process with a timeout: without
+    # thin_svd's finiteness scan this test fails by timing out, not by hanging
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(riskcurves.__file__)), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NON_FINITE_CASES], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        "(3, 3) ValueError", "(40, 5) ValueError", "(5, 40) ValueError", "overflow ValueError"
+    ]
 
 
 def test_thin_svd_wraps_nonconvergence(monkeypatch):
