@@ -27,7 +27,7 @@ spec = rc.SweepSpec(
 )
 
 print(f"sweeping N over {spec.grid} at fixed n = {N_TRAIN} ...")
-result = rc.run_feature_curve(spec, workers=4)
+result = rc.run_sweep(spec, workers=4)
 
 print(f"\n{'N':>5}  {'mean risk':>10}  {'stderr':>8}")
 for point in result.points:

@@ -11,7 +11,7 @@ from riskcurves.io_cli import emit_svg_plot
 
 DATA = rc.GaussianSpec(dim=120, informative=10, separation=2.5)
 
-learning = rc.run_learning_curve(
+learning = rc.run_sweep(
     rc.SweepSpec(
         kind="learning_curve",
         grid=(8, 16, 24, 32, 40, 48, 64, 96, 120),
@@ -31,7 +31,7 @@ for point in learning.points:
     print(f"  n={point.x_value:4.0f}  {s.mean_risk:6.3f}  {bar}")
 print(f"  -> {rc.detect_peak(learning, 'mnlr')}")
 
-alpha = rc.run_alpha_curve(
+alpha = rc.run_sweep(
     rc.SweepSpec(
         kind="alpha_curve",
         grid=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0),

@@ -18,6 +18,7 @@ import numpy as np
 
 import riskcurves as rc
 from riskcurves.curves import SEED_AUGMENT, SEED_SPLIT, mix
+from riskcurves.data import split_indices
 
 DATA = rc.GaussianSpec(dim=40, informative=10, separation=2.5)
 N = 40
@@ -39,7 +40,8 @@ def paired_summary(name, base, other):
 risks = {"mnlr": [], "ridge": [], "augmented": [], "pfld": [], "semisup": []}
 for rep in range(REPS):
     pool = rc.gen_two_gaussians(replace(DATA, seed=mix(SEED, rep)), N + TEST)
-    train, test = rc.split(pool, N, mix(SEED, rep, SEED_SPLIT))
+    tr, te = split_indices(pool.y, N, mix(SEED, rep, SEED_SPLIT))
+    train, test = rc.Dataset(pool.x[tr], pool.y[tr]), rc.Dataset(pool.x[te], pool.y[te])
     unlabeled = rc.gen_two_gaussians(replace(DATA, seed=mix(SEED, rep, 2)), 400).x
 
     def risk(model, test_set=None):

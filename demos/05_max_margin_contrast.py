@@ -19,7 +19,7 @@ spec = rc.SweepSpec(
     base_seed=6,
 )
 print("fitting MNLR and the max-margin learner on identical data ...")
-result = rc.run_feature_curve(spec, workers=4)
+result = rc.run_sweep(spec, workers=4)
 
 print(f"\n{'N':>5}  {'mnlr':>8}  {'max_margin':>10}")
 for point in result.points:

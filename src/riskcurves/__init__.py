@@ -8,8 +8,9 @@ again on both sides.  This package provides:
 * ``linalg``  – thin SVD, numeric rank and minimum-norm least squares,
 * ``learners`` – the specs of MNLR, PFLD, ridge, semi-supervised PFLD and
   exact max-margin learners, ``fit``, prediction and 0-1 / squared risk,
-* ``data``    – a seeded two-Gaussian generator, feature slicing, random
-  feature augmentation, stratified splits and CSV loading,
+* ``data``    – the data-source specs, a seeded two-Gaussian generator,
+  random feature augmentation, CSV loading and a train-fitted column
+  transform,
 * ``curves``  – the Monte Carlo sweep harness (feature / learning / alpha
   curves) plus peak detection,
 * ``io_cli``  – JSON config, CSV/JSON/SVG emission and the command line.
@@ -31,8 +32,7 @@ _EXPORTS = {
     ),
     "data": (
         "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec",
-        "append_random_features", "gen_two_gaussians", "load_csv", "split",
-        "standardize", "take_features",
+        "append_random_features", "gen_two_gaussians", "load_csv",
     ),
     "learners": (
         "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",

@@ -33,11 +33,9 @@ from .data import (
     SOURCES,
     ColumnTransform,
     CsvSource,
-    Dataset,
     GaussianSpec,
     gen_two_gaussians,
     load_csv,
-    split,
     split_indices,
     subsample_indices,
 )
@@ -348,76 +346,101 @@ def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
         ) from exc
 
 
+# Each data source's per-rep draw, keyed in ``_REP_ROWS`` by its ``SOURCES``
+# tag: ``factory(spec, max_unlab)`` runs once per sweep and returns
+# ``rep -> (train_x, train_y, test_x, test_y, unlabeled_x)``, fresh arrays the
+# rep owns.  The draws look up ``gen_two_gaussians`` and ``load_csv`` in this
+# module at call time, so a wrapper installed on those names sees every draw.
+
+
+def _gaussian_rows(spec: SweepSpec, max_unlab: int):
+    """Per rep, draw a pool of the train rows plus ``test_size`` from
+    ``mix(base_seed, rep)`` and gather its stratified train and test rows
+    (:func:`split_indices` at ``mix(base_seed, rep, SEED_SPLIT)``); then draw
+    ``max_unlab`` unlabeled rows from ``mix(base_seed, rep, SEED_UNLABELED)``."""
+    src, train_rows = spec.data_source, spec.train_rows()
+
+    def rows(rep: int):
+        pool = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep)), train_rows + spec.test_size)
+        tr, te = split_indices(pool.y, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+        train_x, train_y, test_x, test_y = pool.x[tr], pool.y[tr], pool.x[te], pool.y[te]
+        del pool  # freed before the unlabeled draw
+        unlab_x = np.zeros((0, src.dim))
+        if max_unlab:
+            unlab_x = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep, SEED_UNLABELED)), max_unlab).x
+        return train_x, train_y, test_x, test_y, unlab_x
+
+    return rows
+
+
+def _csv_rows(spec: SweepSpec, max_unlab: int):
+    """Load the CSV once and check that it has the columns and rows the sweep
+    needs.  Per rep, pick the train and test row indices with
+    :func:`split_indices`; where rows are left over, split the test part
+    again at ``mix(base_seed, rep, SEED_SPLIT, 1)``, whose train part is the
+    test set and whose first ``max_unlab`` other rows are the unlabeled pool.
+    Each set is gathered from the loaded matrix once and, with
+    ``standardize``, transformed in place by the train rows' statistics."""
+    src, train_rows, width = spec.data_source, spec.train_rows(), spec._columns()
+    full = load_csv(src.path, src.label_column, src.positive_label)
+    if full.n_features < width:
+        raise GridExceedsDimension(f"{src.path} has {full.n_features} feature columns, need {width}")
+    if full.n_samples < train_rows + spec.test_size:
+        raise OutOfRange(
+            f"{src.path} has {full.n_samples} rows; need at least "
+            f"{train_rows + spec.test_size} (train pool + test)"
+        )
+
+    def rows(rep: int):
+        tr, te = split_indices(full.y, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
+        un = te[:0]  # no unlabeled rows
+        if len(te) > spec.test_size:
+            keep, rest = split_indices(full.y[te], spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1))
+            te, un = te[keep], te[rest[:max_unlab]]
+        # each fancy index gathers a fresh array, standardized in place
+        train_x, test_x, unlab_x = full.x[tr], full.x[te], full.x[un]
+        if src.standardize:
+            tf = ColumnTransform.fit(train_x)
+            for x in (train_x, test_x, unlab_x):
+                tf.apply_in_place(x)
+        return train_x, full.y[tr], test_x, full.y[te], unlab_x
+
+    return rows
+
+
+_REP_ROWS = {GaussianSpec.source: _gaussian_rows, CsvSource.source: _csv_rows}
+
+
 def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
     """Run the curve ``spec`` describes, ``workers`` reps at a time.
 
-    Per rep: draw a Gaussian pool and split it into train/test, or pick a
-    CSV's train, test and unlabeled row indices (as :func:`split` would, then
-    splitting the test part again) and gather each set from the loaded
-    matrix once, standardizing the three in place by the train rows.  At each
-    grid point's cell (n, N) the sweep keeps the first N columns and, where n
-    is below the pool, a stratified subsample of n training rows (a subsample
-    of the whole pool would be every row, in order).  Every learner is fit
-    from one context per cell, which checks the arrays once and factors
-    the centred features at most once.  Semi-supervised learners whiten with
-    a pool of the rep's training rows and its first unlabeled rows, cut to
-    the widest cell's columns; it is checked and factored once per rep and
-    unlabeled count, before the rep's first cell, and each cell reads the
-    leading block of its factor (a subsampled cell pools and factors its own
-    rows).  Reps run on one BLAS
-    thread (as does any thread calling BLAS meanwhile), then the caller's
-    count is restored; ``workers`` runs reps in parallel, and no output byte
-    depends on either.
+    Each rep takes its train, test and unlabeled rows from its data source's
+    draw (:func:`_gaussian_rows`, :func:`_csv_rows`).  At each grid point's
+    cell (n, N) the sweep keeps the first N columns and, where n is below
+    the train rows, a stratified subsample of n of them (a subsample of
+    every row would be every row, in order).  Every learner is fit from one
+    context per cell, which checks the arrays once and factors the centred
+    features at most once.  Semi-supervised learners whiten with a pool of
+    the rep's training rows and its first unlabeled rows, cut to the widest
+    cell's columns; it is checked and factored once per rep and unlabeled
+    count, before the rep's first cell, and each cell reads the leading
+    block of its factor (a subsampled cell pools and factors its own rows).
+    Reps run on one BLAS thread (as does any thread calling BLAS
+    meanwhile), then the caller's count is restored; ``workers`` runs reps
+    in parallel, and no output byte depends on either.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     labels = [learner.label for learner in spec.learners]
     counts = {learner.unlabeled_count for learner in spec.learners if hasattr(learner, "unlabeled_count")}
-    max_unlab = max(counts, default=0)
     train_rows, width = spec.train_rows(), spec._columns()
     n_points = len(spec.grid)
-
-    full: Dataset | None = None
-    if isinstance(spec.data_source, CsvSource):
-        src = spec.data_source
-        full = load_csv(src.path, src.label_column, src.positive_label)
-        if full.n_features < width:
-            raise GridExceedsDimension(
-                f"{src.path} has {full.n_features} feature columns, need {width}"
-            )
-        if full.n_samples < train_rows + spec.test_size:
-            raise OutOfRange(
-                f"{src.path} has {full.n_samples} rows; need at least "
-                f"{train_rows + spec.test_size} (train pool + test)"
-            )
+    draw = _REP_ROWS[spec.data_source.source](spec, max(counts, default=0))
 
     def run_rep(rep: int) -> np.ndarray:
-        split_seed = mix(spec.base_seed, rep, SEED_SPLIT)
-        if full is None:
-            gspec = replace(spec.data_source, seed=mix(spec.base_seed, rep))
-            # the draw goes straight into split, so the pool is freed before the fits
-            train, test = split(gen_two_gaussians(gspec, train_rows + spec.test_size), train_rows, split_seed)
-            unlab_x = np.zeros((0, train.n_features))
-            if max_unlab:
-                ugspec = replace(spec.data_source, seed=mix(spec.base_seed, rep, SEED_UNLABELED))
-                unlab_x = gen_two_gaussians(ugspec, max_unlab).x
-        else:
-            tr, te = split_indices(full.y, train_rows, split_seed)
-            un = te[:0]  # no unlabeled rows
-            if len(te) > spec.test_size:
-                # as split(test, test_size, ...): its train part is the test set
-                keep, rest = split_indices(full.y[te], spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1))
-                te, un = te[keep], te[rest[:max_unlab]]
-            # each fancy index gathers a fresh array, standardized in place
-            train_x, test_x, unlab_x = full.x[tr], full.x[te], full.x[un]
-            if spec.data_source.standardize:
-                tf = ColumnTransform.fit(train_x)
-                for x in (train_x, test_x, unlab_x):
-                    tf.apply_in_place(x)
-            train, test = Dataset._own(train_x, full.y[tr]), Dataset._own(test_x, full.y[te])
-
+        train_x, train_y, test_x, test_y, unlab_x = draw(rep)
         out = np.empty((n_points, len(labels)))
-        pool = _Pool(train.x[:, :width], unlab_x[:, :width])
+        pool = _Pool(train_x[:, :width], unlab_x[:, :width])
         try:  # before the cells: factored amid their arrays, the kept factors raised peak RSS by 1.5 MiB
             for u in counts:
                 pool.factor(u)
@@ -427,13 +450,13 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             n_train, cols = spec._cell(x_val)
             rows, unlabeled = slice(None), pool  # a cell of every training row shares the rep's pool
             if n_train < train_rows:
-                rows = subsample_indices(train, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
+                rows = subsample_indices(train_y, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
                 unlabeled = unlab_x[:, :cols]
             # contiguous, as BLAS may round differently on a strided view
-            cell = _FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], unlabeled)
+            cell = _FitContext(np.ascontiguousarray(train_x[rows, :cols]), train_y[rows], unlabeled)
             for li, learner in enumerate(spec.learners):
                 out[pi, li] = _fit_cell(
-                    learner, cell, test.x[:, :cols], test.y, spec.risk_metric, float(x_val), rep
+                    learner, cell, test_x[:, :cols], test_y, spec.risk_metric, float(x_val), rep
                 )
             del cell  # the cell's factorization goes before the next cell's
         return out

@@ -1,6 +1,6 @@
-"""Datasets: synthetic two-Gaussian generation, feature slicing, random
-feature augmentation, stratified splitting/subsampling, CSV ingestion and
-train-based standardization.
+"""Datasets and the sweep's data sources: synthetic two-Gaussian
+generation, random feature augmentation, stratified split and subsample
+indices, CSV ingestion and the train-fitted column transform.
 
 Everything randomized is a pure function of its inputs and an explicit
 seed, so sweeps are reproducible bit for bit.
@@ -15,7 +15,6 @@ from typing import ClassVar
 
 from ._np import np
 from .errors import (
-    DimensionMismatch,
     MalformedCsv,
     MissingFile,
     MoreThanTwoClasses,
@@ -126,15 +125,6 @@ def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
     return Dataset._own(x, y)
 
 
-def take_features(ds: Dataset, n_features: int) -> Dataset:
-    """Keep the first ``n_features`` columns; labels unchanged."""
-    if not 1 <= n_features <= ds.n_features:
-        raise OutOfRange(
-            f"n_features must be in 1..{ds.n_features}, got {n_features}"
-        )
-    return Dataset(x=ds.x[:, :n_features], y=ds.y)
-
-
 def append_random_features(ds: Dataset, k: int, sigma: float, seed: int) -> Dataset:
     """Append k columns of independent Normal(0, sigma^2) noise."""
     if k < 1:
@@ -163,7 +153,11 @@ def _stratified_counts(y: "np.ndarray", n_take: int) -> dict[int, int]:
 
 
 def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray", "np.ndarray"]:
-    """Sorted row indices of :func:`split`'s train and test parts of labels ``y``."""
+    """Row indices of a disjoint stratified train/test partition of labels
+    ``y`` that covers every row, each part sorted ascending.
+
+    Class proportions in the train part stay within one row of proportional.
+    """
     if not 1 <= n_train < len(y):
         raise OutOfRange(
             f"n_train must be in 1..{len(y) - 1}, got {n_train}"
@@ -179,30 +173,16 @@ def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
-def split(ds: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint stratified train/test partition covering all rows: the rows
-    at :func:`split_indices`.
-
-    Class proportions in the train part stay within one row of proportional.
-    Row order within each part follows the original dataset.
-    """
-    tr, te = split_indices(ds.y, n_train, seed)
-    return (
-        Dataset._own(ds.x[tr], ds.y[tr]),
-        Dataset._own(ds.x[te], ds.y[te]),
-    )
-
-
-def subsample_indices(ds: Dataset, n: int, seed: int) -> "np.ndarray":
-    """Indices of n rows drawn stratified without replacement, deterministic
-    in seed, sorted ascending."""
-    if not 2 <= n <= ds.n_samples:
-        raise OutOfRange(f"n must be in 2..{ds.n_samples}, got {n}")
+def subsample_indices(y: "np.ndarray", n: int, seed: int) -> "np.ndarray":
+    """Indices of n rows of labels ``y`` drawn stratified without
+    replacement, deterministic in seed, sorted ascending."""
+    if not 2 <= n <= len(y):
+        raise OutOfRange(f"n must be in 2..{len(y)}, got {n}")
     rng = np.random.default_rng(seed)
-    counts = _stratified_counts(ds.y, n)
+    counts = _stratified_counts(y, n)
     chosen = []
     for cls in _CLASS_ORDER:
-        idx = np.flatnonzero(ds.y == cls)
+        idx = np.flatnonzero(y == cls)
         pick = rng.choice(len(idx), size=counts[cls], replace=False)
         chosen.append(idx[pick])
     return np.sort(np.concatenate(chosen))
@@ -300,30 +280,7 @@ class ColumnTransform:
         std = x.std(axis=0)
         return cls(mean=x.mean(axis=0), scale=np.where(std > 0.0, std, 1.0))
 
-    def apply(self, x: "np.ndarray") -> "np.ndarray":
-        out = np.array(x, dtype=np.float64)
-        self.apply_in_place(out)
-        return out
-
     def apply_in_place(self, x: "np.ndarray") -> None:
         """Overwrite the float64 array ``x`` with its transform."""
         x -= self.mean
         x /= self.scale
-
-
-def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, ColumnTransform]:
-    """Shift/scale both sets by the train columns' mean and std
-    (:meth:`ColumnTransform.fit`), into new arrays.
-
-    The returned transform reapplies the identical mapping (bit for bit).
-    """
-    if train.n_features != test.n_features:
-        raise DimensionMismatch(
-            f"train has {train.n_features} columns, test has {test.n_features}"
-        )
-    transform = ColumnTransform.fit(train.x)
-    return (
-        Dataset._own(transform.apply(train.x), train.y),
-        Dataset._own(transform.apply(test.x), test.y),
-        transform,
-    )

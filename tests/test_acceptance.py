@@ -18,6 +18,7 @@ from oracles import SingularSystem, analytic_gaussian_risk, min_norm_bruteforce,
 
 import riskcurves as rc
 from riskcurves.curves import SEED_AUGMENT, SEED_SPLIT, mix
+from riskcurves.data import split_indices
 
 BENCH_SEED = 20260808
 BENCH = rc.GaussianSpec(dim=120, informative=10, separation=2.5)
@@ -247,9 +248,9 @@ def test_c08_random_features_relieve_the_peak(feature_bench):
     augmented = []
     for rep in range(REPS):
         pool = rc.gen_two_gaussians(replace(BENCH, seed=mix(BENCH_SEED, rep)), 40 + TEST_SIZE)
-        train, test = rc.split(pool, 40, mix(BENCH_SEED, rep, SEED_SPLIT))
-        tr40 = rc.take_features(train, 40)
-        te40 = rc.take_features(test, 40)
+        tr, te = split_indices(pool.y, 40, mix(BENCH_SEED, rep, SEED_SPLIT))
+        tr40 = rc.Dataset(pool.x[tr, :40], pool.y[tr])
+        te40 = rc.Dataset(pool.x[te, :40], pool.y[te])
         tr_aug = rc.append_random_features(tr40, 40, 1.0, mix(BENCH_SEED, rep, SEED_AUGMENT))
         te_aug = rc.append_random_features(te40, 40, 1.0, mix(BENCH_SEED, rep, SEED_AUGMENT, 1))
         model = rc.fit(rc.Mnlr(), tr_aug.x, tr_aug.y)

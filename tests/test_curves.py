@@ -25,14 +25,13 @@ from riskcurves.curves import (
     square_system_threshold,
 )
 from riskcurves.data import (
+    ColumnTransform,
     CsvSource,
     GaussianSpec,
     gen_two_gaussians,
     load_csv,
-    split,
-    standardize,
+    split_indices,
     subsample_indices,
-    take_features,
 )
 from riskcurves.errors import (
     GridExceedsDimension,
@@ -71,6 +70,32 @@ def _sweep(**kw):
     )
     base.update(kw)
     return SweepSpec(**base)
+
+
+def _rep_arrays(spec, rep, max_unlab):
+    """A rep's ``(train_x, train_y, test_x, test_y, unlabeled_x)``, drawn as
+    the sweep draws them: rows gathered at ``split_indices``, a CSV's
+    leftover rows standardized with the train and test rows, then cut to
+    ``max_unlab``."""
+    src, n_train = spec.data_source, spec.train_rows()
+    split_seed = mix(17, rep, cv.SEED_SPLIT)
+    if isinstance(src, GaussianSpec):
+        pool = gen_two_gaussians(replace(src, seed=mix(17, rep)), n_train + spec.test_size)
+        tr, te = split_indices(pool.y, n_train, split_seed)
+        unlab = np.zeros((0, src.dim))
+        if max_unlab:
+            unlab = gen_two_gaussians(replace(src, seed=mix(17, rep, cv.SEED_UNLABELED)), max_unlab).x
+        return pool.x[tr], pool.y[tr], pool.x[te], pool.y[te], unlab
+    full = load_csv(src.path, "label", "pos")
+    tr, rest = split_indices(full.y, n_train, split_seed)
+    keep, left = split_indices(full.y[rest], spec.test_size, mix(17, rep, cv.SEED_SPLIT, 1))
+    te = rest[keep]
+    train_x, test_x, unlab = full.x[tr], full.x[te], full.x[rest[left]]
+    if src.standardize:
+        tf = ColumnTransform.fit(train_x)
+        for x in (train_x, test_x, unlab):
+            tf.apply_in_place(x)
+    return train_x, full.y[tr], test_x, full.y[te], unlab[:max_unlab]
 
 
 # -- seed mixing ---------------------------------------------------------
@@ -181,9 +206,9 @@ def test_spec_grid_exceeding_generator_dim():
 def test_spec_with_odd_generator_pool_runs():
     spec = _sweep(grid=(12,), reps=1, test_size=93)  # a pool of 8 + 93 rows
     result = run_feature_curve(spec)
-    pool = gen_two_gaussians(replace(GSPEC, seed=mix(17, 0)), 101)
-    train, test = split(pool, 8, mix(17, 0, cv.SEED_SPLIT))
-    manual = zero_one_risk(predict(fit(Mnlr(), train.x, train.y), test.x), test.y)
+    train_x, train_y, test_x, test_y, _ = _rep_arrays(spec, 0, 0)
+    assert len(train_y) + len(test_y) == 101
+    manual = zero_one_risk(predict(fit(Mnlr(), train_x, train_y), test_x), test_y)
     assert result.points[0].stats["mnlr"].mean_risk == manual
     # a learning curve that ends on the square cell n = N + 1
     square = _sweep(kind="learning_curve", grid=(4, 8, 9), fixed_n=None, fixed_N=8, test_size=92)
@@ -212,9 +237,9 @@ def test_single_point_feature_sweep_matches_manual_run():
         GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)),
         spec.fixed_n + spec.test_size,
     )
-    train, test = split(pool, spec.fixed_n, mix(17, 0, cv.SEED_SPLIT))
-    model = fit(Mnlr(), train.x, train.y)
-    manual = zero_one_risk(predict(model, test.x), test.y)
+    tr, te = split_indices(pool.y, spec.fixed_n, mix(17, 0, cv.SEED_SPLIT))
+    model = fit(Mnlr(), pool.x[tr], pool.y[tr])
+    manual = zero_one_risk(predict(model, pool.x[te]), pool.y[te])
     assert result.points[0].stats["mnlr"].mean_risk == manual
 
 
@@ -224,11 +249,10 @@ def test_single_point_learning_sweep_matches_manual_run():
     pool = gen_two_gaussians(
         GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)), 100
     )
-    pool8 = take_features(pool, 8)
-    train_pool, test = split(pool8, 6, mix(17, 0, cv.SEED_SPLIT))
-    rows = subsample_indices(train_pool, 6, mix(17, 0, cv.SEED_SUBSAMPLE, 6))
-    model = fit(Mnlr(), train_pool.x[rows], train_pool.y[rows])
-    manual = zero_one_risk(predict(model, test.x), test.y)
+    tr, te = split_indices(pool.y, 6, mix(17, 0, cv.SEED_SPLIT))
+    rows = tr[subsample_indices(pool.y[tr], 6, mix(17, 0, cv.SEED_SUBSAMPLE, 6))]
+    model = fit(Mnlr(), pool.x[rows, :8], pool.y[rows])
+    manual = zero_one_risk(predict(model, pool.x[te, :8]), pool.y[te])
     assert result.points[0].stats["mnlr"].mean_risk == manual
 
 
@@ -294,13 +318,13 @@ def test_semisup_unlabeled_pool_matches_manual_run():
     pool = gen_two_gaussians(
         GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)), 100
     )
-    train, test = split(pool, 8, mix(17, 0, cv.SEED_SPLIT))
+    tr, te = split_indices(pool.y, 8, mix(17, 0, cv.SEED_SPLIT))
     unlab = gen_two_gaussians(
         GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0, cv.SEED_UNLABELED)),
         10,
     ).x[:10]
-    model = fit(SemiSupPfld(unlabeled_count=10), train.x, train.y, x_unlabeled=unlab)
-    manual = zero_one_risk(predict(model, test.x), test.y)
+    model = fit(SemiSupPfld(unlabeled_count=10), pool.x[tr], pool.y[tr], x_unlabeled=unlab)
+    manual = zero_one_risk(predict(model, pool.x[te]), pool.y[te])
     assert result.points[0].stats["semisup_pfld(10)"].mean_risk == manual
 
 
@@ -376,13 +400,12 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
 
     # the shared factorization leaves each ridge risk equal to a fit of its own
     for rep in range(spec.reps):
-        pool = gen_two_gaussians(replace(GSPEC, seed=mix(17, rep)), spec.fixed_n + spec.test_size)
-        train, test = split(pool, spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
+        train_x, train_y, test_x, test_y, _ = _rep_arrays(spec, rep, 0)
         for pi, cols in enumerate(spec.grid):
-            x = np.ascontiguousarray(train.x[:, :cols])
+            x = np.ascontiguousarray(train_x[:, :cols])
             for ridge in ridges:
-                model = fit(ridge, x, train.y)
-                alone = squared_risk(decision_values(model, test.x[:, :cols]), test.y)
+                model = fit(ridge, x, train_y)
+                alone = squared_risk(decision_values(model, test_x[:, :cols]), test_y)
                 assert result.rep_risks[ridge.label][pi][rep] == alone
 
 
@@ -435,19 +458,6 @@ def _semisup_csv(tmp_path):
     return CsvSource(path=str(path), label_column="label", positive_label="pos")
 
 
-def _rep_arrays(spec, rep, max_unlab):
-    """A rep's train and test sets and unlabeled rows, drawn as the sweep draws them."""
-    src = spec.data_source
-    if isinstance(src, GaussianSpec):
-        pool = gen_two_gaussians(replace(src, seed=mix(17, rep)), spec.fixed_n + spec.test_size)
-        train, test = split(pool, spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
-        return train, test, gen_two_gaussians(replace(src, seed=mix(17, rep, cv.SEED_UNLABELED)), max_unlab).x
-    train, rest = split(load_csv(src.path, "label", "pos"), spec.fixed_n, mix(17, rep, cv.SEED_SPLIT))
-    test, leftover = split(rest, spec.test_size, mix(17, rep, cv.SEED_SPLIT, 1))
-    train, test, tf = standardize(train, test)
-    return train, test, tf.apply(leftover.x)[:max_unlab]
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("source", ["gaussian", "csv"])
 def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path, source, workers):
@@ -466,12 +476,12 @@ def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path
     monkeypatch.setattr(cv, "_fit_cell", recording)
     result = cv.run_sweep(spec, keep_reps=True, workers=workers)
     for rep in range(spec.reps):
-        train, test, unlab = _rep_arrays(spec, rep, 20)
+        train_x, train_y, test_x, test_y, unlab = _rep_arrays(spec, rep, 20)
         for pi, cols in enumerate(spec.grid):
-            x = np.ascontiguousarray(train.x[:, :cols])
+            x = np.ascontiguousarray(train_x[:, :cols])
             for learner in semisups:
-                own = fit(learner, x, train.y, x_unlabeled=unlab[:, :cols])
-                risk = zero_one_risk(predict(own, test.x[:, :cols]), test.y)
+                own = fit(learner, x, train_y, x_unlabeled=unlab[:, :cols])
+                risk = zero_one_risk(predict(own, test_x[:, :cols]), test_y)
                 assert result.rep_risks[learner.label][pi][rep] == risk
                 swept = models[learner.label, float(cols), rep]
                 np.testing.assert_allclose(swept.weights, own.weights, rtol=1e-10)
@@ -493,6 +503,29 @@ def test_learner_failure_identifies_cell(monkeypatch):
         run_feature_curve(_sweep())
     msg = str(err.value)
     assert "mnlr" in msg and "rep=1" in msg and "x=2" in msg
+
+
+def test_every_source_has_a_per_rep_draw():
+    # a source the config accepts but the sweep cannot draw would fail only at run time
+    assert set(cv._REP_ROWS) == set(data.SOURCES)
+
+
+@pytest.mark.parametrize("source", ["gaussian", "csv"])
+def test_rep_draws_are_arrays_of_their_own(tmp_path, source):
+    # a rep may write its arrays in place, as a CSV rep standardizes them
+    data_source = GaussianSpec(dim=8, informative=3, separation=1.5) if source == "gaussian" else _semisup_csv(tmp_path)
+    spec = _sweep(grid=(2, 5, 8), data_source=data_source, fixed_n=10, test_size=60)
+    draw = cv._REP_ROWS[data_source.source](spec, 5)
+    first = draw(0)
+    assert [(a.shape, a.dtype) for a in first] == [
+        ((10, 8), np.float64), ((10,), np.int64), ((60, 8), np.float64), ((60,), np.int64), ((5, 8), np.float64),
+    ]
+    for i, a in enumerate(first):
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in first[i + 1 :])
+    # a second draw of the rep, and the reference draw, are the same bytes
+    for again in (draw(0), _rep_arrays(spec, 0, 5)):
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in again]
 
 
 def test_csv_source_sweep(tmp_path):
@@ -539,29 +572,23 @@ def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
         # no learner reads unlabeled rows, so the rep's pool is empty
         (replace(spec, learners=(Mnlr(), Ridge(lam=0.5))), 1),
     ]
-    full = load_csv(path, "label", "pos")
     for case, workers in cases:
         result = cv.run_sweep(case, keep_reps=True, workers=workers)
         max_unlab = max(getattr(learner, "unlabeled_count", 0) for learner in case.learners)
         for rep in range(3):
-            train, rest = split(full, 10, mix(17, rep, cv.SEED_SPLIT))
-            test, leftover = split(rest, 20, mix(17, rep, cv.SEED_SPLIT, 1))
-            unlab = leftover.x
-            if case.data_source.standardize:
-                train, test, tf = standardize(train, test)
-                unlab = tf.apply(leftover.x)
-            unlab = unlab[:max_unlab]
+            # every leftover row is standardized, then the first max_unlab kept
+            train_x, train_y, test_x, test_y, unlab = _rep_arrays(case, rep, max_unlab)
             for pi, x_val in enumerate(case.grid):
                 n, cols = case._cell(x_val)
-                rows = slice(None) if n == 10 else subsample_indices(train, n, mix(17, rep, cv.SEED_SUBSAMPLE, n))
+                rows = slice(None) if n == 10 else subsample_indices(train_y, n, mix(17, rep, cv.SEED_SUBSAMPLE, n))
                 # a cell of every train row whitens with the pool of the rep's widest rows
                 widest = case._columns()
-                pool = cv._Pool(train.x[:, :widest], unlab[:, :widest]) if n == 10 else unlab[:, :cols]
-                cell = cv._FitContext(np.ascontiguousarray(train.x[rows, :cols]), train.y[rows], pool)
+                pool = cv._Pool(train_x[:, :widest], unlab[:, :widest]) if n == 10 else unlab[:, :cols]
+                cell = cv._FitContext(np.ascontiguousarray(train_x[rows, :cols]), train_y[rows], pool)
                 for learner in case.learners:
                     model = fit(learner, cell.x, cell.y, x_unlabeled=cell)
-                    scores = test.x[:, :cols] @ model.weights + model.bias
-                    assert result.rep_risks[learner.label][pi][rep] == float(np.mean((scores - test.y) ** 2))
+                    scores = test_x[:, :cols] @ model.weights + model.bias
+                    assert result.rep_risks[learner.label][pi][rep] == float(np.mean((scores - test_y) ** 2))
     alone = run_feature_curve(replace(spec, learners=(Mnlr(),)), keep_reps=True)
     assert alone.rep_risks["mnlr"] == run_feature_curve(spec, keep_reps=True).rep_risks["mnlr"]
 

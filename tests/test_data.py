@@ -5,16 +5,15 @@ import pytest
 from oracles import bayes_risk, std_normal_cdf
 
 from riskcurves.data import (
+    ColumnTransform,
     CsvSource,
     Dataset,
     GaussianSpec,
     append_random_features,
     gen_two_gaussians,
     load_csv,
-    split,
-    standardize,
+    split_indices,
     subsample_indices,
-    take_features,
 )
 from riskcurves.errors import (
     DimensionMismatch,
@@ -73,12 +72,7 @@ def _assert_fresh(ds, *inputs):
 def test_data_steps_return_arrays_of_their_own(tmp_path):
     pool = gen_two_gaussians(_spec(), 40)
     _assert_fresh(pool)
-    train, test = split(pool, 30, seed=4)
-    _assert_fresh(train, pool.x, pool.y)
-    _assert_fresh(test, pool.x, pool.y, train.x, train.y)
-    tr, te, _ = standardize(train, test)
-    _assert_fresh(tr, pool.x, pool.y, train.x, train.y, test.x, test.y)
-    _assert_fresh(te, pool.x, pool.y, train.x, train.y, test.x, test.y, tr.x, tr.y)
+    _assert_fresh(append_random_features(pool, 3, 1.0, seed=4), pool.x, pool.y)
     _assert_fresh(load_csv(_write(tmp_path, "a,b,cls\n1,2,p\n3,4,q\n"), "cls", "p"))
 
 
@@ -143,20 +137,6 @@ def test_gen_class_mean_gap_matches_two_mu():
     assert np.all(np.abs(gap - 2.0 * spec.mean_vector()) < 4.0 / np.sqrt(n))
 
 
-def test_take_features_prefix():
-    ds = gen_two_gaussians(_spec(dim=3), 10)
-    assert np.array_equal(take_features(ds, 3).x, ds.x)
-    one = take_features(ds, 1)
-    assert one.x.shape == (10, 1)
-    assert np.array_equal(one.y, ds.y)
-    a = take_features(ds, 2)
-    assert np.array_equal(take_features(a, 1).x, take_features(ds, 1).x)
-    with pytest.raises(OutOfRange):
-        take_features(ds, 0)
-    with pytest.raises(OutOfRange):
-        take_features(ds, 4)
-
-
 def test_append_random_features_structure():
     ds = gen_two_gaussians(_spec(dim=4), 12)
     out = append_random_features(ds, k=3, sigma=0.5, seed=9)
@@ -187,73 +167,71 @@ def test_append_random_features_validation():
 
 
 def test_split_partitions_all_rows():
-    ds = gen_two_gaussians(_spec(seed=8), 30)
-    train, test = split(ds, 11, seed=4)
-    assert train.n_samples == 11 and test.n_samples == 19
-    stacked = np.vstack([train.x, test.x])
-    assert sorted(map(tuple, stacked)) == sorted(map(tuple, ds.x))
+    y = gen_two_gaussians(_spec(seed=8), 30).y
+    tr, te = split_indices(y, 11, seed=4)
+    assert len(tr) == 11 and len(te) == 19
+    assert sorted([*tr, *te]) == list(range(30))  # disjoint, and every row once
+    assert np.all(np.diff(tr) > 0) and np.all(np.diff(te) > 0)
     # stratification within one row of proportional
-    assert abs(int(np.sum(train.y == 1)) - 11 / 2) <= 0.5 + 1e-9
+    assert abs(int(np.sum(y[tr] == 1)) - 11 / 2) <= 0.5 + 1e-9
 
 
 def test_split_determinism_and_edges():
-    ds = gen_two_gaussians(_spec(seed=8), 30)
-    a1, b1 = split(ds, 7, seed=3)
-    a2, b2 = split(ds, 7, seed=3)
-    assert np.array_equal(a1.x, a2.x) and np.array_equal(b1.x, b2.x)
-    tr, te = split(ds, 29, seed=0)
-    assert te.n_samples == 1
+    y = gen_two_gaussians(_spec(seed=8), 30).y
+    a1, b1 = split_indices(y, 7, seed=3)
+    a2, b2 = split_indices(y, 7, seed=3)
+    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    tr, te = split_indices(y, 29, seed=0)
+    assert len(te) == 1
     with pytest.raises(OutOfRange):
-        split(ds, 0, seed=0)
+        split_indices(y, 0, seed=0)
     with pytest.raises(OutOfRange):
-        split(ds, 30, seed=0)
+        split_indices(y, 30, seed=0)
 
 
 def test_subsample_stratified():
-    ds = gen_two_gaussians(_spec(seed=2), 40)
-    idx = subsample_indices(ds, 9, seed=5)
+    y = gen_two_gaussians(_spec(seed=2), 40).y
+    idx = subsample_indices(y, 9, seed=5)
     assert len(idx) == 9
-    assert abs(int(np.sum(ds.y[idx] == 1)) - int(np.sum(ds.y[idx] == -1))) <= 1
-    assert np.array_equal(idx, subsample_indices(ds, 9, seed=5))
+    assert abs(int(np.sum(y[idx] == 1)) - int(np.sum(y[idx] == -1))) <= 1
+    assert np.array_equal(idx, subsample_indices(y, 9, seed=5))
     assert np.all(np.diff(idx) > 0)
     with pytest.raises(OutOfRange):
-        subsample_indices(ds, 1, seed=0)
+        subsample_indices(y, 1, seed=0)
     with pytest.raises(OutOfRange):
-        subsample_indices(ds, 41, seed=0)
+        subsample_indices(y, 41, seed=0)
+
+
+def _transformed(tf, x):
+    out = x.copy()
+    tf.apply_in_place(out)
+    return out
 
 
 def test_standardize_train_statistics():
     rng = np.random.default_rng(12)
-    train = Dataset(x=rng.normal(3.0, 2.5, size=(50, 4)), y=np.where(rng.random(50) < 0.5, 1, -1))
-    test = Dataset(x=rng.normal(3.0, 2.5, size=(20, 4)), y=np.ones(20, dtype=int))
-    tr, te, tf = standardize(train, test)
-    assert np.all(np.abs(tr.x.mean(axis=0)) <= 1e-12)
-    assert np.all(np.abs(tr.x.std(axis=0) - 1.0) <= 1e-9)
-    assert np.array_equal(tf.apply(train.x), tr.x)
-    assert np.array_equal(tf.apply(test.x), te.x)
+    train, test = rng.normal(3.0, 2.5, size=(50, 4)), rng.normal(3.0, 2.5, size=(20, 4))
+    tf = ColumnTransform.fit(train)
+    tr = _transformed(tf, train)
+    assert np.all(np.abs(tr.mean(axis=0)) <= 1e-12)
+    assert np.all(np.abs(tr.std(axis=0) - 1.0) <= 1e-9)
+    # the statistics are the train rows' alone; the test rows take the same map
+    assert np.array_equal(tf.mean, train.mean(axis=0)) and np.array_equal(tf.scale, train.std(axis=0))
+    assert np.array_equal(_transformed(tf, test), (test - tf.mean) / tf.scale)
 
 
 def test_column_transform_is_shift_then_scale():
     rng = np.random.default_rng(5)
-    train = Dataset(x=rng.normal(1.0, 3.0, size=(30, 5)), y=np.where(rng.random(30) < 0.5, 1, -1))
-    _, _, tf = standardize(train, train)
+    tf = ColumnTransform.fit(rng.normal(1.0, 3.0, size=(30, 5)))
     x = rng.normal(1.0, 3.0, size=(12, 5))
-    assert tf.apply(x).tobytes() == ((x - tf.mean) / tf.scale).tobytes()
+    assert _transformed(tf, x).tobytes() == ((x - tf.mean) / tf.scale).tobytes()
 
 
 def test_standardize_constant_column():
     x = np.column_stack([np.full(6, 2.0), np.arange(6, dtype=float)])
-    ds = Dataset(x=x, y=np.array([1, -1] * 3))
-    tr, _, tf = standardize(ds, ds)
-    assert np.all(tr.x[:, 0] == 0.0)
+    tf = ColumnTransform.fit(x)
+    assert np.all(_transformed(tf, x)[:, 0] == 0.0)
     assert tf.scale[0] == 1.0
-
-
-def test_standardize_dimension_mismatch():
-    a = Dataset(x=np.zeros((2, 2)), y=np.array([1, -1]))
-    b = Dataset(x=np.zeros((2, 3)), y=np.array([1, -1]))
-    with pytest.raises(DimensionMismatch):
-        standardize(a, b)
 
 
 # -- CSV ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Each demo script runs to completion and writes the files it announces,
-byte for byte equal to the copies committed under ``demos/output``."""
+byte for byte equal to the copies committed under ``demos/output``; a demo
+with a committed transcript ``demos/output/<demo>.txt`` prints it exactly."""
 
 import glob
 import os
@@ -39,6 +40,10 @@ def test_demo_runs_and_writes_its_files(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    transcript = os.path.join(ROOT, "demos", "output", demo[: -len(".py")] + ".txt")
+    if os.path.exists(transcript):
+        with open(transcript, encoding="utf-8", newline="") as fh:
+            assert proc.stdout == fh.read()
     for name in OUTPUTS[demo]:
         with open(os.path.join(ROOT, "demos", "output", name), "rb") as fh:
             assert (tmp_path / "demos" / "output" / name).read_bytes() == fh.read(), name
