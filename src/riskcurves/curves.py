@@ -94,6 +94,11 @@ class CurveKind(str, Enum):
         """The :class:`SweepSpec` field this kind holds fixed."""
         return "fixed_n" if self is CurveKind.FEATURE else "fixed_N"
 
+    @property
+    def _x_name(self) -> str:
+        """The name of the grid's axis."""
+        return {CurveKind.FEATURE: "num_features", CurveKind.LEARNING: "num_train", CurveKind.ALPHA: "alpha"}[self]
+
 
 def alpha_train_size(alpha: float, fixed_N: int) -> int:
     """Training size for a ratio point: round(alpha * N), half away from zero."""
@@ -136,32 +141,47 @@ class SweepSpec(_Checked):
     data_source: GaussianSpec | CsvSource = field(metadata={"of": SOURCES, "tag": "source"})
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "kind", CurveKind(self.kind))
-        except ValueError:
-            raise InvariantViolation(
-                f"kind must be one of {[k.value for k in CurveKind]}, got {self.kind!r}"
-            ) from None
-        object.__setattr__(self, "learners", tuple(self.learners))
-        self._validate_grid()
         super().__post_init__()
         self._validate_fields()
         self._validate_source()
 
     # -- validation ------------------------------------------------------
 
-    def _validate_grid(self):
+    @classmethod
+    def _check_fields(cls, values: dict) -> dict:
+        """Each field in ``values`` on its own: the kind, the grid (by the
+        kind), each annotation, then the risk metric's name.  Rules that
+        relate fields wait for a whole spec."""
+        values = dict(values)
+        if "kind" in values:
+            try:
+                values["kind"] = CurveKind(values["kind"])
+            except ValueError:
+                raise InvariantViolation(
+                    f"kind must be one of {[k.value for k in CurveKind]}, got {values['kind']!r}"
+                ) from None
+        if "learners" in values:
+            values["learners"] = tuple(values["learners"])
+        if "grid" in values:
+            values["grid"] = cls._checked_grid(values["grid"], values["kind"])
+        values = super()._check_fields(values)
+        if values.get("risk_metric", RISK_METRICS[0]) not in RISK_METRICS:
+            raise InvariantViolation(f"risk_metric must be one of {RISK_METRICS}, got {values['risk_metric']!r}")
+        return values
+
+    @staticmethod
+    def _checked_grid(grid, kind: CurveKind) -> tuple:
         try:
-            raw = tuple(self.grid)
+            raw = tuple(grid)
         except TypeError:
-            raise InvariantViolation(f"grid must be a sequence, got {self.grid!r}") from None
+            raise InvariantViolation(f"grid must be a sequence, got {grid!r}") from None
         if not raw:
             raise InvariantViolation("grid must not be empty")
-        typ = float if self.kind is CurveKind.ALPHA else int  # alpha grids hold ratios n/N, the others counts
-        grid = tuple(_check(g, typ, f"{self.x_name()} grid value", InvariantViolation, ">", 0) for g in raw)
+        typ = float if kind is CurveKind.ALPHA else int  # alpha grids hold ratios n/N, the others counts
+        grid = tuple(_check(g, typ, f"{kind._x_name} grid value", InvariantViolation, ">", 0) for g in raw)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvariantViolation("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
+        return grid
 
     def _validate_fields(self):
         if not self.learners:
@@ -184,10 +204,6 @@ class SweepSpec(_Checked):
         for x in self.grid:
             if self._cell(x)[0] < 2:
                 raise InvariantViolation(f"{self.x_name()}={x:g} gives a training size below 2")
-        if self.risk_metric not in RISK_METRICS:
-            raise InvariantViolation(
-                f"risk_metric must be one of {RISK_METRICS}, got {self.risk_metric!r}"
-            )
 
     def _validate_source(self):
         src = self.data_source
@@ -213,11 +229,7 @@ class SweepSpec(_Checked):
         return max(self._cell(x)[1] for x in self.grid)
 
     def x_name(self) -> str:
-        return {
-            CurveKind.FEATURE: "num_features",
-            CurveKind.LEARNING: "num_train",
-            CurveKind.ALPHA: "alpha",
-        }[self.kind]
+        return self.kind._x_name
 
 
 def interpolation_threshold(spec: SweepSpec) -> float:
@@ -424,7 +436,8 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     the rep's training rows and its first unlabeled rows, cut to the widest
     cell's columns; it is checked and factored once per rep and unlabeled
     count, before the rep's first cell, and each cell reads the leading
-    block of its factor (a subsampled cell pools and factors its own rows).
+    block of its factor and of the factor's inverse (a subsampled cell
+    pools and factors its own rows).
     Reps run on one BLAS thread (as does any thread calling BLAS
     meanwhile), then the caller's count is restored; ``workers`` runs reps
     in parallel, and no output byte depends on either.

@@ -28,6 +28,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -103,7 +104,9 @@ def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool
     label-keyed object of them, any other field one.  A field whose
     metadata marks it ``json_only`` is a key of result files only: it is
     accepted when ``json_only`` is true, else unknown.  Errors name the
-    path of the entry, such as ``config.learners[2]``.
+    path of the entry, such as ``config.learners[2]``, and come in this
+    order: an unknown key, a missing one, a plain field's own check, a
+    nested entry's error, then the rules that relate fields.
     """
     _expect(entry, dict, where, "the entry")
     cls = of
@@ -113,30 +116,45 @@ def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool
         if cls is None:
             raise InvariantViolation(f"{where}: {tag} must be one of {', '.join(of)}, got {name!r}")
         entry = {k: v for k, v in entry.items() if k != tag}
-    by_key = {
+    by_key = _fields_by_key(cls, json_only)
+    _check_keys(entry, by_key, where)
+    for key, f in by_key.items():
+        if key not in entry and f.default is dataclasses.MISSING:
+            raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
+    values = {f.name: entry[key] for key, f in by_key.items() if key in entry and "of" not in f.metadata}
+    with _config_error(where):  # the plain fields before any nested entry
+        cls._check_fields(values)
+    for key, f in by_key.items():
+        if key not in entry or "of" not in f.metadata:
+            continue
+        value, at = entry[key], f"{where}.{key}"
+        read = functools.partial(_from_dict, f.metadata["of"], tag=f.metadata.get("tag"), json_only=json_only)
+        if f.type is tuple:
+            value = tuple(read(e, f"{at}[{i}]") for i, e in enumerate(_expect(value, list, at, f"'{key}'")))
+        elif f.type is dict:
+            value = {label: read(e, f"{at}[{label!r}]") for label, e in _expect(value, dict, at, f"'{key}'").items()}
+        else:
+            value = read(value, at)
+        values[f.name] = value
+    with _config_error(where):
+        return cls(**values)
+
+
+def _fields_by_key(cls, json_only: bool = False) -> dict:
+    """The fields of schema class ``cls`` by config key; a ``json_only``
+    field only when ``json_only`` is true."""
+    return {
         cls.config_keys.get(f.name, f.name): f
         for f in dataclasses.fields(cls)
         if json_only or not f.metadata.get("json_only")
     }
-    _check_keys(entry, by_key, where)
-    values = {}
-    for key, f in by_key.items():
-        if key not in entry:
-            if f.default is dataclasses.MISSING:
-                raise InvariantViolation(f"{where}: {cls.__name__} needs {key!r}")
-            continue
-        value, at = entry[key], f"{where}.{key}"
-        if "of" in f.metadata:
-            read = functools.partial(_from_dict, f.metadata["of"], tag=f.metadata.get("tag"), json_only=json_only)
-            if f.type is tuple:
-                value = tuple(read(e, f"{at}[{i}]") for i, e in enumerate(_expect(value, list, at, f"'{key}'")))
-            elif f.type is dict:
-                value = {label: read(e, f"{at}[{label!r}]") for label, e in _expect(value, dict, at, f"'{key}'").items()}
-            else:
-                value = read(value, at)
-        values[f.name] = value
+
+
+@contextlib.contextmanager
+def _config_error(where: str):
+    """Raise a failed check in the block as :class:`InvariantViolation` naming ``where``."""
     try:
-        return cls(**values)
+        yield
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise InvariantViolation(f"{where}: {exc}") from exc
 
@@ -179,11 +197,17 @@ def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSp
 
 
 def config_from_dict(d) -> RunConfig:
-    """Validate a parsed JSON object into a :class:`RunConfig`."""
+    """Validate a parsed JSON object into a :class:`RunConfig`.
+
+    The sweep's keys sit beside the output keys, and the output fields are
+    plain, so they are checked after the unknown keys and before the sweep."""
     _expect(d, dict, "config", "the configuration")
     outputs = {f.name for f in dataclasses.fields(RunConfig)} - {"sweep"}
+    _check_keys(d, outputs | set(_fields_by_key(SweepSpec)), "config")
+    with _config_error("config"):
+        out = RunConfig._check_fields({k: v for k, v in d.items() if k in outputs})
     sweep = _sweep_from_dict({k: v for k, v in d.items() if k not in outputs}, "config")
-    return _from_dict(RunConfig, {k: v for k, v in d.items() if k in outputs} | {"sweep": sweep}, "config")
+    return _from_dict(RunConfig, out | {"sweep": sweep}, "config")
 
 
 def _load_json(path, what: str):

@@ -113,9 +113,20 @@ class _Checked:
     _error: ClassVar[type] = ValueError
 
     def __post_init__(self):
-        for f in fields(self):
-            error, op, low = f.metadata.get("error") or self._error, f.metadata.get("op"), f.metadata.get("low")
-            object.__setattr__(self, f.name, _check(getattr(self, f.name), f.type, f.name, error, op, low))
+        for name, value in self._check_fields({f.name: getattr(self, f.name) for f in fields(self)}).items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _check_fields(cls, values: dict) -> dict:
+        """The fields named in ``values``, checked and converted by their
+        annotations and bounds: all of them when an instance is built, and
+        the plain ones alone when a reader checks them before nested entries."""
+        checked = {}
+        for f in fields(cls):
+            if f.name in values:
+                error, op, low = f.metadata.get("error") or cls._error, f.metadata.get("op"), f.metadata.get("low")
+                checked[f.name] = _check(values[f.name], f.type, f.name, error, op, low)
+        return checked
 
 
 class _LearnerSpec(_Checked):
@@ -194,14 +205,22 @@ class SemiSupPfld(_LearnerSpec):
     With no unlabeled points this reproduces :class:`Pfld`'s decisions: the
     truncated whitening is then a bijection on the span of the training data.
 
-    The whitening uses only singular values and right singular vectors, so
-    a pool with at least twice as many rows as columns is first reduced to
-    its QR factor ``R`` (the R-SVD, Chan 1982).  A sweep computes the
-    pool's means and factor once per rep, at the curve's widest cell, for
-    every cell that trains on all the rep's rows: a cell of N columns reads
-    the leading N columns of the factor and, of ``R``, also its leading N
-    rows, which are the ``R`` of the pool's first N columns.  Its risks can
-    therefore differ from a ``fit`` of the cell's own arrays in the last bits.
+    A pool with at least twice as many rows as columns is first reduced to
+    its QR factor ``R`` (the R-SVD, Chan 1982), and ``R`` inverted once.  A
+    cell of N columns reads the leading N x N block of each: the block of
+    ``R`` is the ``R`` of the pool's first N columns, and, ``R`` being
+    upper triangular, the block of its inverse is that block's inverse.  By
+    interlacing no block is worse conditioned than ``R``, whose condition
+    number is at most ``bound = ||R||_F ||R^-1||_F``; so when ``rel_tol *
+    bound < 1`` the truncation keeps every direction, and the cell whitens
+    with ``sqrt(rows) R_N^-1`` and takes no SVD.  That transform is the SVD
+    whitening rotated, which the minimum-norm fit undoes.  A wide pool, a
+    singular ``R`` or a failed bound (a rank-deficient pool, whose
+    truncation matters) whitens by the SVD of the factor's leading N
+    columns, as does a pool without feature columns.  A sweep factors the
+    pool once per rep, at the curve's widest cell, for every cell that
+    trains on all the rep's rows, so its risks can differ from a ``fit``
+    of the cell's own arrays in the last bits.
     """
 
     kind: ClassVar[str] = "semisup_pfld"
@@ -213,16 +232,19 @@ class SemiSupPfld(_LearnerSpec):
         x, y = cell.x, cell.y
         if cell.pool is None:
             raise ValueError("SemiSupPfld needs an unlabeled pool")
-        rows, mean, factor = cell.pool.factor(self.unlabeled_count)
+        rows, mean, factor, inverse, bound = cell.pool.factor(self.unlabeled_count)
         cols = x.shape[1]
         mean = mean[:cols]
-        # R has fewer rows than the pool; the centred pool itself keeps every row
-        f = thin_svd(factor[: cols if len(factor) < rows else rows, :cols])
-        sigma = f.s / np.sqrt(rows)
-        rank = _rank(sigma, self.rel_tol)
-        if rank == 0:  # every pooled point identical: only the bias is learnable
-            return LinearModel(weights=np.zeros(cols), bias=float(y.mean()))
-        transform = f.v[:, :rank] / sigma[:rank]  # d x rank
+        if self.rel_tol * bound < 1:  # full rank, nothing truncated
+            transform = np.sqrt(rows) * inverse[:cols, :cols]
+        else:
+            # R has fewer rows than the pool; the centred pool itself keeps every row
+            f = thin_svd(factor[: cols if len(factor) < rows else rows, :cols])
+            sigma = f.s / np.sqrt(rows)
+            rank = _rank(sigma, self.rel_tol)
+            if rank == 0:  # every pooled point identical: only the bias is learnable
+                return LinearModel(weights=np.zeros(cols), bias=float(y.mean()))
+            transform = f.v[:, :rank] / sigma[:rank]  # d x rank
         whitened = _mnlr((x - mean) @ transform, cell.yf, self.rel_tol)
         w = transform @ whitened.weights
         return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
@@ -368,10 +390,11 @@ class _Pool:
         self.x, self.unlabeled, self._factors = x, unlabeled, {}
 
     def factor(self, u: int):
-        """``(rows, mean, factor)`` of the pool of the first ``u`` unlabeled
-        rows: its row count, column means and, when it has at least twice as
-        many rows as columns, the QR factor ``R`` of the centred pool, else
-        the centred pool itself."""
+        """``(rows, mean, factor, inverse, bound)`` of the pool of the first
+        ``u`` unlabeled rows: its row count, column means and, when it has at
+        least twice as many rows as columns, the QR factor ``R`` of the
+        centred pool with :func:`_inverse` of it, else the centred pool
+        itself with no inverse and an infinite bound."""
         if u not in self._factors:
             xu = np.asarray(self.unlabeled, dtype=np.float64)[:u]
             if xu.size == 0:
@@ -385,9 +408,27 @@ class _Pool:
             centred = np.vstack([self.x, xu])
             mean = centred.mean(axis=0)
             centred -= mean
-            tall = centred.shape[0] >= 2 * centred.shape[1]
-            self._factors[u] = len(centred), mean, np.linalg.qr(centred, mode="r") if tall else centred
+            factor, inverse, bound = centred, None, math.inf
+            if centred.shape[0] >= 2 * centred.shape[1]:
+                factor = np.linalg.qr(centred, mode="r")
+                inverse, bound = _inverse(factor)
+            self._factors[u] = len(centred), mean, factor, inverse, bound
         return self._factors[u]
+
+
+def _inverse(r):
+    """``(r^-1, ||r||_F ||r^-1||_F)`` of a square matrix ``r``; the product
+    bounds the 2-norm condition number of ``r``.  ``(None, inf)`` when ``r``
+    is empty or singular, or when the bound is not finite (an inverse with
+    a NaN or an infinite entry has none)."""
+    if not r.size:
+        return None, math.inf
+    try:
+        inverse = np.linalg.inv(r)  # the LU of a triangular r is r: a back substitution, upper triangular
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    bound = float(np.linalg.norm(r) * np.linalg.norm(inverse))
+    return (inverse, bound) if math.isfinite(bound) else (None, math.inf)
 
 
 class _FitContext:

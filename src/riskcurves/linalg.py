@@ -11,10 +11,17 @@ entry, and an overflow in a caller's arithmetic (the mean of a column of
 cell's centred training matrix once and applies PFLD's filter ``1/s`` and
 every ridge filter ``s / (s^2 + lam)`` to that one SVD.  Its
 semi-supervised whitening factors a rep's tall pool once, at the sweep's
-widest cell, to its triangular QR factor ``R``, and hands :func:`thin_svd`
-the leading N x N block of ``R`` at each cell of N columns: that block is
-the ``R`` of the pool's first N columns, and it shares their singular
-values and right singular vectors, the only part the whitening uses.
+widest cell, to its triangular QR factor ``R``, and inverts ``R`` once
+too.  At a cell of N columns the leading N x N block of ``R`` is the
+``R`` of the pool's first N columns, and the leading block of ``R^-1`` is
+that block's inverse.  When ``rel_tol * ||R||_F ||R^-1||_F < 1``, a bound
+on every block's condition number, no direction is truncated and the
+cell whitens with the block of ``R^-1``, taking no SVD; otherwise (a
+rank-deficient or ill-conditioned pool, a singular ``R``) it hands
+:func:`thin_svd` the block of ``R``, which shares the singular values and
+right singular vectors of the pool's first N columns.  A pool with fewer
+than twice as many rows as columns is not reduced, and its leading
+columns go to :func:`thin_svd` whole.
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores

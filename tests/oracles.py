@@ -2,8 +2,9 @@
 
 Deliberately avoids the solvers' paths: the normal-equation solver uses
 hand-rolled Gaussian elimination, the brute-force minimum-norm search
-enumerates exact solutions on a grid, and the Gaussian risk comes in
-closed form rather than by sampling.  Tests use these to cross-check the
+enumerates exact solutions on a grid, the Gaussian risk comes in closed
+form rather than by sampling, and the semi-supervised reference whitens
+by numpy's SVD of the whole pool.  Tests use these to cross-check the
 package, so they must not share code with it.  The max-margin learner is
 checked against the certified soft-margin reference in
 ``perfbench/reference.py`` instead.
@@ -189,3 +190,25 @@ def bayes_risk(mu) -> float:
     """Optimal risk for the +-mu pair: ``Phi(-||mu||)``."""
     mean = np.asarray(mu, dtype=np.float64)
     return std_normal_cdf(-float(np.linalg.norm(mean)))
+
+
+def whitened_reference(x, y, pool, rel_tol=1e-10):
+    """``(rank, model)`` of semi-supervised PFLD whitened by numpy's SVD of
+    the whole centred pool ``[x; pool]``, never of a QR factor or its
+    inverse: directions of singular value at most ``rel_tol`` times the
+    largest are dropped, the kept ones scaled to unit pooled variance, and
+    the whitened training rows fit by the minimum-norm solution of
+    ``[z, 1] w = y`` under the same cutoff."""
+    pooled = np.vstack([x, pool])
+    mean = pooled.mean(axis=0)
+    _, s, vt = np.linalg.svd(pooled - mean, full_matrices=False)
+    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
+    if rank == 0:
+        return rank, LinearModel(weights=np.zeros(x.shape[1]), bias=float(np.mean(y)))
+    transform = vt[:rank].T / (s[:rank] / np.sqrt(pooled.shape[0]))
+    aug = np.hstack([(x - mean) @ transform, np.ones((x.shape[0], 1))])
+    u, sa, vta = np.linalg.svd(aug, full_matrices=False)
+    keep = sa > rel_tol * sa[0]
+    inner = vta[keep].T @ (u[:, keep].T @ np.asarray(y, dtype=np.float64) / sa[keep])
+    w = transform @ inner[:-1]
+    return rank, LinearModel(weights=w, bias=float(inner[-1]) - float(w @ mean))

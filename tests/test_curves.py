@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import bayes_risk
+from oracles import bayes_risk, whitened_reference
 
 from riskcurves import curves as cv
 from riskcurves import data, learners, linalg
@@ -433,6 +433,30 @@ def test_semisup_pool_is_factored_once_per_rep_and_count(monkeypatch):
     learning = _sweep(kind="learning_curve", grid=(4, 6, 8), fixed_n=None, fixed_N=4, learners=(semisup,))
     run_learning_curve(learning)
     assert qrs == {"qr": 2 * learning.reps + learning.reps}  # and n = 8 shares the rep's pool
+
+
+def test_sweep_semisup_whitens_a_tall_pool_by_the_inverse_of_r(monkeypatch):
+    # 8 training rows and 16 or 20 unlabeled rows are at least twice the widest
+    # 8 columns: each rep inverts R once per count, and no cell takes an SVD of R
+    semisups = (SemiSupPfld(unlabeled_count=16), SemiSupPfld(unlabeled_count=20))
+    spec = _sweep(learners=semisups)
+    svds, invs = {}, {}
+    for owner in (learners, linalg):
+        _count_calls(monkeypatch, owner, "thin_svd", svds)
+    _count_calls(monkeypatch, np.linalg, "inv", invs)
+    result = run_feature_curve(spec, keep_reps=True)
+    cells = len(spec.grid) * spec.reps
+    assert svds == {"thin_svd": len(semisups) * cells}  # each fit's whitened MNLR, one per cell
+    assert invs == {"inv": len(semisups) * spec.reps}
+    # numpy's SVD of each cell's whole pool, an independent oracle, decides alike
+    for rep in range(spec.reps):
+        train_x, train_y, test_x, test_y, unlab = _rep_arrays(spec, rep, 20)
+        for pi, cols in enumerate(spec.grid):
+            for learner in semisups:
+                pool = unlab[: learner.unlabeled_count, :cols]
+                _, ref = whitened_reference(train_x[:, :cols], train_y, pool)
+                risk = zero_one_risk(predict(ref, test_x[:, :cols]), test_y)
+                assert result.rep_risks[learner.label][pi][rep] == risk
 
 
 def test_sweep_names_the_rep_of_a_non_finite_unlabeled_pool(monkeypatch):

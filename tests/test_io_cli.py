@@ -190,6 +190,13 @@ def test_config_type_errors():
         config_from_dict(_minimal_config(out_csv=7))
     with pytest.raises(InvariantViolation):
         config_from_dict({"grid": [1], "seed": 0, "learners": [{"kind": "mnlr"}]})
+    # a plain field is checked before the nested entries beside it, an unknown key before both
+    bogus = [{"kind": "mnlr", "bogus": 1}]
+    for extra, field in (({"grid": 5}, "grid"), ({"out_csv": 7}, "out_csv"), ({"risk_metric": "hinge"}, "risk_metric")):
+        with pytest.raises(InvariantViolation, match=f"^config: {field} must"):
+            config_from_dict(_minimal_config(learners=bogus, **extra))
+    with pytest.raises(UnknownKey, match="^config: unknown key 'leaners'$"):
+        config_from_dict(_minimal_config(out_csv=7, leaners=[]))
     no_seed = _minimal_config()
     del no_seed["seed"]
     with pytest.raises(InvariantViolation) as err:

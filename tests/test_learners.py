@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import whitened_reference
 
 from riskcurves import learners
 from riskcurves.data import GaussianSpec, gen_two_gaussians
@@ -320,20 +321,6 @@ def _whitening_rank(s, rel_tol=1e-10):
     return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
 
 
-def _whitened_reference(x, y, pool, rel_tol=1e-10):
-    """Semi-supervised PFLD whitened by the SVD of the whole centred pool."""
-    pooled = np.vstack([x, pool])
-    mean = pooled.mean(axis=0)
-    f = thin_svd(pooled - mean)
-    rank = _whitening_rank(f.s, rel_tol)
-    if rank == 0:
-        return rank, LinearModel(weights=np.zeros(x.shape[1]), bias=float(np.mean(y)))
-    transform = f.v[:, :rank] / (f.s[:rank] / np.sqrt(pooled.shape[0]))
-    inner = fit(Mnlr(rel_tol=rel_tol), (x - mean) @ transform, y)
-    w = transform @ inner.weights
-    return rank, LinearModel(weights=w, bias=inner.bias - float(w @ mean))
-
-
 def _scaled_normal(cols):
     return lambda rng, rows: rng.standard_normal((rows, cols)) * np.linspace(1.0, 3.0, cols)
 
@@ -343,18 +330,10 @@ def _duplicated_columns(rng, rows):
     return np.hstack([half, half])
 
 
-@pytest.mark.parametrize(
-    "n, cols, pool_rows, draw, rank",
-    [
-        (40, 40, 400, _scaled_normal(40), 40),  # rows = 11 cols, as in closed-form sweeps
-        (20, 30, 40, _scaled_normal(30), 30),  # rows = 2 cols: the smallest pool factored via R
-        (20, 30, 39, _scaled_normal(30), 30),  # rows = 2 cols - 1: SVD of the pool itself
-        (10, 25, 0, _scaled_normal(25), 9),  # empty pool, more columns than rows
-        (20, 12, 100, _duplicated_columns, 6),  # rank-deficient pool
-        (10, 5, 50, lambda rng, rows: np.full((rows, 5), 0.75), 0),  # every point identical
-    ],
-)
-def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_rows, draw, rank):
+def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank, rel_tol=1e-10):
+    """A ``SemiSupPfld`` fit agrees with :func:`whitened_reference`, and takes
+    an SVD of its factor unless the pool is tall and keeps all its ``rank``
+    = ``cols`` directions: a full-rank tall pool whitens with ``R``'s inverse."""
     rng = np.random.default_rng(cols * 1000 + pool_rows)
     x, pool, held_out = draw(rng, n), draw(rng, pool_rows), draw(rng, 200)
     y = np.resize([1, -1], n)
@@ -366,14 +345,46 @@ def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_
         return f
 
     monkeypatch.setattr(learners, "thin_svd", recording_svd)
-    model = fit(SemiSupPfld(unlabeled_count=pool_rows), x, y, x_unlabeled=pool)
-    (shape, s), = seen
+    model = fit(SemiSupPfld(unlabeled_count=pool_rows, rel_tol=rel_tol), x, y, x_unlabeled=pool)
     rows = n + pool_rows
-    assert shape == ((cols, cols) if rows >= 2 * cols else (rows, cols))
-    ref_rank, ref = _whitened_reference(x, y, pool)
-    assert _whitening_rank(s) == ref_rank == rank
+    if rows >= 2 * cols and rank == cols:
+        assert seen == []
+    else:
+        (shape, s), = seen
+        assert shape == ((cols, cols) if rows >= 2 * cols else (rows, cols))
+        assert _whitening_rank(s, rel_tol) == rank
+    ref_rank, ref = whitened_reference(x, y, pool, rel_tol)
+    assert ref_rank == rank
     assert_allclose(model.weights, ref.weights, rtol=1e-10)
     assert_array_equal(predict(model, held_out), predict(ref, held_out))
+
+
+def _repeated_last_column(rng, rows):
+    x = rng.standard_normal((rows, 10))
+    x[:, -1] = x[:, 2]
+    return x
+
+
+@pytest.mark.parametrize(
+    "n, cols, pool_rows, draw, rank",
+    [
+        (40, 40, 400, _scaled_normal(40), 40),  # rows = 11 cols, as in closed-form sweeps
+        (20, 30, 40, _scaled_normal(30), 30),  # rows = 2 cols: the smallest pool factored via R
+        (20, 30, 39, _scaled_normal(30), 30),  # rows = 2 cols - 1: SVD of the pool itself
+        (10, 25, 0, _scaled_normal(25), 9),  # empty pool, more columns than rows
+        (20, 12, 100, _duplicated_columns, 6),  # rank-deficient pool
+        (30, 10, 100, _repeated_last_column, 9),  # R is singular or fails the bound
+        (10, 5, 50, lambda rng, rows: np.full((rows, 5), 0.75), 0),  # every point identical
+    ],
+)
+def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_rows, draw, rank):
+    _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank)
+
+
+def test_semisup_coarse_rel_tol_truncates_a_full_rank_pool(monkeypatch):
+    # ||R||_F ||R^-1||_F >= cols fails the guard at rel_tol 0.5, and the SVD of R
+    # drops the anisotropic pool's smallest directions
+    _check_whitening(monkeypatch, 20, 8, 100, _scaled_normal(8), 5, rel_tol=0.5)
 
 
 def test_semisup_dimension_mismatch():
