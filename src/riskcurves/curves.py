@@ -100,6 +100,14 @@ class CurveKind(str, Enum):
         return {CurveKind.FEATURE: "num_features", CurveKind.LEARNING: "num_train", CurveKind.ALPHA: "alpha"}[self]
 
 
+def _sequence(value, what: str) -> tuple:
+    """``tuple(value)``; a value that is not iterable raises InvariantViolation naming ``what``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvariantViolation(f"{what} must be a sequence, got {value!r}") from None
+
+
 def alpha_train_size(alpha: float, fixed_N: int) -> int:
     """Training size for a ratio point: round(alpha * N), half away from zero."""
     return math.floor(alpha * fixed_N + 0.5)
@@ -161,7 +169,7 @@ class SweepSpec(_Checked):
                     f"kind must be one of {[k.value for k in CurveKind]}, got {values['kind']!r}"
                 ) from None
         if "learners" in values:
-            values["learners"] = tuple(values["learners"])
+            values["learners"] = _sequence(values["learners"], "learners")
         if "grid" in values:
             values["grid"] = cls._checked_grid(values["grid"], values["kind"])
         values = super()._check_fields(values)
@@ -171,10 +179,7 @@ class SweepSpec(_Checked):
 
     @staticmethod
     def _checked_grid(grid, kind: CurveKind) -> tuple:
-        try:
-            raw = tuple(grid)
-        except TypeError:
-            raise InvariantViolation(f"grid must be a sequence, got {grid!r}") from None
+        raw = _sequence(grid, "grid")
         if not raw:
             raise InvariantViolation("grid must not be empty")
         typ = float if kind is CurveKind.ALPHA else int  # alpha grids hold ratios n/N, the others counts

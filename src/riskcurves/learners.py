@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, _rank, min_norm_least_squares, thin_svd
+from .linalg import DEFAULT_REL_TOL, _inverse, _rank, min_norm_least_squares, thin_svd
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,9 @@ class SemiSupPfld(_LearnerSpec):
     interlacing no block is worse conditioned than ``R``, whose condition
     number is at most ``bound = ||R||_F ||R^-1||_F``; so when ``rel_tol *
     bound < 1`` the truncation keeps every direction, and the cell whitens
-    with ``sqrt(rows) R_N^-1`` and takes no SVD.  That transform is the SVD
+    with ``sqrt(rows) R_N^-1`` and takes no SVD of the pool; its whitened
+    fit, when full rank, is solved by QR (:func:`min_norm_least_squares`),
+    so such a cell takes no SVD at all.  That transform is the SVD
     whitening rotated, which the minimum-norm fit undoes.  A wide pool, a
     singular ``R`` or a failed bound (a rank-deficient pool, whose
     truncation matters) whitens by the SVD of the factor's leading N
@@ -414,21 +416,6 @@ class _Pool:
                 inverse, bound = _inverse(factor)
             self._factors[u] = len(centred), mean, factor, inverse, bound
         return self._factors[u]
-
-
-def _inverse(r):
-    """``(r^-1, ||r||_F ||r^-1||_F)`` of a square matrix ``r``; the product
-    bounds the 2-norm condition number of ``r``.  ``(None, inf)`` when ``r``
-    is empty or singular, or when the bound is not finite (an inverse with
-    a NaN or an infinite entry has none)."""
-    if not r.size:
-        return None, math.inf
-    try:
-        inverse = np.linalg.inv(r)  # the LU of a triangular r is r: a back substitution, upper triangular
-    except np.linalg.LinAlgError:
-        return None, math.inf
-    bound = float(np.linalg.norm(r) * np.linalg.norm(inverse))
-    return (inverse, bound) if math.isfinite(bound) else (None, math.inf)
 
 
 class _FitContext:

@@ -2,26 +2,35 @@
 squares.
 
 Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
-:func:`thin_svd` checks that a matrix is finite, and factors one with no
-rows or no columns with k = 0; :func:`min_norm_least_squares` leaves
-that to it and checks only its right-hand side.  The scan is safety code,
-not a redundant check: LAPACK's SVD can loop without end on an infinite
-entry, and an overflow in a caller's arithmetic (the mean of a column of
-``1.5e308``) reaches it as one.  ``learners`` factors a
-cell's centred training matrix once and applies PFLD's filter ``1/s`` and
-every ridge filter ``s / (s^2 + lam)`` to that one SVD.  Its
-semi-supervised whitening factors a rep's tall pool once, at the sweep's
-widest cell, to its triangular QR factor ``R``, and inverts ``R`` once
-too.  At a cell of N columns the leading N x N block of ``R`` is the
-``R`` of the pool's first N columns, and the leading block of ``R^-1`` is
-that block's inverse.  When ``rel_tol * ||R||_F ||R^-1||_F < 1``, a bound
-on every block's condition number, no direction is truncated and the
-cell whitens with the block of ``R^-1``, taking no SVD; otherwise (a
-rank-deficient or ill-conditioned pool, a singular ``R``) it hands
-:func:`thin_svd` the block of ``R``, which shares the singular values and
-right singular vectors of the pool's first N columns.  A pool with fewer
-than twice as many rows as columns is not reduced, and its leading
-columns go to :func:`thin_svd` whole.
+:func:`thin_svd` and :func:`min_norm_least_squares` first check that a
+matrix is finite, and both handle one with no rows or no columns.  The
+scan is safety code, not a redundant check: LAPACK can loop without end on
+an infinite entry, and an overflow in a caller's arithmetic (the mean of a
+column of ``1.5e308``) reaches it as one.
+
+:func:`min_norm_least_squares` solves a full-rank problem by Householder
+QR and takes the SVD only where the rank cutoff can matter.  ``R``, the
+triangular factor of ``a`` (or of ``a^T`` when ``a`` is wide), has the
+singular values of ``a``, so ``bound = ||R||_F ||R^-1||_F`` bounds its
+condition number; when ``rel_tol * bound < 1`` the cutoff keeps every
+direction, the solution is unique, and QR gives it.  Otherwise (an empty
+matrix, a singular ``R``, a bound that is not finite or fails: a
+rank-deficient or ill-conditioned matrix, a coarse ``rel_tol``) the SVD
+solves it and truncates.  :func:`_inverse` gives ``R^-1`` and the bound.
+
+``learners`` factors a cell's centred training matrix once and applies
+PFLD's filter ``1/s`` and every ridge filter ``s / (s^2 + lam)`` to that
+one SVD.  Its semi-supervised whitening factors a rep's tall pool once, at
+the sweep's widest cell, to its triangular QR factor ``R``, and takes
+:func:`_inverse` of it once too.  At a cell of N columns the leading N x N
+block of ``R`` is the ``R`` of the pool's first N columns, and the leading
+block of ``R^-1`` is that block's inverse.  The same guard, a bound on
+every block's condition number, lets the cell whiten with the block of
+``R^-1``, taking no SVD; otherwise (a rank-deficient or ill-conditioned
+pool, a singular ``R``) it hands :func:`thin_svd` the block of ``R``,
+which shares the singular values and right singular vectors of the pool's
+first N columns.  A pool with fewer than twice as many rows as columns is
+not reduced, and its leading columns go to :func:`thin_svd` whole.
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores
@@ -30,6 +39,7 @@ not depend on the BLAS thread count.  A user thread calling BLAS while a
 sweep runs sees one thread for that time, as the count is process-wide.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -62,16 +72,22 @@ def thin_svd(a) -> SvdFactorization:
     ConvergenceFailure if the underlying iteration fails, which signals a
     pathological input rather than a recoverable condition.
     """
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    m = _finite_matrix(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return SvdFactorization(u=u, s=s, v=vt.T)
+
+
+def _finite_matrix(a) -> "np.ndarray":
+    """``a`` as a 2-D float64 array, checked finite before LAPACK sees it."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return m
 
 
 def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
@@ -102,25 +118,58 @@ def _rank(s, rel_tol: float) -> int:
 def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarray":
     """Least-squares solution of ``a w = b`` with minimum Euclidean norm.
 
-    Computed as ``v[:, :r] @ (u[:, :r].T @ b / s[:r])`` with the rank ``r``
-    taken from :func:`numeric_rank`, i.e. the Moore-Penrose pseudo-inverse
-    applied to ``b``.  Among all minimizers of ``||a w - b||`` this is the
-    unique one of smallest ``||w||``.  A zero matrix yields ``w = 0``.
+    The Moore-Penrose pseudo-inverse applied to ``b``, with the rank
+    taken from :func:`numeric_rank`: among all minimizers of ``||a w - b||``
+    the unique one of smallest ``||w||``.  A zero matrix yields ``w = 0``.
+
+    When the triangular QR factor ``R`` certifies that the cutoff keeps
+    every direction (``rel_tol * ||R||_F ||R^-1||_F < 1``, see the module
+    docstring), the rank is min(rows, cols) and Householder QR solves it: a
+    tall or square ``a`` factors ``[a, b]``, whose last column gives
+    ``Q^T b``, and ``w = R^-1 Q^T b``; a wide one factors ``a^T = Q R``,
+    and ``w = Q R^-T b``.  Every other problem is solved by the SVD as
+    ``v[:, :rank] @ (u[:, :rank].T @ b / s[:rank])``.
     """
-    f = thin_svd(a)
+    m = _finite_matrix(a)
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got ndim={rhs.ndim}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("vector entries must be finite (no NaN/Inf)")
-    if rhs.shape[0] != len(f.u):
-        raise DimensionMismatch(f"matrix has {len(f.u)} rows but right-hand side has {rhs.shape[0]} entries")
+    if rhs.shape[0] != m.shape[0]:
+        raise DimensionMismatch(f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries")
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    r = _rank(f.s, rel_tol)
-    if r == 0:
-        return np.zeros(f.v.shape[0])
-    return f.v[:, :r] @ ((f.u[:, :r].T @ rhs) / f.s[:r])
+    rows, cols = m.shape
+    if m.size:  # QR's answer, when its bound certifies that the cutoff truncates nothing
+        if rows >= cols:
+            r = np.linalg.qr(np.column_stack([m, rhs]), mode="r")
+            inverse, bound = _inverse(r[:cols, :cols])
+        else:
+            q, r = np.linalg.qr(m.T)
+            inverse, bound = _inverse(r)
+        if rel_tol * bound < 1:
+            return inverse @ r[:cols, cols] if rows >= cols else q @ (inverse.T @ rhs)
+    f = thin_svd(m)
+    rank = _rank(f.s, rel_tol)
+    if rank == 0:
+        return np.zeros(cols)
+    return f.v[:, :rank] @ ((f.u[:, :rank].T @ rhs) / f.s[:rank])
+
+
+def _inverse(r):
+    """``(r^-1, ||r||_F ||r^-1||_F)`` of a square matrix ``r``; the product
+    bounds the 2-norm condition number of ``r``.  ``(None, inf)`` when ``r``
+    is empty or singular, or when the bound is not finite (an inverse with
+    a NaN or an infinite entry has none)."""
+    if not r.size:
+        return None, math.inf
+    try:
+        inverse = np.linalg.inv(r)  # the LU of a triangular r is r: a back substitution, upper triangular
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    bound = float(np.linalg.norm(r) * np.linalg.norm(inverse))
+    return (inverse, bound) if math.isfinite(bound) else (None, math.inf)
 
 
 def _openblas_thread_funcs(numpy_dir: str) -> tuple:

@@ -2,12 +2,12 @@
 
 Deliberately avoids the solvers' paths: the normal-equation solver uses
 hand-rolled Gaussian elimination, the brute-force minimum-norm search
-enumerates exact solutions on a grid, the Gaussian risk comes in closed
-form rather than by sampling, and the semi-supervised reference whitens
-by numpy's SVD of the whole pool.  Tests use these to cross-check the
-package, so they must not share code with it.  The max-margin learner is
-checked against the certified soft-margin reference in
-``perfbench/reference.py`` instead.
+enumerates exact solutions on a grid, the SVD minimum-norm solve calls
+numpy's SVD alone, the Gaussian risk comes in closed form rather than by
+sampling, and the semi-supervised reference whitens by numpy's SVD of the
+whole pool.  Tests use these to cross-check the package, so they must not
+share code with it.  The max-margin learner is checked against the
+certified soft-margin reference in ``perfbench/reference.py`` instead.
 """
 
 import math
@@ -192,6 +192,15 @@ def bayes_risk(mu) -> float:
     return std_normal_cdf(-float(np.linalg.norm(mean)))
 
 
+def svd_min_norm(a, b, rel_tol=1e-10) -> np.ndarray:
+    """The minimum-norm least-squares solution of ``a w = b`` by numpy's SVD
+    alone: singular values at most ``rel_tol`` times the largest (all of a
+    zero or empty spectrum) are dropped, and ``w = V_r S_r^-1 U_r^T b``."""
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=np.float64), full_matrices=False)
+    keep = int(np.count_nonzero(s > rel_tol * s[0])) if s.size else 0
+    return vt[:keep].T @ ((u[:, :keep].T @ np.asarray(b, dtype=np.float64)) / s[:keep])
+
+
 def whitened_reference(x, y, pool, rel_tol=1e-10):
     """``(rank, model)`` of semi-supervised PFLD whitened by numpy's SVD of
     the whole centred pool ``[x; pool]``, never of a QR factor or its
@@ -207,8 +216,6 @@ def whitened_reference(x, y, pool, rel_tol=1e-10):
         return rank, LinearModel(weights=np.zeros(x.shape[1]), bias=float(np.mean(y)))
     transform = vt[:rank].T / (s[:rank] / np.sqrt(pooled.shape[0]))
     aug = np.hstack([(x - mean) @ transform, np.ones((x.shape[0], 1))])
-    u, sa, vta = np.linalg.svd(aug, full_matrices=False)
-    keep = sa > rel_tol * sa[0]
-    inner = vta[keep].T @ (u[:, keep].T @ np.asarray(y, dtype=np.float64) / sa[keep])
+    inner = svd_min_norm(aug, y, rel_tol)
     w = transform @ inner[:-1]
     return rank, LinearModel(weights=w, bias=float(inner[-1]) - float(w @ mean))

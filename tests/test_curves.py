@@ -180,6 +180,8 @@ def test_spec_rejects_bad_counts_and_metric():
     ):
         with pytest.raises(InvariantViolation):
             _sweep(**bad)
+    with pytest.raises(InvariantViolation, match="^learners must be a sequence, got 5$"):
+        _sweep(learners=5)
     assert _sweep(reps=2**63 - 1).reps == 2**63 - 1
 
 
@@ -394,8 +396,10 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
     # one label check per cell beyond the data steps' own, none inside a fit
     assert checks["as_labels"] == cells + checks["_hold"]
     assert None not in svds  # no SVD outside a fit
-    # MNLR and SemiSupPfld keep their own SVDs; PFLD and both ridges share one
-    assert svds["mnlr"] == cells and svds["semisup_pfld(8)"] == 2 * cells
+    # full-rank MNLR and whitened SemiSupPfld fits solve by QR and take no SVD;
+    # SemiSupPfld's 8 + 8 pooled rows are wide at 12 columns, so each cell takes
+    # one SVD of its pool's columns; PFLD and both ridges share one
+    assert "mnlr" not in svds and svds["semisup_pfld(8)"] == cells
     assert sum(svds.get(label, 0) for label in ("pfld", "ridge(0.1)", "ridge(10)")) == cells
 
     # the shared factorization leaves each ridge risk equal to a fit of its own
@@ -411,43 +415,60 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
 
 def test_sweep_without_centred_learners_factors_no_centred_matrix(monkeypatch):
     spec = _sweep(learners=(Mnlr(), MaxMargin()))
-    svds = {}
+    calls = {}
     for owner in (learners, linalg):
-        _count_calls(monkeypatch, owner, "thin_svd", svds)
+        _count_calls(monkeypatch, owner, "thin_svd", calls)
+    _count_calls(monkeypatch, learners._FitContext, "centred", calls)
     run_feature_curve(spec)
-    assert svds == {"thin_svd": len(spec.grid) * spec.reps}  # MNLR's own, one per cell
+    assert calls == {}  # and MNLR's full-rank cells solve by QR, taking no SVD either
+
+
+def _record_pool_factors(monkeypatch):
+    """The results of every ``_Pool.factor`` call, in order; a factoring that
+    was done once and then reused returns the same arrays each time."""
+    results, real = [], learners._Pool.factor
+
+    def recording(pool, u):
+        results.append(real(pool, u))
+        return results[-1]
+
+    monkeypatch.setattr(learners._Pool, "factor", recording)
+    return results
+
+
+def _distinct(arrays) -> int:
+    return len({id(a) for a in arrays})  # the arrays stay alive in the record, so ids are not reused
 
 
 def test_semisup_pool_is_factored_once_per_rep_and_count(monkeypatch):
-    qrs = {}
-    _count_calls(monkeypatch, np.linalg, "qr", qrs)
+    factors = _record_pool_factors(monkeypatch)
     semisup = SemiSupPfld(unlabeled_count=8)  # 8 + 8 rows at 8 columns: factored to R
     feature = _sweep(learners=(Mnlr(), semisup))
     run_feature_curve(feature)
-    assert qrs == {"qr": feature.reps}
-    qrs.clear()
+    assert _distinct(f[2] for f in factors) == feature.reps and all(f[2].shape == (8, 8) for f in factors)
+    factors.clear()
     run_feature_curve(_sweep(learners=(semisup, SemiSupPfld(unlabeled_count=20))))
-    assert qrs == {"qr": 2 * feature.reps}  # one factor per count
-    qrs.clear()
+    assert _distinct(f[2] for f in factors) == 2 * feature.reps  # one factor per count
+    factors.clear()
     # n = 4 and 6 subsample the 8 training rows: each such cell factors its own pool
     learning = _sweep(kind="learning_curve", grid=(4, 6, 8), fixed_n=None, fixed_N=4, learners=(semisup,))
     run_learning_curve(learning)
-    assert qrs == {"qr": 2 * learning.reps + learning.reps}  # and n = 8 shares the rep's pool
+    assert _distinct(f[2] for f in factors) == 2 * learning.reps + learning.reps  # and n = 8 shares the rep's pool
 
 
 def test_sweep_semisup_whitens_a_tall_pool_by_the_inverse_of_r(monkeypatch):
     # 8 training rows and 16 or 20 unlabeled rows are at least twice the widest
-    # 8 columns: each rep inverts R once per count, and no cell takes an SVD of R
+    # 8 columns: each rep inverts R once per count, and no cell takes an SVD
     semisups = (SemiSupPfld(unlabeled_count=16), SemiSupPfld(unlabeled_count=20))
     spec = _sweep(learners=semisups)
-    svds, invs = {}, {}
+    svds = {}
     for owner in (learners, linalg):
         _count_calls(monkeypatch, owner, "thin_svd", svds)
-    _count_calls(monkeypatch, np.linalg, "inv", invs)
+    factors = _record_pool_factors(monkeypatch)
     result = run_feature_curve(spec, keep_reps=True)
-    cells = len(spec.grid) * spec.reps
-    assert svds == {"thin_svd": len(semisups) * cells}  # each fit's whitened MNLR, one per cell
-    assert invs == {"inv": len(semisups) * spec.reps}
+    assert svds == {}  # and each cell's whitened MNLR is full rank, solved by QR
+    assert all(f[3] is not None and f[2].shape == f[3].shape == (8, 8) for f in factors)
+    assert _distinct(f[3] for f in factors) == len(semisups) * spec.reps
     # numpy's SVD of each cell's whole pool, an independent oracle, decides alike
     for rep in range(spec.reps):
         train_x, train_y, test_x, test_y, unlab = _rep_arrays(spec, rep, 20)

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import normal_equation_solve
+from oracles import normal_equation_solve, svd_min_norm
 
 import riskcurves
+from riskcurves import linalg
 from riskcurves.errors import ConvergenceFailure, DimensionMismatch
 from riskcurves.linalg import min_norm_least_squares, numeric_rank, thin_svd
 
@@ -60,7 +61,7 @@ def test_thin_svd_rejects_bad_input():
 _NON_FINITE_CASES = """
 import numpy as np
 from riskcurves import Pfld, fit
-from riskcurves.linalg import thin_svd
+from riskcurves.linalg import min_norm_least_squares, thin_svd
 
 def outcome(call, *args):
     try:
@@ -72,7 +73,7 @@ def outcome(call, *args):
 for shape in ((3, 3), (40, 5), (5, 40)):
     a = np.ones(shape)
     a[0, 0] = np.inf
-    print(shape, outcome(thin_svd, a))
+    print(shape, outcome(thin_svd, a), outcome(min_norm_least_squares, a, np.ones(shape[0])))
 x = np.ones((6, 3))
 x[:, 1] = 1.5e308  # finite, but its column mean overflows to inf
 print("overflow", outcome(fit, Pfld(), x, np.array([1, -1] * 3)))
@@ -82,7 +83,8 @@ print("overflow", outcome(fit, Pfld(), x, np.array([1, -1] * 3)))
 def test_thin_svd_scan_stops_infinite_entries_that_hang_the_svd():
     # numpy's SVD (OpenBLAS LAPACK) has been seen not to return on these
     # matrices, so the cases run in a child process with a timeout: without
-    # thin_svd's finiteness scan this test fails by timing out, not by hanging
+    # the finiteness scan, which min_norm_least_squares runs before its QR,
+    # this test fails by timing out, not by hanging
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(riskcurves.__file__)), env.get("PYTHONPATH")) if p
@@ -92,7 +94,8 @@ def test_thin_svd_scan_stops_infinite_entries_that_hang_the_svd():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
-        "(3, 3) ValueError", "(40, 5) ValueError", "(5, 40) ValueError", "overflow ValueError"
+        "(3, 3) ValueError ValueError", "(40, 5) ValueError ValueError", "(5, 40) ValueError ValueError",
+        "overflow ValueError",
     ]
 
 
@@ -200,3 +203,60 @@ def test_min_norm_matches_normal_equations():
         assert np.max(
             np.abs(min_norm_least_squares(a, b) - normal_equation_solve(a, b))
         ) <= 1e-8
+
+
+def _count_svds(monkeypatch) -> list:
+    """Record each ``thin_svd`` call ``min_norm_least_squares`` makes."""
+    calls, real = [], linalg.thin_svd
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "thin_svd", counting)
+    return calls
+
+
+def test_min_norm_solves_full_rank_problems_by_qr(monkeypatch):
+    # tall, square, wide and single-row or single-column problems with full
+    # rank: the cutoff keeps every direction, so QR answers and no SVD runs
+    svds = _count_svds(monkeypatch)
+    rng = np.random.default_rng(29)
+    for shape in ((40, 6), (40, 40), (40, 41), (40, 121), (1, 3), (3, 1)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape[0])
+        ref = svd_min_norm(a, b)
+        assert_allclose(min_norm_least_squares(a, b), ref, rtol=1e-10)
+        # the solve must not square the scale of a: at 2**500 (with b at 2**-70)
+        # R^-1 R^-T b, the normal equations' (a a^T)^-1 b, lies below the normal
+        # floats, while R^-T b and w keep full precision
+        assert_allclose(min_norm_least_squares(a * 2.0**500, b * 2.0**-70), ref * 2.0**-570, rtol=1e-10)
+    assert svds == []
+
+
+def _fallback_problems():
+    rng = np.random.default_rng(31)
+    repeated = rng.standard_normal((40, 6))
+    repeated[:, 5] = repeated[:, 2]
+    zero_column = rng.standard_normal((40, 6))
+    zero_column[:, 3] = 0.0
+    anisotropic = rng.standard_normal((40, 8)) * np.logspace(0, -2, 8)
+    return [
+        ("repeated column", repeated, rng.standard_normal(40), 1e-10),
+        ("zero column", zero_column, rng.standard_normal(40), 1e-10),
+        ("zero matrix", np.zeros((3, 4)), rng.standard_normal(3), 1e-10),
+        ("no rows", np.zeros((0, 3)), np.zeros(0), 1e-10),
+        ("no columns", np.zeros((3, 0)), rng.standard_normal(3), 1e-10),
+        # full rank, but the coarse cutoff drops its small directions
+        ("anisotropic at rel_tol 0.5", anisotropic, rng.standard_normal(40), 0.5),
+    ]
+
+
+def test_min_norm_takes_the_svd_where_the_cutoff_can_truncate(monkeypatch):
+    # a rank-deficient or empty matrix, or one the cutoff truncates, fails
+    # QR's certificate and gets the SVD's answer bit for bit
+    svds = _count_svds(monkeypatch)
+    for name, a, b, rel_tol in _fallback_problems():
+        w = min_norm_least_squares(a, b, rel_tol)
+        assert svds == [a.shape], name
+        assert w.tobytes() == svd_min_norm(a, b, rel_tol).tobytes(), name
+        svds.clear()
