@@ -36,7 +36,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from ._np import np
 from .curves import (
     CurveKind,
     CurveResult,
@@ -366,12 +365,12 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
+def emit_svg_plot(result: CurveResult, path) -> None:
     """Render mean risk vs the sweep variable as a standalone SVG.
 
     One polyline per learner with +-stderr whiskers, a legend, and a single
     dashed vertical rule at the interpolation threshold.  A one-point curve
-    renders markers only.  ``log_x`` switches the x axis to log10.
+    renders markers only.
     """
     if not result.points:
         raise ValueError("cannot plot an empty result")
@@ -381,10 +380,7 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
 
     xs = [p.x_value for p in result.points]
     x_domain = xs + [threshold]
-    if log_x and min(x_domain) <= 0:
-        raise ValueError("log_x requires positive sweep values")
-    tx = (lambda v: np.log10(v)) if log_x else (lambda v: v)
-    x_lo, x_hi = min(tx(v) for v in x_domain), max(tx(v) for v in x_domain)
+    x_lo, x_hi = min(x_domain), max(x_domain)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
 
@@ -402,7 +398,7 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
     plot_h = _H - _MT - _MB
 
     def sx(v: float) -> float:
-        return _ML + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
+        return _ML + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(v: float) -> float:
         return _MT + (y_hi - v) / (y_hi - y_lo) * plot_h
@@ -416,13 +412,12 @@ def emit_svg_plot(result: CurveResult, path, *, log_x: bool = False) -> None:
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="black"/>',
     ]
     for tick in _ticks(x_lo, x_hi):
-        v = 10**tick if log_x else tick
-        px = _ML + (tick - x_lo) / (x_hi - x_lo) * plot_w
+        px = sx(tick)
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MT + plot_h}" x2="{px:.2f}" y2="{_MT + plot_h + 5}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{px:.2f}" y="{_MT + plot_h + 20}" text-anchor="middle">{v:.4g}</text>'
+            f'<text x="{px:.2f}" y="{_MT + plot_h + 20}" text-anchor="middle">{tick:.4g}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         py = sy(tick)

@@ -205,24 +205,25 @@ class SemiSupPfld(_LearnerSpec):
     With no unlabeled points this reproduces :class:`Pfld`'s decisions: the
     truncated whitening is then a bijection on the span of the training data.
 
-    A pool with at least twice as many rows as columns is first reduced to
-    its QR factor ``R`` (the R-SVD, Chan 1982), and ``R`` inverted once.  A
-    cell of N columns reads the leading N x N block of each: the block of
-    ``R`` is the ``R`` of the pool's first N columns, and, ``R`` being
-    upper triangular, the block of its inverse is that block's inverse.  By
+    Every pool is first reduced to its triangular QR factor ``R``, which
+    has ``min(rows, cols)`` rows and the pool's singular values and right
+    singular vectors, and a square ``R`` is inverted once.  A cell of N
+    columns reads the leading N x N block of each: the block of ``R`` is
+    the ``R`` of the pool's first N columns, and, ``R`` being upper
+    triangular, the block of its inverse is that block's inverse.  By
     interlacing no block is worse conditioned than ``R``, whose condition
     number is at most ``bound = ||R||_F ||R^-1||_F``; so when ``rel_tol *
     bound < 1`` the truncation keeps every direction, and the cell whitens
     with ``sqrt(rows) R_N^-1`` and takes no SVD of the pool; its whitened
     fit, when full rank, is solved by QR (:func:`min_norm_least_squares`),
     so such a cell takes no SVD at all.  That transform is the SVD
-    whitening rotated, which the minimum-norm fit undoes.  A wide pool, a
-    singular ``R`` or a failed bound (a rank-deficient pool, whose
-    truncation matters) whitens by the SVD of the factor's leading N
-    columns, as does a pool without feature columns.  A sweep factors the
-    pool once per rep, at the curve's widest cell, for every cell that
-    trains on all the rep's rows, so its risks can differ from a ``fit``
-    of the cell's own arrays in the last bits.
+    whitening rotated, which the minimum-norm fit undoes.  A wide pool
+    (whose ``R`` is not square), a singular ``R`` or a failed bound (a
+    rank-deficient pool, whose truncation matters) whitens by the SVD of
+    ``R``'s leading N columns, as does a pool without feature columns.  A
+    sweep factors the pool once per rep, at the curve's widest cell, for
+    every cell that trains on all the rep's rows, so its risks can differ
+    from a ``fit`` of the cell's own arrays in the last bits.
     """
 
     kind: ClassVar[str] = "semisup_pfld"
@@ -234,14 +235,13 @@ class SemiSupPfld(_LearnerSpec):
         x, y = cell.x, cell.y
         if cell.pool is None:
             raise ValueError("SemiSupPfld needs an unlabeled pool")
-        rows, mean, factor, inverse, bound = cell.pool.factor(self.unlabeled_count)
+        rows, mean, r, inverse, bound = cell.pool.factor(self.unlabeled_count)
         cols = x.shape[1]
         mean = mean[:cols]
         if self.rel_tol * bound < 1:  # full rank, nothing truncated
             transform = np.sqrt(rows) * inverse[:cols, :cols]
         else:
-            # R has fewer rows than the pool; the centred pool itself keeps every row
-            f = thin_svd(factor[: cols if len(factor) < rows else rows, :cols])
+            f = thin_svd(r[:cols, :cols])
             sigma = f.s / np.sqrt(rows)
             rank = _rank(sigma, self.rel_tol)
             if rank == 0:  # every pooled point identical: only the bias is learnable
@@ -392,11 +392,9 @@ class _Pool:
         self.x, self.unlabeled, self._factors = x, unlabeled, {}
 
     def factor(self, u: int):
-        """``(rows, mean, factor, inverse, bound)`` of the pool of the first
-        ``u`` unlabeled rows: its row count, column means and, when it has at
-        least twice as many rows as columns, the QR factor ``R`` of the
-        centred pool with :func:`_inverse` of it, else the centred pool
-        itself with no inverse and an infinite bound."""
+        """``(rows, mean, r, inverse, bound)`` of the pool of the first ``u``
+        unlabeled rows: its row count, column means, the QR factor ``r`` of
+        the centred pool and :func:`_inverse` of it."""
         if u not in self._factors:
             xu = np.asarray(self.unlabeled, dtype=np.float64)[:u]
             if xu.size == 0:
@@ -410,11 +408,8 @@ class _Pool:
             centred = np.vstack([self.x, xu])
             mean = centred.mean(axis=0)
             centred -= mean
-            factor, inverse, bound = centred, None, math.inf
-            if centred.shape[0] >= 2 * centred.shape[1]:
-                factor = np.linalg.qr(centred, mode="r")
-                inverse, bound = _inverse(factor)
-            self._factors[u] = len(centred), mean, factor, inverse, bound
+            r = np.linalg.qr(centred, mode="r")
+            self._factors[u] = len(centred), mean, r, *_inverse(r)
         return self._factors[u]
 
 
@@ -500,15 +495,12 @@ def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
     is smaller, e.g. limited leftover rows of a fixed dataset).  A sweep
     passes its cell's ``_FitContext`` instead, with that context's own (checked)
-    ``x`` and ``y``; paired with other arrays, it lends only its unlabeled
-    rows, at its own columns, never its training rows.
+    ``x`` and ``y``.
     """
     if type(spec) not in LEARNERS.values():
         raise TypeError(f"unknown learner spec {spec!r}")
     cell = x_unlabeled
     if not (isinstance(cell, _FitContext) and x is cell.x and y is cell.y):
-        if isinstance(cell, _FitContext):
-            cell = cell.pool and cell.pool.unlabeled[:, : cell.x.shape[1]]
         cell = _FitContext(x, y, cell)
     return spec._fit(cell)
 

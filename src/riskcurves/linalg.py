@@ -20,17 +20,8 @@ solves it and truncates.  :func:`_inverse` gives ``R^-1`` and the bound.
 
 ``learners`` factors a cell's centred training matrix once and applies
 PFLD's filter ``1/s`` and every ridge filter ``s / (s^2 + lam)`` to that
-one SVD.  Its semi-supervised whitening factors a rep's tall pool once, at
-the sweep's widest cell, to its triangular QR factor ``R``, and takes
-:func:`_inverse` of it once too.  At a cell of N columns the leading N x N
-block of ``R`` is the ``R`` of the pool's first N columns, and the leading
-block of ``R^-1`` is that block's inverse.  The same guard, a bound on
-every block's condition number, lets the cell whiten with the block of
-``R^-1``, taking no SVD; otherwise (a rank-deficient or ill-conditioned
-pool, a singular ``R``) it hands :func:`thin_svd` the block of ``R``,
-which shares the singular values and right singular vectors of the pool's
-first N columns.  A pool with fewer than twice as many rows as columns is
-not reduced, and its leading columns go to :func:`thin_svd` whole.
+one SVD, and reduces each semi-supervised pool once to its ``R`` and
+:func:`_inverse` of it (see ``SemiSupPfld``).
 
 A sweep runs inside :data:`single_blas_thread`, which runs numpy's BLAS on
 one thread (the sweep's matrices are too small for more) and then restores
@@ -40,6 +31,7 @@ sweep runs sees one thread for that time, as the count is process-wide.
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -96,8 +88,7 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     ``s`` must be non-negative and non-increasing.  Returns 0 for an empty
     or all-zero spectrum.
     """
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    rel_tol = _check_rel_tol(rel_tol)
     sv = np.asarray(s, dtype=np.float64)
     if sv.ndim != 1:
         raise ValueError("singular values must form a 1-D vector")
@@ -106,6 +97,19 @@ def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ValueError("singular values must be non-negative and non-increasing")
     return _rank(sv, rel_tol)
+
+
+def _check_rel_tol(rel_tol) -> float:
+    """``rel_tol`` as a float, checked as the learner specs check theirs: a
+    real number, not a bool, finite and > 0; anything else raises ``ValueError``."""
+    number = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
+    try:
+        value = float(rel_tol) if number else math.nan
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"rel_tol must be a finite number > 0, got {value if number else repr(rel_tol)}")
+    return value
 
 
 def _rank(s, rel_tol: float) -> int:
@@ -138,8 +142,7 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    rel_tol = _check_rel_tol(rel_tol)
     rows, cols = m.shape
     if m.size:  # QR's answer, when its bound certifies that the cutoff truncates nothing
         if rows >= cols:
@@ -152,16 +155,14 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
             return inverse @ r[:cols, cols] if rows >= cols else q @ (inverse.T @ rhs)
     f = thin_svd(m)
     rank = _rank(f.s, rel_tol)
-    if rank == 0:
-        return np.zeros(cols)
     return f.v[:, :rank] @ ((f.u[:, :rank].T @ rhs) / f.s[:rank])
 
 
 def _inverse(r):
-    """``(r^-1, ||r||_F ||r^-1||_F)`` of a square matrix ``r``; the product
-    bounds the 2-norm condition number of ``r``.  ``(None, inf)`` when ``r``
-    is empty or singular, or when the bound is not finite (an inverse with
-    a NaN or an infinite entry has none)."""
+    """``(r^-1, ||r||_F ||r^-1||_F)`` of a matrix ``r``; the product bounds
+    the 2-norm condition number of ``r``.  ``(None, inf)`` when ``r`` is
+    empty, not square or singular, or when the bound is not finite (an
+    inverse with a NaN or an infinite entry has none)."""
     if not r.size:
         return None, math.inf
     try:

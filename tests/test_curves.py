@@ -371,7 +371,7 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
     ridges = (Ridge(lam=0.1), Ridge(lam=10.0))
     spec = _sweep(
         grid=(2, 4, 8, 12),
-        learners=(Mnlr(), Pfld(), *ridges, SemiSupPfld(unlabeled_count=8)),
+        learners=(Mnlr(), Pfld(), *ridges, SemiSupPfld(unlabeled_count=8), SemiSupPfld(unlabeled_count=2)),
         risk_metric="squared",
     )
     cells = len(spec.grid) * spec.reps
@@ -396,10 +396,12 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
     # one label check per cell beyond the data steps' own, none inside a fit
     assert checks["as_labels"] == cells + checks["_hold"]
     assert None not in svds  # no SVD outside a fit
-    # full-rank MNLR and whitened SemiSupPfld fits solve by QR and take no SVD;
-    # SemiSupPfld's 8 + 8 pooled rows are wide at 12 columns, so each cell takes
-    # one SVD of its pool's columns; PFLD and both ridges share one
-    assert "mnlr" not in svds and svds["semisup_pfld(8)"] == cells
+    # full-rank MNLR and whitened SemiSupPfld fits solve by QR and take no SVD,
+    # and 8 + 8 pooled rows at 12 columns whiten with R's inverse, so take none;
+    # 8 + 2 pooled rows are wide at 12 columns, so each cell takes one SVD of
+    # its R's columns; PFLD and both ridges share one
+    assert "mnlr" not in svds and "semisup_pfld(8)" not in svds
+    assert svds["semisup_pfld(2)"] == cells
     assert sum(svds.get(label, 0) for label in ("pfld", "ridge(0.1)", "ridge(10)")) == cells
 
     # the shared factorization leaves each ridge risk equal to a fit of its own
@@ -442,7 +444,7 @@ def _distinct(arrays) -> int:
 
 def test_semisup_pool_is_factored_once_per_rep_and_count(monkeypatch):
     factors = _record_pool_factors(monkeypatch)
-    semisup = SemiSupPfld(unlabeled_count=8)  # 8 + 8 rows at 8 columns: factored to R
+    semisup = SemiSupPfld(unlabeled_count=8)  # 8 + 8 rows at 8 columns: an 8 x 8 R
     feature = _sweep(learners=(Mnlr(), semisup))
     run_feature_curve(feature)
     assert _distinct(f[2] for f in factors) == feature.reps and all(f[2].shape == (8, 8) for f in factors)
@@ -457,8 +459,8 @@ def test_semisup_pool_is_factored_once_per_rep_and_count(monkeypatch):
 
 
 def test_sweep_semisup_whitens_a_tall_pool_by_the_inverse_of_r(monkeypatch):
-    # 8 training rows and 16 or 20 unlabeled rows are at least twice the widest
-    # 8 columns: each rep inverts R once per count, and no cell takes an SVD
+    # 8 training rows and 16 or 20 unlabeled rows are more than the widest 8
+    # columns: each rep inverts R once per count, and no cell takes an SVD
     semisups = (SemiSupPfld(unlabeled_count=16), SemiSupPfld(unlabeled_count=20))
     spec = _sweep(learners=semisups)
     svds = {}
@@ -506,9 +508,8 @@ def _semisup_csv(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("source", ["gaussian", "csv"])
 def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path, source, workers):
-    # 10 + 3 rows are too few for R at the widest 8 columns but not at 5: the
-    # sweep then reads the centred pool's leading columns, where a fit of the
-    # cell's own arrays factors R; 10 + 20 rows take R at every width
+    # the sweep reads the leading blocks of the R and R^-1 of the rep's pool at
+    # the widest 8 columns, where a fit of the cell's own arrays factors its own
     semisups = (SemiSupPfld(unlabeled_count=3), SemiSupPfld(unlabeled_count=20))
     data_source = GaussianSpec(dim=8, informative=3, separation=1.5) if source == "gaussian" else _semisup_csv(tmp_path)
     spec = _sweep(grid=(2, 5, 8), learners=semisups, data_source=data_source, fixed_n=10, test_size=60)

@@ -437,10 +437,11 @@ def test_svg_multi_learner(tmp_path):
     assert text.count('class="threshold"') == 1
 
 
-def test_svg_log_scale(tmp_path):
-    result = _tiny_result()
-    emit_svg_plot(result, tmp_path / "log.svg", log_x=True)
-    ET.fromstring((tmp_path / "log.svg").read_text())
+def test_svg_of_a_result_without_points_raises(tmp_path):
+    empty = dataclasses.replace(_tiny_result(), points=(), rep_risks=None)
+    with pytest.raises(ValueError, match="empty result"):
+        emit_svg_plot(empty, tmp_path / "empty.svg")
+    assert not (tmp_path / "empty.svg").exists()
 
 
 def test_svg_escapes_names(tmp_path):
@@ -688,6 +689,13 @@ def test_cli_reps_override(tmp_path):
     out = tmp_path / "reps.csv"
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out), "--reps", "5"]) == 0
     assert out.read_text().splitlines()[1].split(",")[4] == "5"
+
+
+def test_cli_config_that_is_a_directory_exits_4_naming_it(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert cli_main(["feature-curve", "--config", str(tmp_path), "--out-csv", str(out)]) == 4
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_io_failure_exit_code(tmp_path):

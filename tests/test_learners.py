@@ -332,8 +332,9 @@ def _duplicated_columns(rng, rows):
 
 def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank, rel_tol=1e-10):
     """A ``SemiSupPfld`` fit agrees with :func:`whitened_reference`, and takes
-    an SVD of its factor unless the pool is tall and keeps all its ``rank``
-    = ``cols`` directions: a full-rank tall pool whitens with ``R``'s inverse."""
+    no SVD when the pool keeps all its ``rank`` = ``cols`` directions (so has
+    more rows than columns), as it whitens with ``R``'s inverse; any other
+    pool takes one SVD, of its ``min(rows, cols) x cols`` factor ``R``."""
     rng = np.random.default_rng(cols * 1000 + pool_rows)
     x, pool, held_out = draw(rng, n), draw(rng, pool_rows), draw(rng, 200)
     y = np.resize([1, -1], n)
@@ -347,11 +348,11 @@ def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank, rel_tol=1e-10)
     monkeypatch.setattr(learners, "thin_svd", recording_svd)
     model = fit(SemiSupPfld(unlabeled_count=pool_rows, rel_tol=rel_tol), x, y, x_unlabeled=pool)
     rows = n + pool_rows
-    if rows >= 2 * cols and rank == cols:
+    if rank == cols:
         assert seen == []
     else:
         (shape, s), = seen
-        assert shape == ((cols, cols) if rows >= 2 * cols else (rows, cols))
+        assert shape == (min(rows, cols), cols)
         assert _whitening_rank(s, rel_tol) == rank
     ref_rank, ref = whitened_reference(x, y, pool, rel_tol)
     assert ref_rank == rank
@@ -369,8 +370,9 @@ def _repeated_last_column(rng, rows):
     "n, cols, pool_rows, draw, rank",
     [
         (40, 40, 400, _scaled_normal(40), 40),  # rows = 11 cols, as in closed-form sweeps
-        (20, 30, 40, _scaled_normal(30), 30),  # rows = 2 cols: the smallest pool factored via R
-        (20, 30, 39, _scaled_normal(30), 30),  # rows = 2 cols - 1: SVD of the pool itself
+        (20, 30, 40, _scaled_normal(30), 30),  # rows = 2 cols
+        (20, 30, 39, _scaled_normal(30), 30),  # rows < 2 cols: whitens with R's inverse too
+        (20, 30, 5, _scaled_normal(30), 24),  # wide and full rank: R is 25 x 30, one SVD of it
         (10, 25, 0, _scaled_normal(25), 9),  # empty pool, more columns than rows
         (20, 12, 100, _duplicated_columns, 6),  # rank-deficient pool
         (30, 10, 100, _repeated_last_column, 9),  # R is singular or fails the bound
@@ -596,10 +598,10 @@ def test_fit_context_with_foreign_arrays_checks_them(monkeypatch):
         fit(Mnlr(), np.where(x > 0, np.nan, x), cell.y, x_unlabeled=cell)
     calls = []
     monkeypatch.setattr(learners, "as_labels", lambda labels: calls.append(labels) or as_labels(labels))
-    for spec in (Ridge(lam=0.5), Pfld(), SemiSupPfld(unlabeled_count=6)):
+    for spec in (Ridge(lam=0.5), Pfld()):
         alone = fit(spec, other_x, other_y, x_unlabeled=pool)
         calls.clear()
-        model = fit(spec, other_x, other_y, x_unlabeled=cell)  # fit on these arrays, the context's pool
+        model = fit(spec, other_x, other_y, x_unlabeled=cell)  # a fresh context of these arrays
         assert len(calls) == 1
         assert_array_equal(model.weights, alone.weights)
         assert model.bias == alone.bias

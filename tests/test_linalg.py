@@ -122,15 +122,29 @@ def test_numeric_rank_single():
     assert numeric_rank(np.array([1.0]), 1e-10) == 1
 
 
+_BAD_REL_TOLS = (0.0, -1e-10, float("nan"), float("inf"), -float("inf"), True, False, "1e-10", None, 10**400)
+
+
 def test_numeric_rank_validation():
-    with pytest.raises(ValueError):
-        numeric_rank(np.array([1.0]), 0.0)
+    for rel_tol in _BAD_REL_TOLS:
+        with pytest.raises(ValueError, match="rel_tol must be a finite number > 0"):
+            numeric_rank(np.array([1.0]), rel_tol)
+    assert numeric_rank(np.array([1.0, 0.5]), np.float32(0.75)) == 1
+    assert numeric_rank(np.array([1.0, 0.5]), 1) == 0  # an integer is accepted; 1 keeps no value
     with pytest.raises(ValueError):
         numeric_rank(np.array([1.0, 2.0]), 1e-10)  # increasing
     with pytest.raises(ValueError):
         numeric_rank(np.array([1.0, -0.5]), 1e-10)
     with pytest.raises(ValueError, match="1-D"):
         numeric_rank(np.eye(2), 1e-10)
+
+
+def test_min_norm_rel_tol_validation():
+    a, b = np.eye(3), np.ones(3)
+    for rel_tol in _BAD_REL_TOLS:
+        with pytest.raises(ValueError, match="rel_tol must be a finite number > 0"):
+            min_norm_least_squares(a, b, rel_tol)
+    assert_allclose(min_norm_least_squares(a, b, np.float64(1e-10)), b)
 
 
 def test_min_norm_underdetermined_row():
