@@ -23,11 +23,11 @@ learner alone.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from ._np import np
+from ._schema import _check, _Checked, _param
 from ._version import __version__
 from .data import (
     SOURCES,
@@ -46,7 +46,7 @@ from .errors import (
     RiskCurvesError,
     TooFewPoints,
 )
-from .learners import LEARNERS, _check, _Checked, _FitContext, _param, _Pool, _risk, fit
+from .learners import LEARNERS, _FitContext, _Pool, _risk, fit
 from .linalg import single_blas_thread
 
 SEED_SPLIT = 1
@@ -109,8 +109,13 @@ def _sequence(value, what: str) -> tuple:
 
 
 def alpha_train_size(alpha: float, fixed_N: int) -> int:
-    """Training size for a ratio point: round(alpha * N), half away from zero."""
-    return math.floor(alpha * fixed_N + 0.5)
+    """Training size for a ratio point: round(alpha * N), half away from zero.
+
+    ``alpha`` is a float > 0 and ``fixed_N`` an integer >= 1, checked by the
+    config's number rule, as is their product."""
+    alpha = _check(alpha, float, "alpha", ValueError, ">", 0)
+    fixed_N = _check(fixed_N, int, "fixed_N", ValueError, ">=", 1)
+    return math.floor(_check(alpha * fixed_N, float, "alpha * fixed_N") + 0.5)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -447,8 +452,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     meanwhile), then the caller's count is restored; ``workers`` runs reps
     in parallel, and no output byte depends on either.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = _check(workers, int, "workers", ValueError, ">=", 1)
     labels = [learner.label for learner in spec.learners]
     counts = {learner.unlabeled_count for learner in spec.learners if hasattr(learner, "unlabeled_count")}
     train_rows, width = spec.train_rows(), spec._columns()

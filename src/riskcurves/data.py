@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ._np import np
+from ._schema import _check, _Checked, _param
 from .errors import (
     MalformedCsv,
     MissingFile,
@@ -21,7 +22,7 @@ from .errors import (
     NonNumericFeature,
     OutOfRange,
 )
-from .learners import _Checked, _check_training_pair, _param
+from .learners import _check_training_pair
 
 _CLASS_ORDER = (1, -1)  # fixed order keeps stratified draws deterministic
 
@@ -111,10 +112,10 @@ def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
 
     An odd-n draw equals the first n rows of the (n + 1)-row draw, as the
     generator fills rows in order; a longer draw's prefix is not a shorter
-    draw in general, since the class boundary moves with n.
+    draw in general, since the class boundary moves with n.  ``n`` is an
+    integer >= 1, checked by the config's number rule.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _check(n, int, "n", ValueError, ">=", 1)
     rng = np.random.default_rng(spec.seed)
     mu = spec.mean_vector()
     half = (n + 1) // 2
@@ -126,11 +127,10 @@ def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
 
 
 def append_random_features(ds: Dataset, k: int, sigma: float, seed: int) -> Dataset:
-    """Append k columns of independent Normal(0, sigma^2) noise."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    """Append k columns of independent Normal(0, sigma^2) noise; ``k`` is an
+    integer >= 1 and ``sigma`` a float > 0, checked by the config's number rule."""
+    k = _check(k, int, "k", ValueError, ">=", 1)
+    sigma = _check(sigma, float, "sigma", ValueError, ">", 0)
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal((ds.n_samples, k))
     return Dataset._own(np.hstack([ds.x, noise]), ds.y)

@@ -36,6 +36,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from ._schema import _check, _Checked
 from .curves import (
     CurveKind,
     CurveResult,
@@ -57,7 +58,6 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
-from .learners import _check, _Checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -546,8 +546,7 @@ def cli_main(argv) -> int:
             raise InvariantViolation(
                 "no output requested; set out_csv/out_json/out_svg or pass --out-*"
             )
-        if args.workers < 1:
-            raise InvariantViolation(f"workers must be >= 1, got {args.workers}")
+        _check(args.workers, int, "workers", InvariantViolation, ">=", 1)
     except (ConfigError, MissingFile, RiskCurvesError) as exc:
         _perr(str(exc))
         return EXIT_CONFIG

@@ -8,18 +8,18 @@ resolving to +1 so risk estimates stay deterministic.
 """
 
 import math
-import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 from ._np import np
+from ._schema import _check, _Checked, _param
 from .errors import (
     DimensionMismatch,
     NonConvergence,
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, _inverse, _rank, min_norm_least_squares, thin_svd
+from .linalg import DEFAULT_REL_TOL, _finite_matrix, _inverse, _rank, min_norm_least_squares, thin_svd
 
 
 @dataclass(frozen=True)
@@ -30,103 +30,18 @@ class LinearModel:
     bias: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1:
-            raise ValueError("weights must be a 1-D vector")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
-            raise ValueError("model parameters must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "weights", _finite_matrix(self.weights, 1, "weights"))
+        object.__setattr__(self, "bias", _check(self.bias, float, "bias"))
 
 
 # --------------------------------------------------------------------------
-# Declarative schema.  Learner specs (here), data sources (``data``), sweep
-# specs and results (``curves``) are frozen dataclasses whose field
-# annotations are their type checks (``_Checked``); a field whose metadata
-# names ``of`` holds entries of another schema, and ``io_cli`` reads and
-# writes all of them from their fields.  Each learner
-# spec also declares its config ``kind``, any config key that differs from a
-# field name (``config_keys``), its parameters with their defaults and lower
-# bounds, and its fit (``_fit``), which reads the checked arrays of a
-# ``_FitContext``.  A spec checks its parameters when built, and ``fit``
-# checks the arrays once.  ``LEARNERS`` maps each kind to its spec and
-# drives ``fit``, config parsing and the JSON round trip.
-
-
-def _param(op: str, low, default=MISSING, error=None):
-    """A numeric spec field that must be ``op`` (``>`` or ``>=``) ``low``."""
-    return field(default=default, metadata={"op": op, "low": low, "error": error})
-
-
-def _digits(value: int) -> int:
-    """Decimal digits of ``abs(value)``, counted without ``str``, which refuses
-    integers of more than 4300 digits."""
-    value = abs(value)
-    digits = int((value.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
-    return digits + (value >= 10**digits)
-
-
-def _float(value, what: str, error: type = ValueError) -> float:
-    """``float(value)``; an integer too large for a float raises ``error`` naming ``what``."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{what} must be a finite float, got an integer with {_digits(value)} digits") from None
-
-
-def _check(value, annotation, what: str, error: type = ValueError, op=None, low=None):
-    """``value`` checked against the type ``annotation``, the one number rule.
-
-    ``int`` and ``float``, and ``int | None`` when set, reject booleans and
-    return an ``int`` or ``float``, and ``float`` rejects NaN and
-    infinities; any other annotation (``str``, ``bool``, ``str | None``, a
-    class) is an ``isinstance`` check.  ``op`` (``>`` or ``>=``) ``low`` is
-    a lower bound, and an integer with one (a count) must also be below
-    2**63, numpy's largest index.  A failed check raises ``error`` naming
-    ``what``.
-    """
-    if value is None and isinstance(None, annotation):  # an optional value left unset
-        return value
-    typ = int if annotation == int | None else annotation
-    number = {int: numbers.Integral, float: numbers.Real}.get(typ)
-    if (number and isinstance(value, bool)) or not isinstance(value, number or typ):
-        raise error(f"{what} must be {getattr(annotation, '__name__', annotation)}, got {value!r}")
-    if number:
-        value = _float(value, what, error) if typ is float else typ(value)
-    if typ is float and not math.isfinite(value):
-        raise error(f"{what} must be finite, got {value!r}")
-    if op and not (value > low if op == ">" else value >= low):
-        raise error(f"{what} must be {op} {low}, got {value}")
-    if op and typ is int and value >= 2**63:
-        raise error(f"{what} must be < 2**63, got an integer with {_digits(value)} digits")
-    return value
-
-
-class _Checked:
-    """Base of the schema dataclasses: a field's annotation is its type
-    check (:func:`_check`), and :func:`_param` adds a lower bound.  A failed
-    check raises the class's ``_error`` unless the field's :func:`_param`
-    names another.
-    """
-
-    config_keys: ClassVar[dict] = {}
-    _error: ClassVar[type] = ValueError
-
-    def __post_init__(self):
-        for name, value in self._check_fields({f.name: getattr(self, f.name) for f in fields(self)}).items():
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _check_fields(cls, values: dict) -> dict:
-        """The fields named in ``values``, checked and converted by their
-        annotations and bounds: all of them when an instance is built, and
-        the plain ones alone when a reader checks them before nested entries."""
-        checked = {}
-        for f in fields(cls):
-            if f.name in values:
-                error, op, low = f.metadata.get("error") or cls._error, f.metadata.get("op"), f.metadata.get("low")
-                checked[f.name] = _check(values[f.name], f.type, f.name, error, op, low)
-        return checked
+# Learner specs, schema classes of ``_schema``.  Each declares its config
+# ``kind``, any config key that differs from a field name (``config_keys``),
+# its parameters with their defaults and lower bounds, and its fit
+# (``_fit``), which reads the checked arrays of a ``_FitContext``.  A spec
+# checks its parameters when built, and ``fit`` checks the arrays once.
+# ``LEARNERS`` maps each kind to its spec and drives ``fit``, config parsing
+# and the JSON round trip.
 
 
 class _LearnerSpec(_Checked):
@@ -334,13 +249,9 @@ LEARNERS = {spec.kind: spec for spec in (Mnlr, Pfld, Ridge, SemiSupPfld, MaxMarg
 
 def _as_features(x) -> "np.ndarray":
     """2-D finite float64 features; zero columns allowed (bias-only fits)."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got ndim={m.ndim}")
+    m = _finite_matrix(x, 2, "features")
     if m.shape[0] < 1:
         raise ValueError("feature matrix needs at least one row")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("features must be finite")
     return m
 
 
@@ -403,9 +314,7 @@ class _Pool:
                 raise DimensionMismatch(
                     f"unlabeled features have shape {xu.shape}, expected (*, {self.x.shape[1]})"
                 )
-            if xu.size and not np.all(np.isfinite(xu)):
-                raise ValueError("unlabeled features must be finite")
-            centred = np.vstack([self.x, xu])
+            centred = np.vstack([self.x, _finite_matrix(xu, 2, "unlabeled features")])
             mean = centred.mean(axis=0)
             centred -= mean
             r = np.linalg.qr(centred, mode="r")
@@ -454,7 +363,7 @@ _TO_BOUNDARY = 0.99
 def hinge_objective(model: LinearModel, x, y, c: float) -> float:
     """Soft-margin objective ``0.5 ||w||^2 + c * sum hinge``; ``c`` is checked as ``MaxMargin``'s."""
     xm, ym = _check_training_pair(x, y)
-    c = MaxMargin(c=c).c
+    c = _check(c, float, "c", ValueError, ">", 0)
     margins = ym * decision_values(model, xm)
     return 0.5 * float(model.weights @ model.weights) + c * float(
         np.sum(np.maximum(0.0, 1.0 - margins))

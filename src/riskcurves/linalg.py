@@ -6,7 +6,11 @@ Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
 matrix is finite, and both handle one with no rows or no columns.  The
 scan is safety code, not a redundant check: LAPACK can loop without end on
 an infinite entry, and an overflow in a caller's arithmetic (the mean of a
-column of ``1.5e308``) reaches it as one.
+column of ``1.5e308``) reaches it as one.  :func:`_finite_matrix` is the
+package's one such scan; ``learners`` checks its features, models and
+unlabeled pools with it too.  ``rel_tol`` follows the config's number rule
+(``_schema._check``): a finite float > 0, not a bool, with the learner
+specs' messages.
 
 :func:`min_norm_least_squares` solves a full-rank problem by Householder
 QR and takes the SVD only where the rank cutoff can matter.  ``R``, the
@@ -31,11 +35,11 @@ sweep runs sees one thread for that time, as the count is process-wide.
 """
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 from ._np import np
+from ._schema import _check
 from .errors import ConvergenceFailure, DimensionMismatch
 
 # Relative cutoff below which singular values count as zero.  Far below the
@@ -72,44 +76,31 @@ def thin_svd(a) -> SvdFactorization:
     return SvdFactorization(u=u, s=s, v=vt.T)
 
 
-def _finite_matrix(a) -> "np.ndarray":
-    """``a`` as a 2-D float64 array, checked finite before LAPACK sees it."""
+def _finite_matrix(a, ndim: int = 2, what: str = "matrix") -> "np.ndarray":
+    """``a`` as a float64 array of ``ndim`` dimensions, checked finite
+    before LAPACK sees it; a failed check raises ``ValueError`` naming ``what``."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise ValueError(f"{what} must be finite")
     return m
 
 
 def numeric_rank(s, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Number of singular values above ``rel_tol`` times the largest.
 
-    ``s`` must be non-negative and non-increasing.  Returns 0 for an empty
-    or all-zero spectrum.
+    ``s`` must be finite, non-negative and non-increasing, and ``rel_tol``
+    passes the config's number rule (a finite float > 0).  Returns 0 for an
+    empty or all-zero spectrum.
     """
-    rel_tol = _check_rel_tol(rel_tol)
-    sv = np.asarray(s, dtype=np.float64)
-    if sv.ndim != 1:
-        raise ValueError("singular values must form a 1-D vector")
+    rel_tol = _check(rel_tol, float, "rel_tol", ValueError, ">", 0)
+    sv = _finite_matrix(s, 1, "singular values")
     if sv.size == 0:
         return 0
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ValueError("singular values must be non-negative and non-increasing")
     return _rank(sv, rel_tol)
-
-
-def _check_rel_tol(rel_tol) -> float:
-    """``rel_tol`` as a float, checked as the learner specs check theirs: a
-    real number, not a bool, finite and > 0; anything else raises ``ValueError``."""
-    number = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
-    try:
-        value = float(rel_tol) if number else math.nan
-    except OverflowError:  # an integer too large for a float
-        value = math.inf
-    if not 0 < value < math.inf:
-        raise ValueError(f"rel_tol must be a finite number > 0, got {value if number else repr(rel_tol)}")
-    return value
 
 
 def _rank(s, rel_tol: float) -> int:
@@ -125,6 +116,8 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
     The Moore-Penrose pseudo-inverse applied to ``b``, with the rank
     taken from :func:`numeric_rank`: among all minimizers of ``||a w - b||``
     the unique one of smallest ``||w||``.  A zero matrix yields ``w = 0``.
+    ``a`` and ``b`` must be finite, and ``rel_tol`` passes the config's
+    number rule (a finite float > 0).
 
     When the triangular QR factor ``R`` certifies that the cutoff keeps
     every direction (``rel_tol * ||R||_F ||R^-1||_F < 1``, see the module
@@ -134,15 +127,10 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
     and ``w = Q R^-T b``.  Every other problem is solved by the SVD as
     ``v[:, :rank] @ (u[:, :rank].T @ b / s[:rank])``.
     """
-    m = _finite_matrix(a)
-    rhs = np.asarray(b, dtype=np.float64)
-    if rhs.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got ndim={rhs.ndim}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    m, rhs = _finite_matrix(a), _finite_matrix(b, 1, "right-hand side")
     if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries")
-    rel_tol = _check_rel_tol(rel_tol)
+    rel_tol = _check(rel_tol, float, "rel_tol", ValueError, ">", 0)
     rows, cols = m.shape
     if m.size:  # QR's answer, when its bound certifies that the cutoff truncates nothing
         if rows >= cols:

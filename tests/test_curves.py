@@ -9,6 +9,7 @@ from oracles import bayes_risk, whitened_reference
 
 from riskcurves import curves as cv
 from riskcurves import data, learners, linalg
+from riskcurves._schema import _check
 from riskcurves.curves import (
     CurvePoint,
     CurveResult,
@@ -272,7 +273,9 @@ def test_parallel_equals_serial():
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, 2.0, True, False, "2"])
 def test_run_sweep_rejects_workers_that_are_not_a_positive_integer(workers):
-    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {re.escape(repr(workers))}$"):
+    with pytest.raises(ValueError) as rejected:  # the config's number rule
+        _check(workers, int, "workers", ValueError, ">=", 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
         cv.run_sweep(_sweep(), workers=workers)
 
 
@@ -532,6 +535,27 @@ def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path
                 swept = models[learner.label, float(cols), rep]
                 np.testing.assert_allclose(swept.weights, own.weights, rtol=1e-10)
                 assert abs(swept.bias - own.bias) <= 1e-10  # on the scale of the +-1 targets, often ~0
+
+
+def test_semisup_decides_as_mnlr_on_every_tall_cell_and_not_past_the_threshold():
+    # On a cell with N + 1 <= n, [X, 1] has full column rank, and its least-squares
+    # fit is unchanged by SemiSupPfld's invertible whitening, so the two learners
+    # decide alike up to the peak cell N = n - 1; past the threshold the minimum
+    # norm is taken in the pool's metric and the decisions part (ROADMAP item 18)
+    semisup = SemiSupPfld(unlabeled_count=400)
+    spec = SweepSpec(
+        kind="feature_curve", grid=(20, 30, 36, 39, 60), fixed_n=40, test_size=500, reps=3, base_seed=7,
+        learners=(Mnlr(), semisup), data_source=GaussianSpec(),
+    )
+    risks = run_feature_curve(spec, keep_reps=True).rep_risks
+    assert risks["mnlr"][:4] == risks[semisup.label][:4]
+    assert risks["mnlr"][4] != risks[semisup.label][4]
+    cell = gen_two_gaussians(replace(spec.data_source, seed=8), 40)
+    x, unlabeled = cell.x[:, :20], gen_two_gaussians(replace(spec.data_source, seed=9), 400).x[:, :20]
+    test_x = gen_two_gaussians(replace(spec.data_source, seed=10), 500).x[:, :20]
+    expected = decision_values(fit(Mnlr(), x, cell.y), test_x)
+    got = decision_values(fit(semisup, x, cell.y, x_unlabeled=unlabeled), test_x)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def test_learner_failure_identifies_cell(monkeypatch):

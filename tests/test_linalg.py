@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from oracles import normal_equation_solve, svd_min_norm
 
 import riskcurves
 from riskcurves import linalg
+from riskcurves._schema import _check
 from riskcurves.errors import ConvergenceFailure, DimensionMismatch
 from riskcurves.linalg import min_norm_least_squares, numeric_rank, thin_svd
 
@@ -125,9 +127,16 @@ def test_numeric_rank_single():
 _BAD_REL_TOLS = (0.0, -1e-10, float("nan"), float("inf"), -float("inf"), True, False, "1e-10", None, 10**400)
 
 
+def _rule_message(rel_tol) -> str:
+    """A pattern of exactly the message the config's number rule gives ``rel_tol``."""
+    with pytest.raises(ValueError) as rejected:
+        _check(rel_tol, float, "rel_tol", ValueError, ">", 0)
+    return f"^{re.escape(str(rejected.value))}$"
+
+
 def test_numeric_rank_validation():
     for rel_tol in _BAD_REL_TOLS:
-        with pytest.raises(ValueError, match="rel_tol must be a finite number > 0"):
+        with pytest.raises(ValueError, match=_rule_message(rel_tol)):
             numeric_rank(np.array([1.0]), rel_tol)
     assert numeric_rank(np.array([1.0, 0.5]), np.float32(0.75)) == 1
     assert numeric_rank(np.array([1.0, 0.5]), 1) == 0  # an integer is accepted; 1 keeps no value
@@ -142,7 +151,7 @@ def test_numeric_rank_validation():
 def test_min_norm_rel_tol_validation():
     a, b = np.eye(3), np.ones(3)
     for rel_tol in _BAD_REL_TOLS:
-        with pytest.raises(ValueError, match="rel_tol must be a finite number > 0"):
+        with pytest.raises(ValueError, match=_rule_message(rel_tol)):
             min_norm_least_squares(a, b, rel_tol)
     assert_allclose(min_norm_least_squares(a, b, np.float64(1e-10)), b)
 
