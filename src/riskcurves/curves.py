@@ -212,13 +212,19 @@ class SweepSpec(_Checked):
             if (getattr(self, name) is None) == pinned:
                 raise InvariantViolation(f"{self.kind.value}s {'need' if pinned else 'do not use'} {name}")
         for x in self.grid:
-            if self._cell(x)[0] < 2:
-                raise InvariantViolation(f"{self.x_name()}={x:g} gives a training size below 2")
+            _check(self._cell(x)[0], int, f"the training size at {self.x_name()}={x:g}", InvariantViolation, ">=", 2)
 
     def _validate_source(self):
         src = self.data_source
-        if isinstance(src, GaussianSpec) and (need := self._columns()) > src.dim:
+        if not isinstance(src, GaussianSpec):  # a CSV's size is checked when the sweep loads it
+            return
+        if (need := self._columns()) > src.dim:
             raise GridExceedsDimension(f"the curve needs {need} features but the generator has dim={src.dim}")
+        unlabeled = (spec.unlabeled_count for spec in self.learners if hasattr(spec, "unlabeled_count"))
+        if (rows := max([self.train_rows() + self.test_size, *unlabeled])) * src.dim * 8 > 2**63 - 1:
+            raise InvariantViolation(  # the float64 bytes of a rep's largest draw
+                f"a rep would draw {rows} x {src.dim} float64 values, beyond numpy's largest array (2**63 - 1 bytes)"
+            )
 
     # -- derived quantities ----------------------------------------------
 
@@ -336,27 +342,6 @@ class PeakReport:
 # Running sweeps.
 
 
-def _of_kind(spec: SweepSpec, kind: CurveKind) -> SweepSpec:
-    if spec.kind is not kind:
-        raise ValueError(f"expected a {kind.value} spec, got {spec.kind.value}")
-    return spec
-
-
-def run_feature_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """:func:`run_sweep` for a feature_curve spec: sweep N at fixed training size."""
-    return run_sweep(_of_kind(spec, CurveKind.FEATURE), keep_reps=keep_reps, workers=workers)
-
-
-def run_learning_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """:func:`run_sweep` for a learning_curve spec: sweep n at fixed ``fixed_N``."""
-    return run_sweep(_of_kind(spec, CurveKind.LEARNING), keep_reps=keep_reps, workers=workers)
-
-
-def run_alpha_curve(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> CurveResult:
-    """:func:`run_sweep` for an alpha_curve spec: sweep alpha = n/N, n = round(alpha * N)."""
-    return run_sweep(_of_kind(spec, CurveKind.ALPHA), keep_reps=keep_reps, workers=workers)
-
-
 def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
     """Risk on ``(test_x, test_y)`` of ``learner`` fit from the context ``cell``."""
     try:
@@ -377,16 +362,20 @@ def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
 
 def _gaussian_rows(spec: SweepSpec, max_unlab: int):
     """Per rep, draw a pool of the train rows plus ``test_size`` from
-    ``mix(base_seed, rep)`` and gather its stratified train and test rows
-    (:func:`split_indices` at ``mix(base_seed, rep, SEED_SPLIT)``); then draw
+    ``mix(base_seed, rep)``, gather its stratified train rows
+    (:func:`split_indices` at ``mix(base_seed, rep, SEED_SPLIT)``) and slide
+    its test rows, in order, to the front of the pool; then draw
     ``max_unlab`` unlabeled rows from ``mix(base_seed, rep, SEED_UNLABELED)``."""
     src, train_rows = spec.data_source, spec.train_rows()
 
     def rows(rep: int):
         pool = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep)), train_rows + spec.test_size)
         tr, te = split_indices(pool.y, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
-        train_x, train_y, test_x, test_y = pool.x[tr], pool.y[tr], pool.x[te], pool.y[te]
-        del pool  # freed before the unlabeled draw
+        x, train_x, train_y, test_y = pool.x, pool.x[tr], pool.y[tr], pool.y[te]
+        # slide each run of test rows over the train rows before it, in order
+        for k, (start, stop) in enumerate(zip(tr + 1, [*tr[1:], len(x)])):
+            x[start - k - 1 : stop - k - 1] = x[start:stop]
+        test_x = x[: len(te)]  # the pool's own array: a rep holds no second copy of it
         unlab_x = np.zeros((0, src.dim))
         if max_unlab:
             unlab_x = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep, SEED_UNLABELED)), max_unlab).x
@@ -523,6 +512,10 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
         provenance=Provenance(base_seed=spec.base_seed, version=__version__),
         rep_risks=rep_risks,
     )
+
+
+# Aliases of run_sweep, which runs a spec of any kind; kept until the benchmark calls run_sweep.
+run_feature_curve = run_learning_curve = run_alpha_curve = run_sweep
 
 
 # --------------------------------------------------------------------------

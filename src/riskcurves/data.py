@@ -117,11 +117,11 @@ def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
     """
     n = _check(n, int, "n", ValueError, ">=", 1)
     rng = np.random.default_rng(spec.seed)
-    mu = spec.mean_vector()
-    half = (n + 1) // 2
+    k, half = spec.informative, (n + 1) // 2
+    mu = spec.mean_vector()[:k]  # zero in the other columns
     x = rng.standard_normal((n, spec.dim))  # the same stream as one block per class
-    x[:half] += mu
-    x[half:] -= mu
+    x[:half, :k] += mu
+    x[half:, :k] -= mu
     y = np.concatenate([np.ones(half, dtype=np.int64), -np.ones(n - half, dtype=np.int64)])
     return Dataset._own(x, y)
 

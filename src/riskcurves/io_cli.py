@@ -556,6 +556,9 @@ def cli_main(argv) -> int:
 
     try:
         result = run_sweep(sweep, keep_reps=keep_reps, workers=args.workers)
+    except MemoryError as exc:  # a draw too large for this machine; numpy's message names its shape
+        _perr(f"the sweep does not fit in memory: {exc}")
+        return EXIT_CONFIG
     except (OSError, MalformedCsv, OutOfRange, GridExceedsDimension) as exc:
         # the CSV data source is missing, unreadable or too small for the grid
         _perr(str(exc))

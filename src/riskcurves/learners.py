@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveLambda,
     SingleClassInput,
 )
-from .linalg import DEFAULT_REL_TOL, _finite_matrix, _inverse, _rank, min_norm_least_squares, thin_svd
+from .linalg import DEFAULT_REL_TOL, _finite_matrix, _inverse, _min_norm, _rank, thin_svd
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class SemiSupPfld(_LearnerSpec):
     number is at most ``bound = ||R||_F ||R^-1||_F``; so when ``rel_tol *
     bound < 1`` the truncation keeps every direction, and the cell whitens
     with ``sqrt(rows) R_N^-1`` and takes no SVD of the pool; its whitened
-    fit, when full rank, is solved by QR (:func:`min_norm_least_squares`),
+    fit, when full rank, is solved by QR (``linalg._min_norm``),
     so such a cell takes no SVD at all.  That transform is the SVD
     whitening rotated, which the minimum-norm fit undoes.  A wide pool
     (whose ``R`` is not square), a singular ``R`` or a failed bound (a
@@ -348,9 +348,10 @@ class _FitContext:
 
 def _mnlr(x, yf, rel_tol: float) -> LinearModel:
     """The minimum-norm fit of float targets ``yf`` with an appended bias
-    column, which MNLR and semi-supervised PFLD share."""
+    column, which MNLR and semi-supervised PFLD share; the fit's arrays and
+    ``rel_tol`` are checked, so it calls the solver's kernel."""
     aug = np.hstack([x, np.ones((x.shape[0], 1))])
-    w = min_norm_least_squares(aug, yf, rel_tol)
+    w = _min_norm(aug, yf, rel_tol)
     return LinearModel(weights=w[:-1], bias=float(w[-1]))
 
 

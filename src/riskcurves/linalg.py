@@ -2,25 +2,29 @@
 squares.
 
 Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
-:func:`thin_svd` and :func:`min_norm_least_squares` first check that a
-matrix is finite, and both handle one with no rows or no columns.  The
-scan is safety code, not a redundant check: LAPACK can loop without end on
-an infinite entry, and an overflow in a caller's arithmetic (the mean of a
-column of ``1.5e308``) reaches it as one.  :func:`_finite_matrix` is the
-package's one such scan; ``learners`` checks its features, models and
-unlabeled pools with it too.  ``rel_tol`` follows the config's number rule
-(``_schema._check``): a finite float > 0, not a bool, with the learner
-specs' messages.
+:func:`thin_svd` and :func:`min_norm_least_squares` handle a matrix with no
+rows or no columns.  :func:`_finite_matrix` is the package's one finiteness
+scan: a sum, and an elementwise scan only to confirm a sum that is not
+finite.  It runs at the public edges (these two functions and ``learners``'
+features, models and unlabeled pools) and before every SVD, as LAPACK can
+loop without end on an infinite entry, and an overflow in a caller's
+arithmetic (the mean of a column of ``1.5e308``) reaches it as one.
+``rel_tol`` follows the config's number rule (``_schema._check``): a finite
+float > 0, not a bool, with the learner specs' messages.
 
-:func:`min_norm_least_squares` solves a full-rank problem by Householder
-QR and takes the SVD only where the rank cutoff can matter.  ``R``, the
-triangular factor of ``a`` (or of ``a^T`` when ``a`` is wide), has the
-singular values of ``a``, so ``bound = ||R||_F ||R^-1||_F`` bounds its
-condition number; when ``rel_tol * bound < 1`` the cutoff keeps every
-direction, the solution is unique, and QR gives it.  Otherwise (an empty
-matrix, a singular ``R``, a bound that is not finite or fails: a
+:func:`min_norm_least_squares` checks its arguments and calls the kernel
+:func:`_min_norm`, which fits call on checked arrays.  It solves a full-rank
+problem by Householder QR and takes the SVD only where the rank cutoff can
+matter.  ``R``, the triangular factor of ``a`` (or of ``a^T`` when ``a`` is
+wide), has the singular values of ``a``, so ``bound = ||R||_F ||R^-1||_F``
+bounds its condition number; when ``rel_tol * bound < 1`` the cutoff keeps
+every direction, the solution is unique, and QR gives it.  Otherwise (an
+empty matrix, a singular ``R``, a bound that is not finite or fails: a
 rank-deficient or ill-conditioned matrix, a coarse ``rel_tol``) the SVD
 solves it and truncates.  :func:`_inverse` gives ``R^-1`` and the bound.
+The QR path needs no scan: it runs a fixed number of steps, and a
+non-finite entry leaves a bound that is not finite, so the SVD's scan
+rejects it.
 
 ``learners`` factors a cell's centred training matrix once and applies
 PFLD's filter ``1/s`` and every ridge filter ``s / (s^2 + lam)`` to that
@@ -82,7 +86,9 @@ def _finite_matrix(a, ndim: int = 2, what: str = "matrix") -> "np.ndarray":
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is confirmed below
+        total = m.sum()
+    if not math.isfinite(total) and not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
     return m
 
@@ -130,7 +136,12 @@ def min_norm_least_squares(a, b, rel_tol: float = DEFAULT_REL_TOL) -> "np.ndarra
     m, rhs = _finite_matrix(a), _finite_matrix(b, 1, "right-hand side")
     if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(f"matrix has {m.shape[0]} rows but right-hand side has {rhs.shape[0]} entries")
-    rel_tol = _check(rel_tol, float, "rel_tol", ValueError, ">", 0)
+    return _min_norm(m, rhs, _check(rel_tol, float, "rel_tol", ValueError, ">", 0))
+
+
+def _min_norm(m, rhs, rel_tol: float) -> "np.ndarray":
+    """:func:`min_norm_least_squares` of a float64 matrix, a right-hand side
+    of one entry per row and a checked ``rel_tol``, none of them scanned."""
     rows, cols = m.shape
     if m.size:  # QR's answer, when its bound certifies that the cutoff truncates nothing
         if rows >= cols:

@@ -219,15 +219,37 @@ def test_spec_with_odd_generator_pool_runs():
     assert all(np.isfinite(p.stats["mnlr"].mean_risk) for p in run_learning_curve(square).points)
 
 
-def test_run_kind_dispatch_guards():
-    with pytest.raises(ValueError):
-        run_learning_curve(_sweep())
-    with pytest.raises(ValueError):
-        run_alpha_curve(_sweep())
-    with pytest.raises(ValueError):
-        run_feature_curve(
-            _sweep(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=8)
-        )
+def test_kind_names_run_a_spec_of_every_kind():
+    # aliases of run_sweep, kept until the benchmark calls run_sweep itself
+    for spec in (
+        _sweep(),
+        _sweep(kind="learning_curve", grid=(4, 8), fixed_n=None, fixed_N=8),
+        _sweep(kind="alpha_curve", grid=(0.5, 1.0), fixed_n=None, fixed_N=8),
+    ):
+        expected = cv.run_sweep(spec, keep_reps=True)
+        for run in (run_feature_curve, run_learning_curve, run_alpha_curve):
+            assert run(spec, keep_reps=True) == expected
+
+
+def test_spec_bounds_training_sizes_and_draws_by_numpys_largest_array():
+    alpha = dict(kind="alpha_curve", fixed_n=None, fixed_N=40, data_source=GaussianSpec())
+    too_many = r"^the training size at alpha=1e\+300 must be < 2\*\*63, got an integer with 302 digits$"
+    with pytest.raises(InvariantViolation, match=too_many):
+        _sweep(grid=(0.5, 1e300), **alpha)
+    with pytest.raises(InvariantViolation, match=r"^the training size at alpha=0\.01 must be >= 2, got 0$"):
+        _sweep(grid=(0.01, 1.0), **alpha)
+    beyond = r"^a rep would draw {} x {} float64 values, beyond numpy's largest array \(2\*\*63 - 1 bytes\)$"
+    with pytest.raises(InvariantViolation, match=beyond.format(4 * 10**18 + 92, 120)):
+        _sweep(grid=(0.5, 1e17), **alpha)
+    # a rep's pool of train_rows + test_size rows, and each unlabeled draw, hold at most 2**63 - 1 bytes
+    one = dict(grid=(1,), data_source=GaussianSpec(dim=1, informative=1))
+    largest = 2**60 - 1  # rows of one float64 column
+    _sweep(test_size=largest - 8, **one)
+    _sweep(learners=(SemiSupPfld(unlabeled_count=largest),), **one)
+    with pytest.raises(InvariantViolation, match=beyond.format(2**60, 1)):
+        _sweep(test_size=largest - 7, **one)
+    with pytest.raises(InvariantViolation, match=beyond.format(2**60, 1)):
+        _sweep(learners=(SemiSupPfld(unlabeled_count=2**60),), **one)
 
 
 # -- the harness -----------------------------------------------------------

@@ -740,6 +740,36 @@ def test_cli_fit_value_error_exits_3_naming_the_cell(tmp_path, monkeypatch, caps
     assert "'mnlr'" in err and "x=2" in err and "rep=0" in err and "must be finite" in err
 
 
+def test_cli_oversized_draws_exit_2(tmp_path, monkeypatch, capsys):
+    import riskcurves.curves as cv
+
+    out = str(tmp_path / "x.csv")
+    alpha = dict(kind="alpha_curve", fixed_n=None, fixed_N=40, data={"source": "gaussian"})
+    # the spec rejects a training size past numpy's largest index and a draw past its largest array
+    for grid, message in (
+        ([0.5, 1e300], "config: the training size at alpha=1e+300 must be < 2**63, got an integer with 302 digits"),
+        ([0.5, 1e17], "config: a rep would draw 4000000000000000094 x 120 float64 values, beyond numpy's largest"),
+    ):
+        cfg = _write_config(tmp_path, grid=grid, **alpha)
+        assert cli_main(["alpha-curve", "--config", str(cfg), "--out-csv", out]) == 2
+        assert message in capsys.readouterr().err
+
+    # a draw numpy allows but the machine cannot hold; the draw is replaced, so nothing is allocated
+    def unallocatable(spec, n):
+        raise MemoryError(f"Unable to allocate 1 PiB for an array with shape ({n}, {spec.dim}) and data type float64")
+
+    monkeypatch.setattr(cv, "gen_two_gaussians", unallocatable)
+    for command, overrides, shape in (
+        ("alpha-curve", dict(grid=[0.5, 1e10], **alpha), "(400000000094, 120)"),
+        ("feature-curve", dict(test_size=10**11), "(100000000006, 8)"),
+    ):
+        cfg = _write_config(tmp_path, **overrides)
+        assert cli_main([command, "--config", str(cfg), "--out-csv", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: the sweep does not fit in memory: Unable to allocate 1 PiB for an array with shape {shape}" in err
+    assert not os.path.exists(out)
+
+
 def test_cli_solver_iteration_cap_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, learners=[{"kind": "max_margin", "max_iters": 1}])
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(tmp_path / "x.csv")]) == 3

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import riskcurves
 from riskcurves import linalg
 from riskcurves._schema import _check
 from riskcurves.errors import ConvergenceFailure, DimensionMismatch
+from riskcurves.learners import LinearModel
 from riskcurves.linalg import min_norm_least_squares, numeric_rank, thin_svd
 
 
@@ -87,18 +89,64 @@ def test_thin_svd_scan_stops_infinite_entries_that_hang_the_svd():
     # matrices, so the cases run in a child process with a timeout: without
     # the finiteness scan, which min_norm_least_squares runs before its QR,
     # this test fails by timing out, not by hanging
+    assert _child_lines(_NON_FINITE_CASES) == [
+        "(3, 3) ValueError ValueError", "(40, 5) ValueError ValueError", "(5, 40) ValueError ValueError",
+        "overflow ValueError",
+    ]
+
+
+def _child_lines(code: str) -> list:
+    """The lines ``code`` prints in a child interpreter that must exit 0 within 60 s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(riskcurves.__file__)), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", _NON_FINITE_CASES], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:-1] == [
-        "(3, 3) ValueError ValueError", "(40, 5) ValueError ValueError", "(5, 40) ValueError ValueError",
-        "overflow ValueError",
-    ]
+    return proc.stdout.split("\n")[:-1]
+
+
+_KERNEL_CASES = """
+import traceback
+import numpy as np
+from riskcurves.linalg import _min_norm
+
+for shape in ((3, 3), (40, 5), (5, 40), (1, 1)):
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.ones(shape)
+        a[-1, 0] = bad
+        try:
+            _min_norm(a, np.ones(shape[0]), 1e-10)
+        except ValueError as exc:
+            print(exc, [frame.name for frame in traceback.extract_tb(exc.__traceback__)][-2:])
+"""
+
+
+def test_min_norm_kernel_leaves_a_non_finite_matrix_to_the_svd_scan():
+    # the kernel scans nothing: its QR runs a fixed number of steps, and a
+    # non-finite entry fails the bound, so the matrix reaches thin_svd's scan
+    assert _child_lines(_KERNEL_CASES) == ["matrix must be finite ['thin_svd', '_finite_matrix']"] * 12
+
+
+def test_finite_scan_passes_entries_whose_sum_overflows():
+    # one sum, and an elementwise scan only to confirm a sum that is not finite
+    big = [[1e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg._finite_matrix(big).tolist() == big
+    assert_allclose(thin_svd(big).s, [np.sqrt(2.0) * 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):  # the QR bound overflows, so the SVD solves it
+        assert_allclose(min_norm_least_squares(np.transpose(big), [1.0, 1.0]), [1e-308])
+    assert LinearModel(weights=big[0], bias=0.0).weights.tolist() == big[0]
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf], [1e308, np.nan]):
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            thin_svd([bad])
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            min_norm_least_squares([bad], [1.0])
+        with pytest.raises(ValueError, match="^right-hand side must be finite$"):
+            min_norm_least_squares(np.eye(2), bad)
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            LinearModel(weights=bad, bias=0.0)
 
 
 def test_thin_svd_wraps_nonconvergence(monkeypatch):
