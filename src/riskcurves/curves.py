@@ -220,8 +220,7 @@ class SweepSpec(_Checked):
             return
         if (need := self._columns()) > src.dim:
             raise GridExceedsDimension(f"the curve needs {need} features but the generator has dim={src.dim}")
-        unlabeled = (spec.unlabeled_count for spec in self.learners if hasattr(spec, "unlabeled_count"))
-        if (rows := max([self.train_rows() + self.test_size, *unlabeled])) * src.dim * 8 > 2**63 - 1:
+        if (rows := max(self.train_rows() + self.test_size, self.unlabeled_rows())) * src.dim * 8 > 2**63 - 1:
             raise InvariantViolation(  # the float64 bytes of a rep's largest draw
                 f"a rep would draw {rows} x {src.dim} float64 values, beyond numpy's largest array (2**63 - 1 bytes)"
             )
@@ -239,6 +238,14 @@ class SweepSpec(_Checked):
     def train_rows(self) -> int:
         """Rows of the per-rep training pool: the largest n on the grid."""
         return max(self._cell(x)[0] for x in self.grid)
+
+    def _unlabeled_counts(self) -> set:
+        """The distinct unlabeled counts of the semi-supervised learners."""
+        return {spec.unlabeled_count for spec in self.learners if hasattr(spec, "unlabeled_count")}
+
+    def unlabeled_rows(self) -> int:
+        """Rows of the per-rep unlabeled draw: the largest unlabeled count, or 0."""
+        return max(self._unlabeled_counts(), default=0)
 
     def _columns(self) -> int:
         """Feature columns the data source must supply: the largest N on the grid."""
@@ -362,20 +369,16 @@ def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
 
 def _gaussian_rows(spec: SweepSpec, max_unlab: int):
     """Per rep, draw a pool of the train rows plus ``test_size`` from
-    ``mix(base_seed, rep)``, gather its stratified train rows
-    (:func:`split_indices` at ``mix(base_seed, rep, SEED_SPLIT)``) and slide
-    its test rows, in order, to the front of the pool; then draw
+    ``mix(base_seed, rep)`` and gather its stratified train and test rows
+    (:func:`split_indices` at ``mix(base_seed, rep, SEED_SPLIT)``); then draw
     ``max_unlab`` unlabeled rows from ``mix(base_seed, rep, SEED_UNLABELED)``."""
     src, train_rows = spec.data_source, spec.train_rows()
 
     def rows(rep: int):
         pool = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep)), train_rows + spec.test_size)
         tr, te = split_indices(pool.y, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
-        x, train_x, train_y, test_y = pool.x, pool.x[tr], pool.y[tr], pool.y[te]
-        # slide each run of test rows over the train rows before it, in order
-        for k, (start, stop) in enumerate(zip(tr + 1, [*tr[1:], len(x)])):
-            x[start - k - 1 : stop - k - 1] = x[start:stop]
-        test_x = x[: len(te)]  # the pool's own array: a rep holds no second copy of it
+        train_x, train_y, test_x, test_y = pool.x[tr], pool.y[tr], pool.x[te], pool.y[te]
+        del pool  # freed before the unlabeled draw
         unlab_x = np.zeros((0, src.dim))
         if max_unlab:
             unlab_x = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep, SEED_UNLABELED)), max_unlab).x
@@ -443,10 +446,10 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     """
     workers = _check(workers, int, "workers", ValueError, ">=", 1)
     labels = [learner.label for learner in spec.learners]
-    counts = {learner.unlabeled_count for learner in spec.learners if hasattr(learner, "unlabeled_count")}
+    counts = spec._unlabeled_counts()
     train_rows, width = spec.train_rows(), spec._columns()
     n_points = len(spec.grid)
-    draw = _REP_ROWS[spec.data_source.source](spec, max(counts, default=0))
+    draw = _REP_ROWS[spec.data_source.source](spec, spec.unlabeled_rows())
 
     def run_rep(rep: int) -> np.ndarray:
         train_x, train_y, test_x, test_y, unlab_x = draw(rep)

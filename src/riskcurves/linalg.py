@@ -4,8 +4,7 @@ squares.
 Matrices are plain 2-D float64 ``numpy`` arrays, vectors 1-D.
 :func:`thin_svd` and :func:`min_norm_least_squares` handle a matrix with no
 rows or no columns.  :func:`_finite_matrix` is the package's one finiteness
-scan: a sum, and an elementwise scan only to confirm a sum that is not
-finite.  It runs at the public edges (these two functions and ``learners``'
+scan.  It runs at the public edges (these two functions and ``learners``'
 features, models and unlabeled pools) and before every SVD, as LAPACK can
 loop without end on an infinite entry, and an overflow in a caller's
 arithmetic (the mean of a column of ``1.5e308``) reaches it as one.
@@ -86,9 +85,7 @@ def _finite_matrix(a, ndim: int = 2, what: str = "matrix") -> "np.ndarray":
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-D, got ndim={m.ndim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is confirmed below
-        total = m.sum()
-    if not math.isfinite(total) and not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
     return m
 
