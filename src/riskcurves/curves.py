@@ -215,6 +215,16 @@ class SweepSpec(_Checked):
             _check(self._cell(x)[0], int, f"the training size at {self.x_name()}={x:g}", InvariantViolation, ">=", 2)
 
     def _validate_source(self):
+        # the sweep's risks and a cell's test scores, in float64 values
+        for name, shape, axes in (
+            ("reps", (len(self.grid), len(self.learners), self.reps), "grid values x learners x reps"),
+            ("test_size", (len(self.learners), self.test_size), "learners x test_size"),
+        ):
+            if math.prod(shape) * 8 > 2**63 - 1:
+                raise InvariantViolation(
+                    f"{name}={shape[-1]} needs an array of {' x '.join(map(str, shape))} float64 values "
+                    f"({axes}), beyond numpy's largest array (2**63 - 1 bytes)"
+                )
         src = self.data_source
         if not isinstance(src, GaussianSpec):  # a CSV's size is checked when the sweep loads it
             return
@@ -349,22 +359,65 @@ class PeakReport:
 # Running sweeps.
 
 
-def _fit_cell(learner, cell, test_x, test_y, metric, x_value, rep):
-    """Risk on ``(test_x, test_y)`` of ``learner`` fit from the context ``cell``."""
-    try:
-        model = fit(learner, cell.x, cell.y, x_unlabeled=cell)
-        return _risk(test_x @ model.weights + model.bias, test_y, metric)
-    except (RiskCurvesError, ValueError) as exc:
-        raise type(exc)(
-            f"learner {learner.label!r} failed at x={x_value:g}, rep={rep}: {exc}"
-        ) from exc
+# A cell scores its test rows in blocks of this many rows.  A BLAS gemv kernel
+# takes a matrix's rows in groups of a fixed power of two and the leftover
+# rows by another loop, which may round differently.  With blocks of a
+# multiple of 256 rows every test row sits at the same place in its group as
+# in one product over the whole test set, so every score and every risk is
+# the same bit for bit.  numpy scores a one-row matrix by a dot product, which
+# rounds unlike gemv, so a lone last row joins the block before it.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(x, index, transform=None):
+    """The rows ``x[index]``, in order, as fresh C-contiguous blocks of
+    ``_BLOCK_ROWS`` rows (the last may have fewer, or one more), each
+    transformed in place by ``transform`` if given."""
+    edges = [*range(0, max(len(index) - 1, 1), _BLOCK_ROWS), len(index)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = x[index[lo:hi]]
+        if transform is not None:
+            transform.apply_in_place(block)
+        yield block
+        del block  # with the caller's reference, before the next block is gathered
+
+
+def _fit_cell(learners, cell, test_blocks, test_y, metric, x_value, rep):
+    """Risks on the test rows of each of ``learners`` fit from the context
+    ``cell``; a failure names the learner and the cell.
+    ``test_blocks(cols)`` yields the cell's columns of the test rows in
+    order, and each model scores every block into its row of one
+    ``(learners, test rows)`` array."""
+    models = []
+    for learner in learners:
+        try:
+            models.append(fit(learner, cell.x, cell.y, x_unlabeled=cell))
+        except (RiskCurvesError, ValueError) as exc:
+            raise type(exc)(
+                f"learner {learner.label!r} failed at x={x_value:g}, rep={rep}: {exc}"
+            ) from exc
+    scores, lo = np.empty((len(models), len(test_y))), 0
+    for block in test_blocks(cell.x.shape[1]):
+        hi = lo + len(block)
+        for j, model in enumerate(models):
+            np.matmul(block, model.weights, out=scores[j, lo:hi])
+        lo = hi
+        del block  # so that a running cell holds one block
+    scores += np.array([model.bias for model in models])[:, None]
+    return _risk(scores, test_y, metric)
 
 
 # Each data source's per-rep draw, keyed in ``_REP_ROWS`` by its ``SOURCES``
 # tag: ``factory(spec, max_unlab)`` runs once per sweep and returns
-# ``rep -> (train_x, train_y, test_x, test_y, unlabeled_x)``, fresh arrays the
-# rep owns.  The draws look up ``gen_two_gaussians`` and ``load_csv`` in this
-# module at call time, so a wrapper installed on those names sees every draw.
+# ``rep -> (train_x, train_y, test_blocks, test_y, unlabeled_x)``.  The
+# arrays are fresh ones the rep owns; each call of ``test_blocks(cols)``
+# yields the first ``cols`` columns of the test rows in order: a CSV rep
+# gathers them from the loaded matrix as fresh blocks of ``_BLOCK_ROWS`` rows
+# (:func:`_row_blocks`), so it never holds a copy of its test set, and a
+# Gaussian rep, whose test rows are drawn with its train rows, yields a view
+# of its one test array.  The draws look up ``gen_two_gaussians`` and
+# ``load_csv`` in this module at call time, so a wrapper installed on those
+# names sees every draw.
 
 
 def _gaussian_rows(spec: SweepSpec, max_unlab: int):
@@ -382,7 +435,7 @@ def _gaussian_rows(spec: SweepSpec, max_unlab: int):
         unlab_x = np.zeros((0, src.dim))
         if max_unlab:
             unlab_x = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep, SEED_UNLABELED)), max_unlab).x
-        return train_x, train_y, test_x, test_y, unlab_x
+        return train_x, train_y, lambda cols: (test_x[:, :cols],), test_y, unlab_x
 
     return rows
 
@@ -393,8 +446,10 @@ def _csv_rows(spec: SweepSpec, max_unlab: int):
     :func:`split_indices`; where rows are left over, split the test part
     again at ``mix(base_seed, rep, SEED_SPLIT, 1)``, whose train part is the
     test set and whose first ``max_unlab`` other rows are the unlabeled pool.
-    Each set is gathered from the loaded matrix once and, with
-    ``standardize``, transformed in place by the train rows' statistics."""
+    The train and unlabeled rows are gathered from the loaded matrix once,
+    the test rows one block at a time at each cell, in the cell's columns;
+    with ``standardize`` each is transformed in place by the train rows'
+    statistics."""
     src, train_rows, width = spec.data_source, spec.train_rows(), spec._columns()
     full = load_csv(src.path, src.label_column, src.positive_label)
     if full.n_features < width:
@@ -412,12 +467,17 @@ def _csv_rows(spec: SweepSpec, max_unlab: int):
             keep, rest = split_indices(full.y[te], spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1))
             te, un = te[keep], te[rest[:max_unlab]]
         # each fancy index gathers a fresh array, standardized in place
-        train_x, test_x, unlab_x = full.x[tr], full.x[te], full.x[un]
+        train_x, unlab_x, tf = full.x[tr], full.x[un], None
         if src.standardize:
             tf = ColumnTransform.fit(train_x)
-            for x in (train_x, test_x, unlab_x):
+            for x in (train_x, unlab_x):
                 tf.apply_in_place(x)
-        return train_x, full.y[tr], test_x, full.y[te], unlab_x
+
+        def test_blocks(cols):  # the cell's columns only: on a feature curve, every column took twice as long
+            cut = None if tf is None else ColumnTransform(mean=tf.mean[:cols], scale=tf.scale[:cols])
+            return _row_blocks(full.x[:, :cols], te, cut)
+
+        return train_x, full.y[tr], test_blocks, full.y[te], unlab_x
 
     return rows
 
@@ -440,6 +500,15 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     count, before the rep's first cell, and each cell reads the leading
     block of its factor and of the factor's inverse (a subsampled cell
     pools and factors its own rows).
+
+    Each cell (:func:`_fit_cell`) scores its learners as soon as they are
+    fit, in one pass over the rep's test rows: a CSV rep gathers the cell's
+    columns of them afresh for each cell, ``_BLOCK_ROWS`` (256) rows at a
+    time, and standardizes each block in place.  So a running CSV rep holds
+    one block and the cell's ``learners x test_size`` scores, never a copy of
+    its ``test_size x dim`` test set; as 256 is a multiple of any row group a
+    BLAS gemv kernel takes, every risk is bit for bit that of scoring the
+    whole test set at once.
     Reps run on one BLAS thread (as does any thread calling BLAS
     meanwhile), then the caller's count is restored; ``workers`` runs reps
     in parallel, and no output byte depends on either.
@@ -452,7 +521,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     draw = _REP_ROWS[spec.data_source.source](spec, spec.unlabeled_rows())
 
     def run_rep(rep: int) -> np.ndarray:
-        train_x, train_y, test_x, test_y, unlab_x = draw(rep)
+        train_x, train_y, test_blocks, test_y, unlab_x = draw(rep)
         out = np.empty((n_points, len(labels)))
         pool = _Pool(train_x[:, :width], unlab_x[:, :width])
         try:  # before the cells: factored amid their arrays, the kept factors raised peak RSS by 1.5 MiB
@@ -468,10 +537,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
                 unlabeled = unlab_x[:, :cols]
             # contiguous, as BLAS may round differently on a strided view
             cell = _FitContext(np.ascontiguousarray(train_x[rows, :cols]), train_y[rows], unlabeled)
-            for li, learner in enumerate(spec.learners):
-                out[pi, li] = _fit_cell(
-                    learner, cell, test_x[:, :cols], test_y, spec.risk_metric, float(x_val), rep
-                )
+            out[pi] = _fit_cell(spec.learners, cell, test_blocks, test_y, spec.risk_metric, float(x_val), rep)
             del cell  # the cell's factorization goes before the next cell's
         return out
 

@@ -429,12 +429,13 @@ def decision_values(model: LinearModel, x) -> "np.ndarray":
     return xm @ model.weights + model.bias
 
 
-def _risk(values: "np.ndarray", y: "np.ndarray", metric: str) -> float:
-    """Risk of decision ``values`` (or of labels) against +-1 labels ``y``,
-    unchecked: the rate of ``sign(values) != y`` (sign(0) = +1) or the squared loss."""
+def _risk(values: "np.ndarray", y: "np.ndarray", metric: str) -> "np.ndarray":
+    """Risks along the last axis of decision ``values`` (or of labels) against
+    +-1 labels ``y``, unchecked: the rate of ``sign(values) != y`` (sign(0) =
+    +1) or the squared loss; one numpy float for 1-D ``values``."""
     if metric == "zero_one":
-        return np.count_nonzero((values >= 0.0) != (y > 0)) / len(y)
-    return float(np.mean((values - y) ** 2))
+        return np.count_nonzero((values >= 0.0) != (y > 0), axis=-1) / len(y)
+    return np.mean((values - y) ** 2, axis=-1)
 
 
 def predict(model: LinearModel, x) -> "np.ndarray":
@@ -450,7 +451,7 @@ def zero_one_risk(pred, truth) -> float:
         raise DimensionMismatch(
             f"label sequences must have equal positive length, got {p.shape[0]} and {t.shape[0]}"
         )
-    return _risk(p, t, "zero_one")
+    return float(_risk(p, t, "zero_one"))
 
 
 def squared_risk(values, targets) -> float:
@@ -461,4 +462,4 @@ def squared_risk(values, targets) -> float:
         raise DimensionMismatch(
             f"value sequences must have equal positive length, got {v.shape} and {t.shape}"
         )
-    return _risk(v, t, "squared")
+    return float(_risk(v, t, "squared"))

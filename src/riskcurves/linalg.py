@@ -165,7 +165,8 @@ def _inverse(r):
         inverse = np.linalg.inv(r)  # the LU of a triangular r is r: a back substitution, upper triangular
     except np.linalg.LinAlgError:
         return None, math.inf
-    bound = float(np.linalg.norm(r) * np.linalg.norm(inverse))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 overflow the norms: no bound
+        bound = float(np.linalg.norm(r) * np.linalg.norm(inverse))
     return (inverse, bound) if math.isfinite(bound) else (None, math.inf)
 
 

@@ -183,7 +183,10 @@ def test_spec_rejects_bad_counts_and_metric():
             _sweep(**bad)
     with pytest.raises(InvariantViolation, match="^learners must be a sequence, got 5$"):
         _sweep(learners=5)
-    assert _sweep(reps=2**63 - 1).reps == 2**63 - 1
+    # the largest reps whose 3 x 1 x reps risks fit numpy's largest array; 2**63 - 1 passes the count rule, not that
+    assert _sweep(reps=(2**63 - 1) // 24).reps == (2**63 - 1) // 24
+    with pytest.raises(InvariantViolation, match=r"^reps=9223372036854775807 needs an array of 3 x 1 x "):
+        _sweep(reps=2**63 - 1)
 
 
 def test_spec_stores_numpy_integers_as_plain_ints(tmp_path):
@@ -245,6 +248,22 @@ def test_spec_bounds_training_sizes_and_draws_by_numpys_largest_array():
         _sweep(test_size=largest - 7, **one)
     with pytest.raises(InvariantViolation, match=beyond.format(2**60, 1)):
         _sweep(learners=(SemiSupPfld(unlabeled_count=2**60),), **one)
+    # the sweep's risks, grid values x learners x reps float64 values, and a cell's scores, learners x
+    # test_size, likewise; 3 x 3 learners take 72 bytes a rep, 9 learners 72 bytes a test row, more than a
+    # drawn row's 8 columns, so these bounds are met before the draw's
+    csv = CsvSource(path="absent.csv", label_column="label", positive_label="pos")
+    count = (2**63 - 1) // 72 + 1
+    for name, learners, shape, axes in (
+        ("reps", (Mnlr(), Pfld(), Ridge(lam=1.0)), "3 x 3", "grid values x learners x reps"),
+        ("test_size", tuple(Ridge(lam=float(k), name=f"r{k}") for k in range(1, 10)), "9", "learners x test_size"),
+    ):
+        for source in (GaussianSpec(dim=8, informative=3), csv):
+            _sweep(data_source=source, learners=learners, **{name: count - 1})
+            with pytest.raises(InvariantViolation, match=(
+                rf"^{name}={count} needs an array of {shape} x {count} float64 values \({axes}\), "
+                r"beyond numpy's largest array \(2\*\*63 - 1 bytes\)$"
+            )):
+                _sweep(data_source=source, learners=learners, **{name: count})
 
 
 # -- the harness -----------------------------------------------------------
@@ -525,6 +544,19 @@ def _semisup_csv(tmp_path):
     return CsvSource(path=str(path), label_column="label", positive_label="pos")
 
 
+def _record_fits(monkeypatch):
+    """``{(label, x_value, rep): model}`` of every fit ``run_sweep`` makes, filled as it runs."""
+    models, real_fit_cell = {}, cv._fit_cell
+
+    def recording(learners, cell, test_blocks, test_y, metric, x_value, rep):
+        for learner in learners:
+            models[learner.label, x_value, rep] = fit(learner, cell.x, cell.y, x_unlabeled=cell)
+        return real_fit_cell(learners, cell, test_blocks, test_y, metric, x_value, rep)
+
+    monkeypatch.setattr(cv, "_fit_cell", recording)
+    return models
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("source", ["gaussian", "csv"])
 def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path, source, workers):
@@ -533,13 +565,7 @@ def test_sweep_semisup_equals_fit_on_each_cells_own_arrays(monkeypatch, tmp_path
     semisups = (SemiSupPfld(unlabeled_count=3), SemiSupPfld(unlabeled_count=20))
     data_source = GaussianSpec(dim=8, informative=3, separation=1.5) if source == "gaussian" else _semisup_csv(tmp_path)
     spec = _sweep(grid=(2, 5, 8), learners=semisups, data_source=data_source, fixed_n=10, test_size=60)
-    models, real_fit_cell = {}, cv._fit_cell
-
-    def recording(learner, cell, test_x, test_y, metric, x_value, rep):
-        models[learner.label, x_value, rep] = fit(learner, cell.x, cell.y, x_unlabeled=cell)
-        return real_fit_cell(learner, cell, test_x, test_y, metric, x_value, rep)
-
-    monkeypatch.setattr(cv, "_fit_cell", recording)
+    models = _record_fits(monkeypatch)
     result = cv.run_sweep(spec, keep_reps=True, workers=workers)
     for rep in range(spec.reps):
         train_x, train_y, test_x, test_y, unlab = _rep_arrays(spec, rep, 20)
@@ -597,22 +623,97 @@ def test_every_source_has_a_per_rep_draw():
     assert set(cv._REP_ROWS) == set(data.SOURCES)
 
 
-@pytest.mark.parametrize("source", ["gaussian", "csv"])
+def _blocks_csv(tmp_path):
+    """A CSV of 700 rows and 30 feature columns: enough for a test set of 600 after 10 train rows."""
+    rng = np.random.default_rng(43)
+    lines = [",".join([f"f{j}" for j in range(30)] + ["label"])]
+    for i in range(700):
+        vals = rng.normal(0.5 if i % 2 else -0.5, 1.3, size=30)
+        lines.append(",".join([*(f"{v:.6f}" for v in vals), "pos" if i % 2 else "neg"]))
+    path = tmp_path / "blocks.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return CsvSource(path=str(path), label_column="label", positive_label="pos")
+
+
+def _blocks_source(tmp_path, source):
+    if source == "gaussian":
+        return GaussianSpec(dim=30, informative=3, separation=1.5)
+    return replace(_blocks_csv(tmp_path), standardize=source == "csv")
+
+
+@pytest.mark.parametrize("source", ["gaussian", "csv", "raw_csv"])
 def test_rep_draws_are_arrays_of_their_own(tmp_path, source):
-    # a rep may write its arrays in place, as a CSV rep standardizes them
-    data_source = GaussianSpec(dim=8, informative=3, separation=1.5) if source == "gaussian" else _semisup_csv(tmp_path)
-    spec = _sweep(grid=(2, 5, 8), data_source=data_source, fixed_n=10, test_size=60)
+    # a rep may write its arrays and its test blocks in place, as a CSV rep standardizes them
+    data_source = _blocks_source(tmp_path, source)
+    spec = _sweep(grid=(2, 5, 8), data_source=data_source, fixed_n=10, test_size=600)
     draw = cv._REP_ROWS[data_source.source](spec, 5)
-    first = draw(0)
-    assert [(a.shape, a.dtype) for a in first] == [
-        ((10, 8), np.float64), ((10,), np.int64), ((60, 8), np.float64), ((60,), np.int64), ((5, 8), np.float64),
-    ]
-    for i, a in enumerate(first):
-        assert a.flags.c_contiguous and a.flags.writeable
-        assert not any(np.shares_memory(a, b) for b in first[i + 1 :])
-    # a second draw of the rep, and the reference draw, are the same bytes
-    for again in (draw(0), _rep_arrays(spec, 0, 5)):
-        assert [a.tobytes() for a in first] == [b.tobytes() for b in again]
+    reference = _rep_arrays(spec, 0, 5)
+    # a CSV rep's 600 test rows are two full blocks and a partial one, a Gaussian rep's its one test array
+    sizes = [600] if source == "gaussian" else [256, 256, 88]
+    for _ in range(2):  # a second draw of the rep gives the same bytes
+        train_x, train_y, test_blocks, test_y, unlab_x = draw(0)
+        drawn = [train_x, train_y, test_y, unlab_x]
+        assert [(a.shape, a.dtype) for a in drawn] == [
+            ((10, 30), np.float64), ((10,), np.int64), ((600,), np.int64), ((5, 30), np.float64),
+        ]
+        assert [a.tobytes() for a in drawn] == [b.tobytes() for i, b in enumerate(reference) if i != 2]
+        for cols in (30, 8, 30):  # one cell's pass, and the next cells'
+            blocks = list(test_blocks(cols))
+            assert [(b.shape, b.dtype) for b in blocks] == [((k, cols), np.float64) for k in sizes]
+            assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(reference[2][:, :cols]).tobytes()
+            assert source == "gaussian" or all(b.flags.c_contiguous for b in blocks)
+        # a CSV pass gathers fresh blocks; a Gaussian pass yields a view of the rep's own test array again
+        first, second = list(test_blocks(30)), list(test_blocks(30))
+        arrays = [*drawn, *first]
+        if source == "gaussian":
+            assert np.shares_memory(first[0], second[0])
+        else:
+            arrays += second
+        for i, a in enumerate(arrays):
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_row_blocks_start_at_multiples_of_256_and_leave_no_lone_row():
+    # every test row keeps its place in a gemv kernel's row groups, and no
+    # block is one row, which numpy would score by a dot product instead
+    assert cv._BLOCK_ROWS % 256 == 0
+    x = np.arange(700.0)[:, None]
+    for rows, sizes in (
+        (1, [1]), (2, [2]), (255, [255]), (256, [256]), (257, [257]), (258, [256, 2]),
+        (513, [256, 257]), (600, [256, 256, 88]),
+    ):
+        blocks = list(cv._row_blocks(x, np.arange(rows)))
+        assert [len(b) for b in blocks] == sizes
+        assert np.concatenate(blocks).ravel().tolist() == list(range(rows))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("test_size", [60, 256, 257, 600])
+@pytest.mark.parametrize("metric", ["zero_one", "squared"])
+@pytest.mark.parametrize("source", ["gaussian", "csv", "raw_csv"])
+def test_blocked_risks_equal_scoring_the_whole_test_matrix(monkeypatch, tmp_path, source, metric, test_size, workers):
+    # of a CSV's test rows, 60 make one partial block, 256 one full block, 257 a
+    # block with the lone last row, 600 two full blocks and 88 rows; a Gaussian
+    # rep scores its one test array
+    spec = _sweep(
+        grid=(2, 5, 13, 30), data_source=_blocks_source(tmp_path, source), fixed_n=10, test_size=test_size,
+        risk_metric=metric, learners=(Mnlr(), Ridge(lam=0.5), SemiSupPfld(unlabeled_count=6)),
+    )
+    models = _record_fits(monkeypatch)
+    result = cv.run_sweep(spec, keep_reps=True, workers=workers)
+    with linalg.single_blas_thread:  # as the sweep scores
+        for rep in range(spec.reps):
+            _, _, test_x, test_y, _ = _rep_arrays(spec, rep, 6)
+            for pi, cols in enumerate(spec.grid):
+                for learner in spec.learners:
+                    model = models[learner.label, float(cols), rep]
+                    scores = test_x[:, :cols] @ model.weights + model.bias
+                    if metric == "zero_one":
+                        whole = zero_one_risk(np.where(scores >= 0.0, 1, -1), test_y)
+                    else:
+                        whole = squared_risk(scores, test_y)
+                    assert result.rep_risks[learner.label][pi][rep] == whole
 
 
 def test_csv_source_sweep(tmp_path):
@@ -680,28 +781,50 @@ def test_csv_leftover_pool_matches_standardize_then_slice(tmp_path):
     assert alone.rep_risks["mnlr"] == run_feature_curve(spec, keep_reps=True).rep_risks["mnlr"]
 
 
-def test_csv_sweep_holds_the_matrix_about_once(tmp_path):
-    # a rep gathers its train, test and unlabeled rows once each, so the
-    # sweep's peak is the load's, not a copy of every row beyond the train pool
+def _wide_csv(tmp_path):
+    """``(path, matrix bytes)`` of a 4000 x 30 CSV of standard normal features."""
     rng = np.random.default_rng(37)
     values = rng.standard_normal((4000, 30))
     lines = [",".join([f"f{j}" for j in range(30)] + ["cls"])]
     lines += [",".join([*map(repr, row.tolist()), "pq"[i % 2]]) for i, row in enumerate(values)]
     path = tmp_path / "wide.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), values.nbytes
+
+
+def _traced_peak(spec, workers=1) -> int:
+    """The tracemalloc peak of ``run_sweep(spec)``, in bytes."""
+    tracemalloc.start()
+    try:
+        cv.run_sweep(spec, workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_sweep_holds_the_matrix_about_once(tmp_path):
+    # a rep gathers its train and unlabeled rows once each, so the sweep's
+    # peak is the load's, not a copy of every row beyond the train pool
+    path, nbytes = _wide_csv(tmp_path)
     for standardize_rows in (True, False):
-        source = CsvSource(path=str(path), label_column="cls", positive_label="p", standardize=standardize_rows)
+        source = CsvSource(path=path, label_column="cls", positive_label="p", standardize=standardize_rows)
         spec = _sweep(
             grid=(5, 10, 30), data_source=source, fixed_n=10, test_size=50, reps=2,
             learners=(Mnlr(), SemiSupPfld(unlabeled_count=20)),
         )
-        tracemalloc.start()
-        try:
-            cv.run_sweep(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * values.nbytes, (standardize_rows, peak / values.nbytes)
+        peak = _traced_peak(spec)
+        assert peak <= 2 * nbytes, (standardize_rows, peak / nbytes)
+
+
+@pytest.mark.parametrize("workers, bound", [(1, 1.6), (2, 2.2)])
+def test_csv_sweep_scores_its_test_rows_without_copying_them(tmp_path, workers, bound):
+    # 3900 of the 4000 rows are each rep's test set: a running rep holds one
+    # block of them and a cell's scores, not a copy of the test set
+    path, nbytes = _wide_csv(tmp_path)
+    source = CsvSource(path=path, label_column="cls", positive_label="p")
+    spec = _sweep(grid=(5, 10, 30), data_source=source, fixed_n=10, test_size=3900, reps=2)
+    peak = _traced_peak(spec, workers)
+    assert peak <= bound * nbytes, peak / nbytes
 
 
 def test_cell_rule_per_kind():

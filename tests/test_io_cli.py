@@ -753,6 +753,20 @@ def test_cli_oversized_draws_exit_2(tmp_path, monkeypatch, capsys):
         cfg = _write_config(tmp_path, grid=grid, **alpha)
         assert cli_main(["alpha-curve", "--config", str(cfg), "--out-csv", out]) == 2
         assert message in capsys.readouterr().err
+    # and the sweep's risks (grid values x learners x reps) and a cell's scores (learners x test_size) past it, from
+    # either source
+    csv = {"source": "csv", "path": str(tmp_path / "absent.csv"), "label_column": "label", "positive_label": "p"}
+    two = [{"kind": "mnlr"}, {"kind": "pfld"}]
+    for overrides, message in (
+        (dict(reps=2**62), "config: reps=4611686018427387904 needs an array of 3 x 1 x 4611686018427387904 float64"),
+        (dict(reps=2**62, data=csv), "config: reps=4611686018427387904 needs an array of 3 x 1 x 4611686018427387904"),
+        (dict(test_size=2**60, learners=two), "config: test_size=1152921504606846976 needs an array of 2 x 1152921504"),
+        (dict(test_size=2**60, learners=two, data=csv), "config: test_size=1152921504606846976 needs an array of 2 x 1"),
+    ):
+        cfg = _write_config(tmp_path, **overrides)
+        assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "beyond numpy's largest array (2**63 - 1 bytes)" in err and "Traceback" not in err
 
     # a draw numpy allows but the machine cannot hold; the draw is replaced, so nothing is allocated
     def unallocatable(spec, n):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +132,8 @@ def test_finite_scan_passes_large_entries_and_rejects_non_finite_ones():
     big = [[1e308, 1e308]]  # finite entries whose sum overflows
     assert linalg._finite_matrix(big).tolist() == big
     assert_allclose(thin_svd(big).s, [np.sqrt(2.0) * 1e308])
-    with np.errstate(over="ignore", invalid="ignore"):  # the QR bound overflows, so the SVD solves it
+    with warnings.catch_warnings():  # the QR bound overflows, silently, so the SVD solves it
+        warnings.simplefilter("error")
         assert_allclose(min_norm_least_squares(np.transpose(big), [1.0, 1.0]), [1e-308])
     assert LinearModel(weights=big[0], bias=0.0).weights.tolist() == big[0]
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf], [1e308, np.nan]):
