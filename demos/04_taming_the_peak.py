@@ -12,8 +12,6 @@
 # system [X, 1] is square at N + 1 = n, so the peak itself sits at
 # N = n - 1 = 39; N = 40 is one feature past it, still near the top.
 
-from dataclasses import replace
-
 import numpy as np
 
 import riskcurves as rc
@@ -39,10 +37,10 @@ def paired_summary(name, base, other):
 
 risks = {"mnlr": [], "ridge": [], "augmented": [], "pfld": [], "semisup": []}
 for rep in range(REPS):
-    pool = rc.gen_two_gaussians(replace(DATA, seed=mix(SEED, rep)), N + TEST)
+    pool = rc.gen_two_gaussians(DATA, N + TEST, mix(SEED, rep))
     tr, te = split_indices(pool.y, N, mix(SEED, rep, SEED_SPLIT))
     train, test = rc.Dataset(pool.x[tr], pool.y[tr]), rc.Dataset(pool.x[te], pool.y[te])
-    unlabeled = rc.gen_two_gaussians(replace(DATA, seed=mix(SEED, rep, 2)), 400).x
+    unlabeled = rc.gen_two_gaussians(DATA, 400, mix(SEED, rep, 2)).x
 
     def risk(model, test_set=None):
         ts = test if test_set is None else test_set

@@ -22,8 +22,9 @@ byte-identical data, so per-cell risk differences are attributable to the
 learner alone.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from ._np import np
@@ -34,6 +35,7 @@ from .data import (
     ColumnTransform,
     CsvSource,
     GaussianSpec,
+    _standardize,
     gen_two_gaussians,
     load_csv,
     split_indices,
@@ -132,8 +134,7 @@ class SweepSpec(_Checked):
     A kind sets only the field it pins (``CurveKind._pinned``).  The per-rep
     training pool, the feature columns a data source must supply and the
     interpolation threshold all follow from that rule, and every point must
-    train on at least 2 rows.  Per-rep seeds all derive from ``base_seed``;
-    the seed carried by a Gaussian data source is ignored here.
+    train on at least 2 rows.  Per-rep seeds all derive from ``base_seed``.
 
     Fields are in the order of the result JSON's ``spec`` keys; ``learners``
     and ``data_source`` hold entries ``of`` ``LEARNERS`` and ``SOURCES``.
@@ -369,15 +370,15 @@ class PeakReport:
 _BLOCK_ROWS = 256
 
 
-def _row_blocks(x, index, transform=None):
+def _row_blocks(x, index, prepare=None):
     """The rows ``x[index]``, in order, as fresh C-contiguous blocks of
     ``_BLOCK_ROWS`` rows (the last may have fewer, or one more), each
-    transformed in place by ``transform`` if given."""
+    passed to ``prepare``, which may transform it in place, if given."""
     edges = [*range(0, max(len(index) - 1, 1), _BLOCK_ROWS), len(index)]
     for lo, hi in zip(edges, edges[1:]):
         block = x[index[lo:hi]]
-        if transform is not None:
-            transform.apply_in_place(block)
+        if prepare is not None:
+            prepare(block)
         yield block
         del block  # with the caller's reference, before the next block is gathered
 
@@ -428,13 +429,13 @@ def _gaussian_rows(spec: SweepSpec, max_unlab: int):
     src, train_rows = spec.data_source, spec.train_rows()
 
     def rows(rep: int):
-        pool = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep)), train_rows + spec.test_size)
+        pool = gen_two_gaussians(src, train_rows + spec.test_size, mix(spec.base_seed, rep))
         tr, te = split_indices(pool.y, train_rows, mix(spec.base_seed, rep, SEED_SPLIT))
         train_x, train_y, test_x, test_y = pool.x[tr], pool.y[tr], pool.x[te], pool.y[te]
         del pool  # freed before the unlabeled draw
         unlab_x = np.zeros((0, src.dim))
         if max_unlab:
-            unlab_x = gen_two_gaussians(replace(src, seed=mix(spec.base_seed, rep, SEED_UNLABELED)), max_unlab).x
+            unlab_x = gen_two_gaussians(src, max_unlab, mix(spec.base_seed, rep, SEED_UNLABELED)).x
         return train_x, train_y, lambda cols: (test_x[:, :cols],), test_y, unlab_x
 
     return rows
@@ -449,7 +450,7 @@ def _csv_rows(spec: SweepSpec, max_unlab: int):
     The train and unlabeled rows are gathered from the loaded matrix once,
     the test rows one block at a time at each cell, in the cell's columns;
     with ``standardize`` each is transformed in place by the train rows'
-    statistics."""
+    statistics and checked before it is read (:func:`~.data._standardize`)."""
     src, train_rows, width = spec.data_source, spec.train_rows(), spec._columns()
     full = load_csv(src.path, src.label_column, src.positive_label)
     if full.n_features < width:
@@ -467,15 +468,15 @@ def _csv_rows(spec: SweepSpec, max_unlab: int):
             keep, rest = split_indices(full.y[te], spec.test_size, mix(spec.base_seed, rep, SEED_SPLIT, 1))
             te, un = te[keep], te[rest[:max_unlab]]
         # each fancy index gathers a fresh array, standardized in place
-        train_x, unlab_x, tf = full.x[tr], full.x[un], None
+        train_x, unlab_x, prepare = full.x[tr], full.x[un], None
         if src.standardize:
-            tf = ColumnTransform.fit(train_x)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the rows' check
+                prepare = functools.partial(_standardize, src, rep, ColumnTransform.fit(train_x))
             for x in (train_x, unlab_x):
-                tf.apply_in_place(x)
+                prepare(x)
 
         def test_blocks(cols):  # the cell's columns only: on a feature curve, every column took twice as long
-            cut = None if tf is None else ColumnTransform(mean=tf.mean[:cols], scale=tf.scale[:cols])
-            return _row_blocks(full.x[:, :cols], te, cut)
+            return _row_blocks(full.x[:, :cols], te, prepare)
 
         return train_x, full.y[tr], test_blocks, full.y[te], unlab_x
 

@@ -10,7 +10,7 @@ import csv
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from ._np import np
@@ -69,15 +69,14 @@ class GaussianSpec(_Checked):
     The first ``informative`` coordinates of mu are ``separation/sqrt(k)``
     (so ``||mu|| = separation``), the rest are zero: early features carry
     signal, later ones only add capacity.  The defaults are the config
-    defaults.  ``seed`` is set per rep by the sweep; a result file records
-    it, a config file may not set it.
+    defaults.  The seed of a draw is an argument of
+    :func:`gen_two_gaussians`, set per rep by the sweep.
     """
 
     source: ClassVar[str] = "gaussian"
     dim: int = _param(">=", 1, default=120)
     informative: int = _param(">=", 1, default=10)
     separation: float = _param(">=", 0, default=2.5)
-    seed: int = field(default=0, metadata={"json_only": True})
 
     def __post_init__(self):
         super().__post_init__()
@@ -106,17 +105,18 @@ class CsvSource(_Checked):
 SOURCES = {cls.source: cls for cls in (GaussianSpec, CsvSource)}
 
 
-def gen_two_gaussians(spec: GaussianSpec, n: int) -> Dataset:
-    """Draw n points from Normal(+-mu, I), deterministically: class +1 gets
-    the first ceil(n/2) rows, class -1 the rest.
+def gen_two_gaussians(spec: GaussianSpec, n: int, seed: int = 0) -> Dataset:
+    """Draw n points from Normal(+-mu, I), deterministically in ``seed``:
+    class +1 gets the first ceil(n/2) rows, class -1 the rest.
 
     An odd-n draw equals the first n rows of the (n + 1)-row draw, as the
     generator fills rows in order; a longer draw's prefix is not a shorter
     draw in general, since the class boundary moves with n.  ``n`` is an
-    integer >= 1, checked by the config's number rule.
+    integer >= 1 and ``seed`` an integer with no upper bound (a sweep's
+    reach 2**64 - 1), checked by the config's number rule.
     """
     n = _check(n, int, "n", ValueError, ">=", 1)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(_check(seed, int, "seed"))
     k, half = spec.informative, (n + 1) // 2
     mu = spec.mean_vector()[:k]  # zero in the other columns
     x = rng.standard_normal((n, spec.dim))  # the same stream as one block per class
@@ -281,6 +281,19 @@ class ColumnTransform:
         return cls(mean=x.mean(axis=0), scale=np.where(std > 0.0, std, 1.0))
 
     def apply_in_place(self, x: "np.ndarray") -> None:
-        """Overwrite the float64 array ``x`` with its transform."""
-        x -= self.mean
-        x /= self.scale
+        """Overwrite the float64 array ``x`` (the fit's leading columns) with its transform."""
+        x -= self.mean[: x.shape[1]]
+        x /= self.scale[: x.shape[1]]
+
+
+def _standardize(src: CsvSource, rep: int, tf: ColumnTransform, x: "np.ndarray") -> None:
+    """Transform rows ``x`` of ``src`` in place by ``tf``, fitted on rep ``rep``'s
+    train rows; a value that overflows raises :class:`MalformedCsv` naming its column."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column
+        tf.apply_in_place(x)
+    if not np.isfinite(x).all():
+        with open(src.path, encoding="utf-8-sig", newline="") as fh:
+            names = [h.strip() for h in next(csv.reader(fh))]  # the header load_csv read
+        names.remove(src.label_column)
+        name = names[np.argmin(np.isfinite(x).all(axis=0))]
+        raise MalformedCsv(f"{src.path}: column {name!r} overflows when standardized by the train rows of rep {rep}")

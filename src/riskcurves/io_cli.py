@@ -93,16 +93,14 @@ def _check_keys(d: dict, allowed, where: str):
             raise UnknownKey(f"{where}: unknown key {key!r}")
 
 
-def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool = False):
+def _from_dict(of, entry, where: str, *, tag: str | None = None):
     """Build a schema dataclass from the JSON object ``entry`` at path ``where``.
 
     ``of`` is the class, or with ``tag`` a table in which ``entry[tag]``
     names it; the other keys are the class's ``config_keys``.  A field
     whose metadata names ``of`` (and ``tag``) holds entries read the same
     way: a ``tuple`` field a JSON list of them, a ``dict`` field a
-    label-keyed object of them, any other field one.  A field whose
-    metadata marks it ``json_only`` is a key of result files only: it is
-    accepted when ``json_only`` is true, else unknown.  Errors name the
+    label-keyed object of them, any other field one.  Errors name the
     path of the entry, such as ``config.learners[2]``, and come in this
     order: an unknown key, a missing one, a plain field's own check, a
     nested entry's error, then the rules that relate fields.
@@ -115,7 +113,7 @@ def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool
         if cls is None:
             raise InvariantViolation(f"{where}: {tag} must be one of {', '.join(of)}, got {name!r}")
         entry = {k: v for k, v in entry.items() if k != tag}
-    by_key = _fields_by_key(cls, json_only)
+    by_key = _fields_by_key(cls)
     _check_keys(entry, by_key, where)
     for key, f in by_key.items():
         if key not in entry and f.default is dataclasses.MISSING:
@@ -127,7 +125,7 @@ def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool
         if key not in entry or "of" not in f.metadata:
             continue
         value, at = entry[key], f"{where}.{key}"
-        read = functools.partial(_from_dict, f.metadata["of"], tag=f.metadata.get("tag"), json_only=json_only)
+        read = functools.partial(_from_dict, f.metadata["of"], tag=f.metadata.get("tag"))
         if f.type is tuple:
             value = tuple(read(e, f"{at}[{i}]") for i, e in enumerate(_expect(value, list, at, f"'{key}'")))
         elif f.type is dict:
@@ -139,14 +137,9 @@ def _from_dict(of, entry, where: str, *, tag: str | None = None, json_only: bool
         return cls(**values)
 
 
-def _fields_by_key(cls, json_only: bool = False) -> dict:
-    """The fields of schema class ``cls`` by config key; a ``json_only``
-    field only when ``json_only`` is true."""
-    return {
-        cls.config_keys.get(f.name, f.name): f
-        for f in dataclasses.fields(cls)
-        if json_only or not f.metadata.get("json_only")
-    }
+def _fields_by_key(cls) -> dict:
+    """The fields of schema class ``cls`` by config key."""
+    return {cls.config_keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
 
 
 @contextlib.contextmanager
@@ -179,7 +172,7 @@ def _to_json(value, tag: str | None = None):
     return value
 
 
-def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSpec:
+def _sweep_from_dict(d: dict, where: str) -> SweepSpec:
     """:func:`_from_dict` for a :class:`SweepSpec` under the config's rules:
     ``seed`` is required, the count the kind pins defaults to 40, and
     ``data``, or a ``data`` entry without ``source``, is the Gaussian source."""
@@ -189,7 +182,7 @@ def _sweep_from_dict(d: dict, where: str, *, json_only: bool = False) -> SweepSp
             d.setdefault(kind._pinned, 40)
     if isinstance(data := d.get("data", {}), dict):
         d["data"] = {"source": GaussianSpec.source, **data}
-    spec = _from_dict(SweepSpec, d, where, json_only=json_only)
+    spec = _from_dict(SweepSpec, d, where)
     if "seed" not in d:  # checked last, so that an unknown key is reported first
         raise InvariantViolation(f"{where}: SweepSpec needs 'seed'")
     return spec
@@ -239,14 +232,18 @@ def result_to_json_dict(result: CurveResult) -> dict:
 def result_from_json_dict(d) -> CurveResult:
     """Rebuild a result from the fields of :class:`CurveResult`.
 
-    The spec is read under the config's rules, the per-rep risks are
-    checked here, and the points and per-rep risks must match the spec's
-    grid, learners and reps.
+    The spec is read under the config's rules (an older file's Gaussian
+    ``data`` entry holds a ``seed``, dropped), the per-rep risks are checked
+    here, and the points and per-rep risks must match the spec's grid,
+    learners and reps.
     """
     _expect(d, dict, "result", "the result document")
     _check_keys(d, {f.name for f in dataclasses.fields(CurveResult)}, "result")
-    spec = _sweep_from_dict(_expect(d.get("spec"), dict, "result.spec", "'spec'"), "result.spec", json_only=True)
-    result = _from_dict(CurveResult, {**d, "spec": spec, "rep_risks": None}, "result", json_only=True)
+    spec = _expect(d.get("spec"), dict, "result.spec", "'spec'")
+    if isinstance(data := spec.get("data"), dict) and data.get("source", GaussianSpec.source) == GaussianSpec.source:
+        spec = {**spec, "data": {k: v for k, v in data.items() if k != "seed"}}  # an older file's seed, never read
+    spec = _sweep_from_dict(spec, "result.spec")
+    result = _from_dict(CurveResult, {**d, "spec": spec, "rep_risks": None}, "result")
     labels = sorted(learner.label for learner in spec.learners)
     if len(result.points) != len(spec.grid):
         raise InvariantViolation(f"result.points: {len(result.points)} points for a {len(spec.grid)}-point grid")

@@ -62,7 +62,8 @@ class Mnlr(_LearnerSpec):
     name: str | None = None
 
     def _fit(self, cell):
-        return _mnlr(cell.x, cell.yf, self.rel_tol)
+        w = _mnlr(cell.x, cell.yf, self.rel_tol)
+        return LinearModel(weights=w[:-1], bias=float(w[-1]))
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ class SemiSupPfld(_LearnerSpec):
                 return LinearModel(weights=np.zeros(cols), bias=float(y.mean()))
             transform = f.v[:, :rank] / sigma[:rank]  # d x rank
         whitened = _mnlr((x - mean) @ transform, cell.yf, self.rel_tol)
-        w = transform @ whitened.weights
-        return LinearModel(weights=w, bias=whitened.bias - float(w @ mean))
+        w = transform @ whitened[:-1]
+        return LinearModel(weights=w, bias=float(whitened[-1]) - float(w @ mean))
 
     @property
     def label(self) -> str:
@@ -346,13 +347,11 @@ class _FitContext:
         return self._centred
 
 
-def _mnlr(x, yf, rel_tol: float) -> LinearModel:
-    """The minimum-norm fit of float targets ``yf`` with an appended bias
-    column, which MNLR and semi-supervised PFLD share; the fit's arrays and
-    ``rel_tol`` are checked, so it calls the solver's kernel."""
-    aug = np.hstack([x, np.ones((x.shape[0], 1))])
-    w = _min_norm(aug, yf, rel_tol)
-    return LinearModel(weights=w[:-1], bias=float(w[-1]))
+def _mnlr(x, yf, rel_tol: float) -> "np.ndarray":
+    """The minimum-norm solution, weights then bias, of float targets ``yf``
+    with an appended bias column, which MNLR and semi-supervised PFLD share;
+    the fit's arrays and ``rel_tol`` are checked, so it calls the solver's kernel."""
+    return _min_norm(np.hstack([x, np.ones((x.shape[0], 1))]), yf, rel_tol)
 
 
 # Certified stop of the max-margin solver: (primal - dual) <= GAP_TOL * primal.

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,7 +246,7 @@ def test_c08_random_features_relieve_the_peak(feature_bench):
     base = np.array(result.rep_risks["mnlr"][idx40])
     augmented = []
     for rep in range(REPS):
-        pool = rc.gen_two_gaussians(replace(BENCH, seed=mix(BENCH_SEED, rep)), 40 + TEST_SIZE)
+        pool = rc.gen_two_gaussians(BENCH, 40 + TEST_SIZE, mix(BENCH_SEED, rep))
         tr, te = split_indices(pool.y, 40, mix(BENCH_SEED, rep, SEED_SPLIT))
         tr40 = rc.Dataset(pool.x[tr, :40], pool.y[tr])
         te40 = rc.Dataset(pool.x[te, :40], pool.y[te])

@@ -81,11 +81,11 @@ def _rep_arrays(spec, rep, max_unlab):
     src, n_train = spec.data_source, spec.train_rows()
     split_seed = mix(17, rep, cv.SEED_SPLIT)
     if isinstance(src, GaussianSpec):
-        pool = gen_two_gaussians(replace(src, seed=mix(17, rep)), n_train + spec.test_size)
+        pool = gen_two_gaussians(src, n_train + spec.test_size, mix(17, rep))
         tr, te = split_indices(pool.y, n_train, split_seed)
         unlab = np.zeros((0, src.dim))
         if max_unlab:
-            unlab = gen_two_gaussians(replace(src, seed=mix(17, rep, cv.SEED_UNLABELED)), max_unlab).x
+            unlab = gen_two_gaussians(src, max_unlab, mix(17, rep, cv.SEED_UNLABELED)).x
         return pool.x[tr], pool.y[tr], pool.x[te], pool.y[te], unlab
     full = load_csv(src.path, "label", "pos")
     tr, rest = split_indices(full.y, n_train, split_seed)
@@ -273,8 +273,9 @@ def test_single_point_feature_sweep_matches_manual_run():
     spec = _sweep(grid=(12,), reps=1)
     result = run_feature_curve(spec)
     pool = gen_two_gaussians(
-        GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)),
+        GaussianSpec(dim=12, informative=3, separation=2.0),
         spec.fixed_n + spec.test_size,
+        mix(17, 0),
     )
     tr, te = split_indices(pool.y, spec.fixed_n, mix(17, 0, cv.SEED_SPLIT))
     model = fit(Mnlr(), pool.x[tr], pool.y[tr])
@@ -286,7 +287,7 @@ def test_single_point_learning_sweep_matches_manual_run():
     spec = _sweep(kind="learning_curve", grid=(6,), fixed_n=None, fixed_N=8, reps=1, test_size=94)
     result = run_learning_curve(spec)
     pool = gen_two_gaussians(
-        GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)), 100
+        GaussianSpec(dim=12, informative=3, separation=2.0), 100, mix(17, 0)
     )
     tr, te = split_indices(pool.y, 6, mix(17, 0, cv.SEED_SPLIT))
     rows = tr[subsample_indices(pool.y[tr], 6, mix(17, 0, cv.SEED_SUBSAMPLE, 6))]
@@ -357,12 +358,13 @@ def test_semisup_unlabeled_pool_matches_manual_run():
     spec = _sweep(grid=(12,), reps=1, learners=(SemiSupPfld(unlabeled_count=10),))
     result = run_feature_curve(spec)
     pool = gen_two_gaussians(
-        GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0)), 100
+        GaussianSpec(dim=12, informative=3, separation=2.0), 100, mix(17, 0)
     )
     tr, te = split_indices(pool.y, 8, mix(17, 0, cv.SEED_SPLIT))
     unlab = gen_two_gaussians(
-        GaussianSpec(dim=12, informative=3, separation=2.0, seed=mix(17, 0, cv.SEED_UNLABELED)),
+        GaussianSpec(dim=12, informative=3, separation=2.0),
         10,
+        mix(17, 0, cv.SEED_UNLABELED),
     ).x[:10]
     model = fit(SemiSupPfld(unlabeled_count=10), pool.x[tr], pool.y[tr], x_unlabeled=unlab)
     manual = zero_one_risk(predict(model, pool.x[te]), pool.y[te])
@@ -380,7 +382,7 @@ def test_semisup_odd_pool_is_the_prefix_of_the_next_even_draw(monkeypatch):
     monkeypatch.setattr(cv, "_FitContext", Recording)
     spec = _sweep(reps=1, learners=(SemiSupPfld(unlabeled_count=7),))
     run_feature_curve(spec)
-    eight = gen_two_gaussians(replace(GSPEC, seed=mix(17, 0, cv.SEED_UNLABELED)), 8).x
+    eight = gen_two_gaussians(GSPEC, 8, mix(17, 0, cv.SEED_UNLABELED)).x
     # every cell shares the rep's pool, cut to the widest cell's columns
     assert len(pools) == len(spec.grid) and all(p.shape == (7, max(spec.grid)) for p in pools)
     for pool, cols in zip(pools, spec.grid):
@@ -524,8 +526,8 @@ def test_sweep_semisup_whitens_a_tall_pool_by_the_inverse_of_r(monkeypatch):
 def test_sweep_names_the_rep_of_a_non_finite_unlabeled_pool(monkeypatch):
     real_draw = cv.gen_two_gaussians
 
-    def draw(spec, n):  # the unlabeled draw, the only one of 8 rows, gets a NaN
-        data = real_draw(spec, n)
+    def draw(spec, n, seed):  # the unlabeled draw, the only one of 8 rows, gets a NaN
+        data = real_draw(spec, n, seed)
         return data if n != 8 else SimpleNamespace(x=np.where(np.arange(12) == 5, np.nan, data.x))
 
     monkeypatch.setattr(cv, "gen_two_gaussians", draw)
@@ -593,9 +595,9 @@ def test_semisup_decides_as_mnlr_on_every_tall_cell_and_not_past_the_threshold()
     risks = run_feature_curve(spec, keep_reps=True).rep_risks
     assert risks["mnlr"][:4] == risks[semisup.label][:4]
     assert risks["mnlr"][4] != risks[semisup.label][4]
-    cell = gen_two_gaussians(replace(spec.data_source, seed=8), 40)
-    x, unlabeled = cell.x[:, :20], gen_two_gaussians(replace(spec.data_source, seed=9), 400).x[:, :20]
-    test_x = gen_two_gaussians(replace(spec.data_source, seed=10), 500).x[:, :20]
+    cell = gen_two_gaussians(spec.data_source, 40, 8)
+    x, unlabeled = cell.x[:, :20], gen_two_gaussians(spec.data_source, 400, 9).x[:, :20]
+    test_x = gen_two_gaussians(spec.data_source, 500, 10).x[:, :20]
     expected = decision_values(fit(Mnlr(), x, cell.y), test_x)
     got = decision_values(fit(semisup, x, cell.y, x_unlabeled=unlabeled), test_x)
     assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))

@@ -26,7 +26,7 @@ from riskcurves.errors import (
 
 
 def _spec(**kw):
-    base = dict(dim=6, informative=2, separation=2.0, seed=42)
+    base = dict(dim=6, informative=2, separation=2.0)
     base.update(kw)
     return GaussianSpec(**base)
 
@@ -70,18 +70,18 @@ def _assert_fresh(ds, *inputs):
 
 
 def test_data_steps_return_arrays_of_their_own(tmp_path):
-    pool = gen_two_gaussians(_spec(), 40)
+    pool = gen_two_gaussians(_spec(), 40, 42)
     _assert_fresh(pool)
     _assert_fresh(append_random_features(pool, 3, 1.0, seed=4), pool.x, pool.y)
     _assert_fresh(load_csv(_write(tmp_path, "a,b,cls\n1,2,p\n3,4,q\n"), "cls", "p"))
 
 
 def test_gen_two_gaussians_equals_one_draw_per_class():
-    spec = _spec(seed=9)
+    spec = _spec()
     rng = np.random.default_rng(9)
     mu = spec.mean_vector()
     expected = np.vstack([rng.standard_normal((25, 6)) + mu, rng.standard_normal((25, 6)) - mu])
-    assert gen_two_gaussians(spec, 50).x.tobytes() == expected.tobytes()
+    assert gen_two_gaussians(spec, 50, 9).x.tobytes() == expected.tobytes()
 
 
 def test_gaussian_spec_validation():
@@ -105,40 +105,62 @@ def test_csv_source_validation():
 
 
 def test_gen_deterministic_and_balanced():
-    ds1 = gen_two_gaussians(_spec(), 40)
-    ds2 = gen_two_gaussians(_spec(), 40)
+    ds1 = gen_two_gaussians(_spec(), 40, 42)
+    ds2 = gen_two_gaussians(_spec(), 40, 42)
     assert np.array_equal(ds1.x, ds2.x) and np.array_equal(ds1.y, ds2.y)
     assert int(np.sum(ds1.y == 1)) == 20 and int(np.sum(ds1.y == -1)) == 20
-    assert gen_two_gaussians(_spec(seed=43), 40).x[0, 0] != ds1.x[0, 0]
+    assert gen_two_gaussians(_spec(), 40, 43).x[0, 0] != ds1.x[0, 0]
+
+
+@pytest.mark.parametrize(
+    "seed, pinned",
+    [
+        (0, (1.5399437834664882, -1.6330052263056407, -0.31630015636915454)),
+        (9, (0.6113766263902183, 1.1081138483763397, 1.3924692044318112)),
+        (2**64 - 1, (2.1355500194499677, -0.7300237621334748, -0.004051552597084868)),  # mix's largest seed
+    ],
+)
+def test_gen_seed_argument_draws_what_the_seed_field_drew(seed, pinned):
+    # values of the draw when the seed was a GaussianSpec field, with the same spec and seed
+    ds = gen_two_gaussians(_spec(), 3, seed)
+    assert (ds.x[0, 0], ds.x[2, 1], ds.x[2, 5]) == pinned and ds.y.tolist() == [1, 1, -1]
+    if seed == 0:
+        assert np.array_equal(gen_two_gaussians(_spec(), 3).x, ds.x)  # the default seed
+
+
+def test_gen_seed_follows_the_number_rule():
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            gen_two_gaussians(_spec(), 4, bad)
 
 
 def test_gen_draws_any_size_and_rejects_empty():
-    odd, even = gen_two_gaussians(_spec(), 7), gen_two_gaussians(_spec(), 8)
+    odd, even = gen_two_gaussians(_spec(), 7, 42), gen_two_gaussians(_spec(), 8, 42)
     assert odd.y.tolist() == [1, 1, 1, 1, -1, -1, -1]  # class +1 gets the extra row, first
     assert np.array_equal(odd.x, even.x[:7]) and np.array_equal(odd.y, even.y[:7])
-    one = gen_two_gaussians(_spec(), 1)
+    one = gen_two_gaussians(_spec(), 1, 42)
     assert one.y.tolist() == [1] and np.array_equal(one.x, odd.x[:1])
     with pytest.raises(ValueError):
-        gen_two_gaussians(_spec(), 0)
+        gen_two_gaussians(_spec(), 0, 42)
 
 
 def test_gen_zero_separation_has_chance_bayes_risk():
     spec = _spec(dim=2, informative=1, separation=0.0)
-    ds = gen_two_gaussians(spec, 4)
+    ds = gen_two_gaussians(spec, 4, 42)
     assert ds.n_samples == 4
     assert bayes_risk(spec.mean_vector()) == 0.5
 
 
 def test_gen_class_mean_gap_matches_two_mu():
-    spec = _spec(dim=8, informative=3, separation=1.5, seed=4)
+    spec = _spec(dim=8, informative=3, separation=1.5)
     n = 10_000
-    ds = gen_two_gaussians(spec, n)
+    ds = gen_two_gaussians(spec, n, 4)
     gap = ds.x[ds.y == 1].mean(axis=0) - ds.x[ds.y == -1].mean(axis=0)
     assert np.all(np.abs(gap - 2.0 * spec.mean_vector()) < 4.0 / np.sqrt(n))
 
 
 def test_append_random_features_structure():
-    ds = gen_two_gaussians(_spec(dim=4), 12)
+    ds = gen_two_gaussians(_spec(dim=4), 12, 42)
     out = append_random_features(ds, k=3, sigma=0.5, seed=9)
     assert out.x.shape == (12, 7)
     assert np.array_equal(out.x[:, :4], ds.x)
@@ -151,7 +173,7 @@ def test_append_random_features_structure():
 
 
 def test_append_random_features_moments():
-    ds = gen_two_gaussians(_spec(dim=2, seed=1), 10_000)
+    ds = gen_two_gaussians(_spec(dim=2), 10_000, 1)
     sigma = 2.0
     out = append_random_features(ds, k=2, sigma=sigma, seed=3)
     means = out.x[:, 2:].mean(axis=0)
@@ -159,7 +181,7 @@ def test_append_random_features_moments():
 
 
 def test_append_random_features_validation():
-    ds = gen_two_gaussians(_spec(), 4)
+    ds = gen_two_gaussians(_spec(), 4, 42)
     with pytest.raises(ValueError):
         append_random_features(ds, 0, 1.0, 1)
     with pytest.raises(ValueError):
@@ -167,7 +189,7 @@ def test_append_random_features_validation():
 
 
 def test_split_partitions_all_rows():
-    y = gen_two_gaussians(_spec(seed=8), 30).y
+    y = gen_two_gaussians(_spec(), 30, 8).y
     tr, te = split_indices(y, 11, seed=4)
     assert len(tr) == 11 and len(te) == 19
     assert sorted([*tr, *te]) == list(range(30))  # disjoint, and every row once
@@ -177,7 +199,7 @@ def test_split_partitions_all_rows():
 
 
 def test_split_determinism_and_edges():
-    y = gen_two_gaussians(_spec(seed=8), 30).y
+    y = gen_two_gaussians(_spec(), 30, 8).y
     a1, b1 = split_indices(y, 7, seed=3)
     a2, b2 = split_indices(y, 7, seed=3)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
@@ -190,7 +212,7 @@ def test_split_determinism_and_edges():
 
 
 def test_subsample_stratified():
-    y = gen_two_gaussians(_spec(seed=2), 40).y
+    y = gen_two_gaussians(_spec(), 40, 2).y
     idx = subsample_indices(y, 9, seed=5)
     assert len(idx) == 9
     assert abs(int(np.sum(y[idx] == 1)) - int(np.sum(y[idx] == -1))) <= 1
@@ -348,7 +370,7 @@ def test_load_csv_skips_blank_lines(tmp_path):
 
 
 def test_informative_prefix_bayes_decay():
-    spec = GaussianSpec(dim=12, informative=4, separation=2.0, seed=0)
+    spec = GaussianSpec(dim=12, informative=4, separation=2.0)
     mu = spec.mean_vector()
     risks = [bayes_risk(mu[:m]) for m in range(1, 13)]
     for m, risk in enumerate(risks, start=1):

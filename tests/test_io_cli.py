@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -347,7 +348,7 @@ def test_json_dict_round_trip_preserves_spec_types(tmp_path):
     )
     assert {type(spec) for spec in learners} == set(LEARNERS.values())
     sources = (
-        GaussianSpec(dim=8, informative=2, separation=2.0, seed=11),
+        GaussianSpec(dim=8, informative=2, separation=2.0),
         CsvSource("data.csv", "cls", "p", standardize=False),
     )
     assert {type(source) for source in sources} == set(SOURCES.values())
@@ -385,7 +386,7 @@ def test_result_json_spec_keys_in_order(kind, grid, pinned):
         "kind", "grid", "seed", "learners", *pinned, "test_size", "reps", "risk_metric", "data"
     ]
     assert list(doc["spec"]["learners"][0]) == ["kind", "rel_tol"]
-    assert list(doc["spec"]["data"]) == ["source", "dim", "informative", "separation", "seed"]
+    assert list(doc["spec"]["data"]) == ["source", "dim", "informative", "separation"]
 
 
 def test_result_from_json_rejects_unknown_keys():
@@ -394,6 +395,49 @@ def test_result_from_json_rejects_unknown_keys():
     doc["bogus"] = 1
     with pytest.raises(UnknownKey):
         result_from_json_dict(doc)
+
+
+# A result file written while GaussianSpec had a seed field, which every sweep ignored.
+_SEEDED_RESULT = """{
+  "spec": {
+    "kind": "feature_curve", "grid": [2, 4, 8], "seed": 3, "learners": [{"kind": "mnlr", "rel_tol": 1e-10}],
+    "fixed_n": 6, "test_size": 20, "reps": 2, "risk_metric": "zero_one",
+    "data": {"source": "gaussian", "dim": 8, "informative": 2, "separation": 2.5, "seed": 12345}
+  },
+  "points": [
+    {"x_value": 2.0, "stats": {"mnlr": {"mean_risk": 0.025, "std_risk": 0.03535533905932738,
+      "stderr_risk": 0.025, "min_risk": 0.0, "max_risk": 0.05, "rep_count": 2}}},
+    {"x_value": 4.0, "stats": {"mnlr": {"mean_risk": 0.1, "std_risk": 0.07071067811865475,
+      "stderr_risk": 0.049999999999999996, "min_risk": 0.05, "max_risk": 0.15, "rep_count": 2}}},
+    {"x_value": 8.0, "stats": {"mnlr": {"mean_risk": 0.025, "std_risk": 0.03535533905932738,
+      "stderr_risk": 0.025, "min_risk": 0.0, "max_risk": 0.05, "rep_count": 2}}}
+  ],
+  "provenance": {"base_seed": 3, "version": "0.1.0"}
+}"""
+
+
+def test_result_with_a_gaussian_seed_reads_as_without_it(tmp_path, capsys):
+    seeded = json.loads(_SEEDED_RESULT)
+    plain = json.loads(_SEEDED_RESULT)
+    del plain["spec"]["data"]["seed"]
+    assert result_from_json_dict(seeded) == result_from_json_dict(plain)
+    # a sweep of the same spec computes the same points and writes no seed in its data entry
+    swept = result_to_json_dict(run_sweep(result_from_json_dict(seeded).spec))
+    assert list(swept["spec"]["data"]) == ["source", "dim", "informative", "separation"]
+    assert swept["points"] == plain["points"]
+    reports = []
+    for doc in (seeded, plain):
+        (tmp_path / "r.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "r.json")]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and reports[0].startswith("mnlr: peak_x=4")
+    # the key is no part of a config, nor of a result's CSV source
+    cfg = _write_config(tmp_path, data={"source": "gaussian", "seed": 12345})
+    assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "config.data: unknown key 'seed'" in capsys.readouterr().err
+    seeded["spec"]["data"] = {"source": "csv", "path": "d.csv", "label_column": "y", "positive_label": "p", "seed": 0}
+    with pytest.raises(UnknownKey, match=r"^result\.spec\.data: unknown key 'seed'$"):
+        result_from_json_dict(seeded)
 
 
 def test_emit_json_is_deterministic(tmp_path):
@@ -727,6 +771,28 @@ def test_cli_unreadable_data_csv_exits_4_naming_the_file(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
+def test_cli_standardization_overflow_exits_4_naming_file_column_and_rep(tmp_path):
+    rng = random.Random(5)
+    # finite values whose mean and spread overflow: the train rows fail their check
+    train = [1.7e308 if i % 2 == 0 else -1.7e308 for i in range(80)]
+    # one huge row: in a test set it overflows when divided by the other rows' spread of about 0.3;
+    # a test block is checked before it is scored, where it was once scored silently
+    test = [1.7e308 if i == 7 else rng.uniform(-0.5, 0.5) for i in range(80)]
+    for name, column, rep in (("train.csv", train, 0), ("test.csv", test, 1)):
+        rows = [f"{v!r},{rng.gauss(0.5 - i % 2, 1):.6f},{'pn'[i % 2]}" for i, v in enumerate(column)]
+        (tmp_path / name).write_text("\n".join(["a,b,label", *rows]) + "\n", encoding="utf-8")
+        source = {"source": "csv", "path": name, "label_column": "label", "positive_label": "p"}
+        cfg = _write_config(tmp_path, grid=[1, 2], fixed_n=20, test_size=40, data=source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskcurves", "feature-curve", "--config", str(cfg), "--out-csv", "out.csv"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riskcurves.__file__))),
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == f"riskcurves: error: {name}: column 'a' overflows when standardized by the train rows of rep {rep}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_fit_value_error_exits_3_naming_the_cell(tmp_path, monkeypatch, capsys):
     import riskcurves.curves as cv
 
@@ -769,7 +835,7 @@ def test_cli_oversized_draws_exit_2(tmp_path, monkeypatch, capsys):
         assert message in err and "beyond numpy's largest array (2**63 - 1 bytes)" in err and "Traceback" not in err
 
     # a draw numpy allows but the machine cannot hold; the draw is replaced, so nothing is allocated
-    def unallocatable(spec, n):
+    def unallocatable(spec, n, seed):
         raise MemoryError(f"Unable to allocate 1 PiB for an array with shape ({n}, {spec.dim}) and data type float64")
 
     monkeypatch.setattr(cv, "gen_two_gaussians", unallocatable)

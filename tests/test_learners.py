@@ -482,7 +482,7 @@ def test_max_margin_feature_scaling_keeps_decisions():
 def test_max_margin_equals_pfld_when_every_point_is_a_support_vector(dim, all_support):
     # With every point on the margin the soft-margin fit interpolates
     # y = X w + b with minimum ||w|| and a free bias, which is the pseudo-Fisher fit.
-    ds = gen_two_gaussians(GaussianSpec(dim=dim, informative=10, separation=2.5, seed=40), 40)
+    ds = gen_two_gaussians(GaussianSpec(dim=dim, informative=10, separation=2.5), 40, 40)
     svm = fit(MaxMargin(), ds.x, ds.y)
     margins = ds.y * decision_values(svm, ds.x)
     pfld = fit(Pfld(), ds.x, ds.y)
