@@ -518,12 +518,11 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     labels = [learner.label for learner in spec.learners]
     counts = spec._unlabeled_counts()
     train_rows, width = spec.train_rows(), spec._columns()
-    n_points = len(spec.grid)
     draw = _REP_ROWS[spec.data_source.source](spec, spec.unlabeled_rows())
 
     def run_rep(rep: int) -> np.ndarray:
         train_x, train_y, test_blocks, test_y, unlab_x = draw(rep)
-        out = np.empty((n_points, len(labels)))
+        out = np.empty((len(spec.grid), len(labels)))
         pool = _Pool(train_x[:, :width], unlab_x[:, :width])
         try:  # before the cells: factored amid their arrays, the kept factors raised peak RSS by 1.5 MiB
             for u in counts:
@@ -542,7 +541,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             del cell  # the cell's factorization goes before the next cell's
         return out
 
-    risks = np.empty((n_points, len(labels), spec.reps))
+    risks = np.empty((len(spec.grid), len(labels), spec.reps))
     with single_blas_thread:
         if workers == 1:
             for rep in range(spec.reps):
@@ -554,34 +553,21 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
                 for rep, cell in enumerate(pool.map(run_rep, range(spec.reps))):
                     risks[:, :, rep] = cell
 
-    points = []
-    for pi, g in enumerate(spec.grid):
-        stats = {}
-        for li, label in enumerate(labels):
-            v = risks[pi, li]
-            std = float(np.std(v, ddof=1)) if spec.reps > 1 else 0.0
-            stats[label] = LearnerStats(
-                mean_risk=float(np.mean(v)),
-                std_risk=std,
-                stderr_risk=std / float(np.sqrt(spec.reps)),
-                min_risk=float(np.min(v)),
-                max_risk=float(np.max(v)),
-                rep_count=spec.reps,
-            )
-        points.append(CurvePoint(x_value=float(g), stats=stats))
-
+    # each statistic over the reps axis, which is contiguous: bit for bit that of each cell's 1-D risks
+    std = risks.std(axis=2, ddof=1) if spec.reps > 1 else np.zeros(risks.shape[:2])
+    stats = {"mean_risk": risks.mean(axis=2), "std_risk": std, "stderr_risk": std / np.sqrt(spec.reps),
+             "min_risk": risks.min(axis=2), "max_risk": risks.max(axis=2)}
+    points = tuple(
+        CurvePoint(x_value=float(g), stats={
+            label: LearnerStats(**{k: float(v[pi, li]) for k, v in stats.items()}, rep_count=spec.reps)
+            for li, label in enumerate(labels)
+        })
+        for pi, g in enumerate(spec.grid)
+    )
     rep_risks = None
     if keep_reps:
-        rep_risks = {
-            label: tuple(tuple(float(r) for r in risks[pi, li]) for pi in range(n_points))
-            for li, label in enumerate(labels)
-        }
-    return CurveResult(
-        spec=spec,
-        points=tuple(points),
-        provenance=Provenance(base_seed=spec.base_seed, version=__version__),
-        rep_risks=rep_risks,
-    )
+        rep_risks = {label: tuple(map(tuple, risks[:, li].tolist())) for li, label in enumerate(labels)}
+    return CurveResult(spec, points, Provenance(spec.base_seed, __version__), rep_risks)
 
 
 # Aliases of run_sweep, which runs a spec of any kind; kept until the benchmark calls run_sweep.

@@ -112,11 +112,10 @@ def gen_two_gaussians(spec: GaussianSpec, n: int, seed: int = 0) -> Dataset:
     An odd-n draw equals the first n rows of the (n + 1)-row draw, as the
     generator fills rows in order; a longer draw's prefix is not a shorter
     draw in general, since the class boundary moves with n.  ``n`` is an
-    integer >= 1 and ``seed`` an integer with no upper bound (a sweep's
-    reach 2**64 - 1), checked by the config's number rule.
+    integer >= 1 and ``seed`` :func:`_rng`'s, by the config's number rule.
     """
     n = _check(n, int, "n", ValueError, ">=", 1)
-    rng = np.random.default_rng(_check(seed, int, "seed"))
+    rng = _rng(seed)
     k, half = spec.informative, (n + 1) // 2
     mu = spec.mean_vector()[:k]  # zero in the other columns
     x = rng.standard_normal((n, spec.dim))  # the same stream as one block per class
@@ -127,13 +126,20 @@ def gen_two_gaussians(spec: GaussianSpec, n: int, seed: int = 0) -> Dataset:
 
 
 def append_random_features(ds: Dataset, k: int, sigma: float, seed: int) -> Dataset:
-    """Append k columns of independent Normal(0, sigma^2) noise; ``k`` is an
-    integer >= 1 and ``sigma`` a float > 0, checked by the config's number rule."""
+    """Append k columns of independent Normal(0, sigma^2) noise; ``k`` is an integer
+    >= 1, ``sigma`` a float > 0 and ``seed`` :func:`_rng`'s, by the config's number rule."""
     k = _check(k, int, "k", ValueError, ">=", 1)
     sigma = _check(sigma, float, "sigma", ValueError, ">", 0)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     noise = sigma * rng.standard_normal((ds.n_samples, k))
     return Dataset._own(np.hstack([ds.x, noise]), ds.y)
+
+
+def _rng(seed) -> "np.random.Generator":
+    """numpy's generator of ``seed``, an integer >= 0 with no upper bound (a sweep's reach 2**64 - 1)."""
+    if (seed := _check(seed, int, "seed")) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _stratified_counts(y: "np.ndarray", n_take: int) -> dict[int, int]:
@@ -275,10 +281,10 @@ class ColumnTransform:
 
     @classmethod
     def fit(cls, x: "np.ndarray") -> "ColumnTransform":
-        """Shift by the columns' mean, scale by their std; zero-variance
-        columns are centered but left unscaled."""
+        """Shift by the columns' mean, scale by their std; zero-variance columns are
+        centered but left unscaled, and one whose std overflows scaled by NaN."""
         std = x.std(axis=0)
-        return cls(mean=x.mean(axis=0), scale=np.where(std > 0.0, std, 1.0))
+        return cls(mean=x.mean(axis=0), scale=np.select([std == np.inf, std > 0.0], [np.nan, std], 1.0))
 
     def apply_in_place(self, x: "np.ndarray") -> None:
         """Overwrite the float64 array ``x`` (the fit's leading columns) with its transform."""

@@ -58,6 +58,7 @@ from .errors import (
     RiskCurvesError,
     UnknownKey,
 )
+from .linalg import DEFAULT_REL_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -232,16 +233,18 @@ def result_to_json_dict(result: CurveResult) -> dict:
 def result_from_json_dict(d) -> CurveResult:
     """Rebuild a result from the fields of :class:`CurveResult`.
 
-    The spec is read under the config's rules (an older file's Gaussian
-    ``data`` entry holds a ``seed``, dropped), the per-rep risks are checked
-    here, and the points and per-rep risks must match the spec's grid,
-    learners and reps.
+    The spec is read under the config's rules (an older file's Gaussian ``data``
+    entry holds a ``seed``, dropped, and its learners a ``rel_tol``, see
+    :func:`_without_rel_tol`), the per-rep risks are checked here, and the
+    points and per-rep risks must match the spec's grid, learners and reps.
     """
     _expect(d, dict, "result", "the result document")
     _check_keys(d, {f.name for f in dataclasses.fields(CurveResult)}, "result")
     spec = _expect(d.get("spec"), dict, "result.spec", "'spec'")
     if isinstance(data := spec.get("data"), dict) and data.get("source", GaussianSpec.source) == GaussianSpec.source:
         spec = {**spec, "data": {k: v for k, v in data.items() if k != "seed"}}  # an older file's seed, never read
+    if isinstance(learners := spec.get("learners"), list):  # an older file's rank cutoffs
+        spec = {**spec, "learners": [_without_rel_tol(e, f"result.spec.learners[{i}]") for i, e in enumerate(learners)]}
     spec = _sweep_from_dict(spec, "result.spec")
     result = _from_dict(CurveResult, {**d, "spec": spec, "rep_risks": None}, "result")
     labels = sorted(learner.label for learner in spec.learners)
@@ -267,6 +270,15 @@ def result_from_json_dict(d) -> CurveResult:
             f"result.rep_risks: expected {spec.reps} risks at each of {len(spec.grid)} points for each of {labels}"
         )
     return dataclasses.replace(result, rep_risks=rep_risks)
+
+
+def _without_rel_tol(entry, where: str):
+    """Learner ``entry`` of an older result less its ``rel_tol``, which must be ``DEFAULT_REL_TOL``."""
+    if not isinstance(entry, dict):
+        return entry  # reported by _from_dict
+    if (rel_tol := entry.get("rel_tol", DEFAULT_REL_TOL)) != DEFAULT_REL_TOL:
+        raise InvariantViolation(f"{where}: fitted with rel_tol {rel_tol!r}, not the {DEFAULT_REL_TOL:g} of every fit")
+    return {k: v for k, v in entry.items() if k != "rel_tol"}
 
 
 def load_result(path) -> CurveResult:

@@ -58,11 +58,10 @@ class Mnlr(_LearnerSpec):
     zero."""
 
     kind: ClassVar[str] = "mnlr"
-    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
     def _fit(self, cell):
-        w = _mnlr(cell.x, cell.yf, self.rel_tol)
+        w = _mnlr(cell.x, cell.yf)
         return LinearModel(weights=w[:-1], bias=float(w[-1]))
 
 
@@ -71,17 +70,17 @@ class Pfld(_LearnerSpec):
     """Pseudo-Fisher linear discriminant, the ridgeless limit of ridge: the
     minimum-norm fit of ``[x - mean, 1]``, whose largest singular value is
     ``max(s_1, sqrt(n))`` with ``s`` those of ``x - mean``.  The centring
-    shift is folded into the bias, so the model predicts from raw features;
-    its decisions agree with :class:`Mnlr`'s on class-balanced data."""
+    shift is folded into the bias, so the model predicts from raw features.
+    Its decisions agree with :class:`Mnlr`'s on tall cells of full column rank,
+    where both are the one least-squares fit; on wide cells some differ."""
 
     kind: ClassVar[str] = "pfld"
-    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
     def _fit(self, cell):
         _require_both_classes(cell.y)
         x_mean, y_mean, f, uty = cell.centred()
-        r = np.count_nonzero(f.s > self.rel_tol * max([math.sqrt(len(cell.y)), *f.s[:1]]))
+        r = np.count_nonzero(f.s > DEFAULT_REL_TOL * max([math.sqrt(len(cell.y)), *f.s[:1]]))
         w = f.v[:, :r] @ (uty[:r] / f.s[:r])
         return LinearModel(weights=w, bias=y_mean - float(w @ x_mean))
 
@@ -116,8 +115,8 @@ class SemiSupPfld(_LearnerSpec):
     """Pseudo-Fisher variant that pools unlabeled points into the preprocessing.
 
     Centres on the pooled mean, whitens with the pooled total-covariance SVD
-    truncated at ``rel_tol``, fits MNLR in the whitened coordinates, and
-    composes the transform back so the model predicts from raw features.
+    truncated at ``DEFAULT_REL_TOL``, fits MNLR in the whitened coordinates,
+    and composes the transform back so the model predicts from raw features.
     With no unlabeled points this reproduces :class:`Pfld`'s decisions: the
     truncated whitening is then a bijection on the span of the training data.
 
@@ -128,23 +127,22 @@ class SemiSupPfld(_LearnerSpec):
     the ``R`` of the pool's first N columns, and, ``R`` being upper
     triangular, the block of its inverse is that block's inverse.  By
     interlacing no block is worse conditioned than ``R``, whose condition
-    number is at most ``bound = ||R||_F ||R^-1||_F``; so when ``rel_tol *
-    bound < 1`` the truncation keeps every direction, and the cell whitens
-    with ``sqrt(rows) R_N^-1`` and takes no SVD of the pool; its whitened
-    fit, when full rank, is solved by QR (``linalg._min_norm``),
-    so such a cell takes no SVD at all.  That transform is the SVD
-    whitening rotated, which the minimum-norm fit undoes.  A wide pool
-    (whose ``R`` is not square), a singular ``R`` or a failed bound (a
-    rank-deficient pool, whose truncation matters) whitens by the SVD of
-    ``R``'s leading N columns, as does a pool without feature columns.  A
-    sweep factors the pool once per rep, at the curve's widest cell, for
-    every cell that trains on all the rep's rows, so its risks can differ
-    from a ``fit`` of the cell's own arrays in the last bits.
+    number is at most ``bound = ||R||_F ||R^-1||_F``; so when
+    ``DEFAULT_REL_TOL * bound < 1`` the truncation keeps every direction,
+    and the cell whitens with ``sqrt(rows) R_N^-1`` and takes no SVD of the
+    pool; its whitened fit, when full rank, is solved by QR
+    (``linalg._min_norm``), so such a cell takes no SVD at all.  That
+    transform is the SVD whitening rotated, which the minimum-norm fit
+    undoes.  A wide pool (whose ``R`` is not square), a singular ``R`` or a
+    failed bound (a rank-deficient pool, whose truncation matters) whitens
+    by the SVD of ``R``'s leading N columns, as does a pool without feature
+    columns.  A sweep factors the pool once per rep, at the curve's widest
+    cell, for every cell that trains on all the rep's rows, so its risks can
+    differ from a ``fit`` of the cell's own arrays in the last bits.
     """
 
     kind: ClassVar[str] = "semisup_pfld"
     unlabeled_count: int = _param(">=", 0)
-    rel_tol: float = _param(">", 0, default=DEFAULT_REL_TOL)
     name: str | None = None
 
     def _fit(self, cell):
@@ -154,16 +152,16 @@ class SemiSupPfld(_LearnerSpec):
         rows, mean, r, inverse, bound = cell.pool.factor(self.unlabeled_count)
         cols = x.shape[1]
         mean = mean[:cols]
-        if self.rel_tol * bound < 1:  # full rank, nothing truncated
+        if DEFAULT_REL_TOL * bound < 1:  # full rank, nothing truncated
             transform = np.sqrt(rows) * inverse[:cols, :cols]
         else:
             f = thin_svd(r[:cols, :cols])
             sigma = f.s / np.sqrt(rows)
-            rank = _rank(sigma, self.rel_tol)
+            rank = _rank(sigma, DEFAULT_REL_TOL)
             if rank == 0:  # every pooled point identical: only the bias is learnable
                 return LinearModel(weights=np.zeros(cols), bias=float(y.mean()))
             transform = f.v[:, :rank] / sigma[:rank]  # d x rank
-        whitened = _mnlr((x - mean) @ transform, cell.yf, self.rel_tol)
+        whitened = _mnlr((x - mean) @ transform, cell.yf)
         w = transform @ whitened[:-1]
         return LinearModel(weights=w, bias=float(whitened[-1]) - float(w @ mean))
 
@@ -347,11 +345,11 @@ class _FitContext:
         return self._centred
 
 
-def _mnlr(x, yf, rel_tol: float) -> "np.ndarray":
-    """The minimum-norm solution, weights then bias, of float targets ``yf``
-    with an appended bias column, which MNLR and semi-supervised PFLD share;
-    the fit's arrays and ``rel_tol`` are checked, so it calls the solver's kernel."""
-    return _min_norm(np.hstack([x, np.ones((x.shape[0], 1))]), yf, rel_tol)
+def _mnlr(x, yf) -> "np.ndarray":
+    """The minimum-norm solution, weights then bias, of float targets ``yf`` with
+    an appended bias column, which MNLR and semi-supervised PFLD share; the
+    fit's arrays are checked, so it calls the solver's kernel at ``DEFAULT_REL_TOL``."""
+    return _min_norm(np.hstack([x, np.ones((x.shape[0], 1))]), yf, DEFAULT_REL_TOL)
 
 
 # Certified stop of the max-margin solver: (primal - dual) <= GAP_TOL * primal.

@@ -8,8 +8,6 @@ scan.  It runs at the public edges (these two functions and ``learners``'
 features, models and unlabeled pools) and before every SVD, as LAPACK can
 loop without end on an infinite entry, and an overflow in a caller's
 arithmetic (the mean of a column of ``1.5e308``) reaches it as one.
-``rel_tol`` follows the config's number rule (``_schema._check``): a finite
-float > 0, not a bool, with the learner specs' messages.
 
 :func:`min_norm_least_squares` checks its arguments and calls the kernel
 :func:`_min_norm`, which fits call on checked arrays.  It solves a full-rank

@@ -199,7 +199,7 @@ def test_spec_stores_numpy_integers_as_plain_ints(tmp_path):
 def test_spec_rejects_duplicate_learner_names():
     with pytest.raises(InvariantViolation):
         _sweep(learners=(Mnlr(), Mnlr()))
-    _sweep(learners=(Mnlr(), Mnlr(name="mnlr2", rel_tol=1e-8)))  # ok
+    _sweep(learners=(Mnlr(), Mnlr(name="mnlr2")))  # ok
 
 
 def test_spec_grid_exceeding_generator_dim():

@@ -134,6 +134,23 @@ def test_gen_seed_follows_the_number_rule():
             gen_two_gaussians(_spec(), 4, bad)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: gen_two_gaussians(_spec(), 4, seed),
+        lambda seed: append_random_features(gen_two_gaussians(_spec(), 4), 2, 1.0, seed),
+    ],
+    ids=["gen_two_gaussians", "append_random_features"],
+)
+def test_public_draws_share_one_seed_rule(draw):
+    # an integer >= 0, not a bool; no upper bound, as mix's seeds reach 2**64 - 1
+    for bad in (True, False, 1.0, 1.5, "1", None, -1, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"^seed must be "):
+            draw(bad)
+    for good in (0, np.int64(7), 2**64 - 1, 2**70):
+        assert np.array_equal(draw(good).x, draw(int(good)).x)
+
+
 def test_gen_draws_any_size_and_rejects_empty():
     odd, even = gen_two_gaussians(_spec(), 7, 42), gen_two_gaussians(_spec(), 8, 42)
     assert odd.y.tolist() == [1, 1, 1, 1, -1, -1, -1]  # class +1 gets the extra row, first

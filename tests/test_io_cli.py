@@ -39,6 +39,7 @@ from riskcurves.io_cli import (
     result_to_json_dict,
 )
 from riskcurves.learners import LEARNERS, MaxMargin, Mnlr, Pfld, Ridge, SemiSupPfld
+from riskcurves.linalg import DEFAULT_REL_TOL
 
 
 def _tiny_result(keep_reps=True, learners=(Mnlr(),), grid=(2, 4, 8)):
@@ -105,8 +106,15 @@ def test_config_learner_validation():
     with pytest.raises(InvariantViolation) as err:
         config_from_dict(_minimal_config(learners=[{"kind": "nonsense"}]))
     assert all(kind in str(err.value) for kind in LEARNERS)
-    with pytest.raises(UnknownKey):
-        config_from_dict(_minimal_config(learners=[{"kind": "mnlr", "tol": 1e-3}]))
+    for bad in (  # every fit truncates at DEFAULT_REL_TOL, so no learner has a rel_tol
+        {"kind": "mnlr", "tol": 1e-3},
+        {"kind": "mnlr", "rel_tol": True},
+        {"kind": "mnlr", "rel_tol": "0.001"},
+        {"kind": "pfld", "rel_tol": 1e-10},
+        {"kind": "semisup_pfld", "unlabeled_count": 2, "rel_tol": 1e-10},
+    ):
+        with pytest.raises(UnknownKey, match=r"^config\.learners\[0\]: unknown key '(rel_)?tol'$"):
+            config_from_dict(_minimal_config(learners=[bad]))
     with pytest.raises(UnknownKey):  # the exact solver has no step size
         config_from_dict(_minimal_config(learners=[{"kind": "max_margin", "step_decay": 1.0}]))
     with pytest.raises(InvariantViolation):
@@ -120,8 +128,6 @@ def test_config_learner_validation():
         with pytest.raises(InvariantViolation, match="config: the configuration must be dict"):
             config_from_dict(not_an_object)
     for bad in (
-        {"kind": "mnlr", "rel_tol": True},
-        {"kind": "mnlr", "rel_tol": "0.001"},
         {"kind": "semisup_pfld", "unlabeled_count": 2.5},
         {"kind": "ridge", "lambda": True},
     ):
@@ -340,10 +346,10 @@ def test_json_round_trip_equality(tmp_path):
 
 def test_json_dict_round_trip_preserves_spec_types(tmp_path):
     learners = (
-        Mnlr(rel_tol=1e-8, name="m"),
-        Pfld(rel_tol=1e-9, name="p"),
+        Mnlr(name="m"),
+        Pfld(name="p"),
         Ridge(lam=0.25, name="r"),
-        SemiSupPfld(unlabeled_count=4, rel_tol=1e-8, name="s"),
+        SemiSupPfld(unlabeled_count=4, name="s"),
         MaxMargin(c=7.0, max_iters=500, name="mm"),
     )
     assert {type(spec) for spec in learners} == set(LEARNERS.values())
@@ -385,7 +391,7 @@ def test_result_json_spec_keys_in_order(kind, grid, pinned):
     assert list(doc["spec"]) == [
         "kind", "grid", "seed", "learners", *pinned, "test_size", "reps", "risk_metric", "data"
     ]
-    assert list(doc["spec"]["learners"][0]) == ["kind", "rel_tol"]
+    assert list(doc["spec"]["learners"][0]) == ["kind"]
     assert list(doc["spec"]["data"]) == ["source", "dim", "informative", "separation"]
 
 
@@ -438,6 +444,41 @@ def test_result_with_a_gaussian_seed_reads_as_without_it(tmp_path, capsys):
     seeded["spec"]["data"] = {"source": "csv", "path": "d.csv", "label_column": "y", "positive_label": "p", "seed": 0}
     with pytest.raises(UnknownKey, match=r"^result\.spec\.data: unknown key 'seed'$"):
         result_from_json_dict(seeded)
+
+
+def test_result_with_the_default_rel_tol_reads_as_without_it(tmp_path, capsys):
+    # an older file's learner entries record the rank cutoff, which is DEFAULT_REL_TOL for every fit
+    plain = json.loads(_SEEDED_RESULT)
+    assert plain["spec"]["learners"][0].pop("rel_tol") == DEFAULT_REL_TOL
+    assert result_from_json_dict(json.loads(_SEEDED_RESULT)) == result_from_json_dict(plain)
+    # a file fitted with another cutoff holds risks no fit of this package gives
+    for rel_tol in (1e-8, True, "1e-10"):
+        doc = json.loads(_SEEDED_RESULT)
+        doc["spec"]["learners"][0]["rel_tol"] = rel_tol
+        with pytest.raises(InvariantViolation, match=r"^result\.spec\.learners\[0\]: fitted with rel_tol "):
+            result_from_json_dict(doc)
+    (tmp_path / "r.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["report", "--in", str(tmp_path / "r.json")]) == 4
+    assert "result.spec.learners[0]: fitted with rel_tol '1e-10'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"kind": "mnlr"}, {"kind": "pfld"}, {"kind": "semisup_pfld", "unlabeled_count": 2}],
+    ids=["mnlr", "pfld", "semisup_pfld"],
+)
+def test_each_minimum_norm_learner_reads_its_old_rel_tol(entry):
+    # every kind that once had the field: 1e-10 is dropped and written back without it, 1e-8 refused
+    plain = json.loads(_SEEDED_RESULT)
+    plain["spec"]["learners"] = [{**entry, "name": "mnlr"}]
+    old = json.loads(json.dumps(plain))
+    old["spec"]["learners"][0]["rel_tol"] = 1e-10
+    result = result_from_json_dict(old)
+    assert result == result_from_json_dict(plain)
+    assert result_to_json_dict(result)["spec"]["learners"] == [{**entry, "name": "mnlr"}]
+    old["spec"]["learners"][0]["rel_tol"] = 1e-8
+    with pytest.raises(InvariantViolation, match=r"^result\.spec\.learners\[0\]: fitted with rel_tol 1e-08"):
+        result_from_json_dict(old)
 
 
 def test_emit_json_is_deterministic(tmp_path):
@@ -778,7 +819,10 @@ def test_cli_standardization_overflow_exits_4_naming_file_column_and_rep(tmp_pat
     # one huge row: in a test set it overflows when divided by the other rows' spread of about 0.3;
     # a test block is checked before it is scored, where it was once scored silently
     test = [1.7e308 if i == 7 else rng.uniform(-0.5, 0.5) for i in range(80)]
-    for name, column, rep in (("train.csv", train, 0), ("test.csv", test, 1)):
+    # values that separate the classes, but whose spread overflows to inf: dividing by it once
+    # standardized the column to 0 without an error, and MNLR's mean risk at N = 1 read 0.5
+    spread = [1e200 if i % 2 == 0 else -1e200 for i in range(80)]
+    for name, column, rep in (("train.csv", train, 0), ("test.csv", test, 1), ("spread.csv", spread, 0)):
         rows = [f"{v!r},{rng.gauss(0.5 - i % 2, 1):.6f},{'pn'[i % 2]}" for i, v in enumerate(column)]
         (tmp_path / name).write_text("\n".join(["a,b,label", *rows]) + "\n", encoding="utf-8")
         source = {"source": "csv", "path": name, "label_column": "label", "positive_label": "p"}

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -145,6 +143,17 @@ def test_pfld_matches_mnlr_signs_on_balanced_data():
         agree += int(np.sum(np.sign(vp[confident]) == np.sign(vm[confident])))
         total += int(np.sum(confident))
     assert agree / total >= 0.99
+
+
+def test_pfld_decides_as_mnlr_on_tall_balanced_cells_only():
+    # on a tall cell both are the one least-squares fit with a bias; on a wide
+    # cell the minimum norms of [x - mean, 1] and [x, 1] pick different fits
+    data = GaussianSpec(dim=200, informative=10, separation=2.5)
+    for n, cols, seed in [(40, 10, 0), (40, 30, 1), (20, 15, 2), (20, 200, 3)]:
+        train, test = gen_two_gaussians(data, n, seed), gen_two_gaussians(data, 2000, seed + 100)
+        x, xt = train.x[:, :cols], test.x[:, :cols]
+        differ = np.count_nonzero(predict(fit(Pfld(), x, train.y), xt) != predict(fit(Mnlr(), x, train.y), xt))
+        assert (differ > 0) == (cols >= n), (n, cols, differ)
 
 
 def test_pfld_translation_invariance():
@@ -317,8 +326,8 @@ def test_semisup_duplicated_points_keep_symmetric_decisions():
     assert_array_equal(predict(semis, xt), predict(plain, xt))
 
 
-def _whitening_rank(s, rel_tol=1e-10):
-    return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
+def _whitening_rank(s):
+    return int(np.count_nonzero(s > 1e-10 * s[0])) if s[0] > 0 else 0
 
 
 def _scaled_normal(cols):
@@ -330,7 +339,7 @@ def _duplicated_columns(rng, rows):
     return np.hstack([half, half])
 
 
-def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank, rel_tol=1e-10):
+def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank):
     """A ``SemiSupPfld`` fit agrees with :func:`whitened_reference`, and takes
     no SVD when the pool keeps all its ``rank`` = ``cols`` directions (so has
     more rows than columns), as it whitens with ``R``'s inverse; any other
@@ -346,15 +355,15 @@ def _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank, rel_tol=1e-10)
         return f
 
     monkeypatch.setattr(learners, "thin_svd", recording_svd)
-    model = fit(SemiSupPfld(unlabeled_count=pool_rows, rel_tol=rel_tol), x, y, x_unlabeled=pool)
+    model = fit(SemiSupPfld(unlabeled_count=pool_rows), x, y, x_unlabeled=pool)
     rows = n + pool_rows
     if rank == cols:
         assert seen == []
     else:
         (shape, s), = seen
         assert shape == (min(rows, cols), cols)
-        assert _whitening_rank(s, rel_tol) == rank
-    ref_rank, ref = whitened_reference(x, y, pool, rel_tol)
+        assert _whitening_rank(s) == rank
+    ref_rank, ref = whitened_reference(x, y, pool)
     assert ref_rank == rank
     assert_allclose(model.weights, ref.weights, rtol=1e-10)
     assert_array_equal(predict(model, held_out), predict(ref, held_out))
@@ -383,10 +392,34 @@ def test_semisup_whitening_matches_svd_of_whole_pool(monkeypatch, n, cols, pool_
     _check_whitening(monkeypatch, n, cols, pool_rows, draw, rank)
 
 
-def test_semisup_coarse_rel_tol_truncates_a_full_rank_pool(monkeypatch):
-    # ||R||_F ||R^-1||_F >= cols fails the guard at rel_tol 0.5, and the SVD of R
-    # drops the anisotropic pool's smallest directions
-    _check_whitening(monkeypatch, 20, 8, 100, _scaled_normal(8), 5, rel_tol=0.5)
+def _one_column_scaled_by_1e_12(rng, rows):
+    x = _scaled_normal(8)(rng, rows)
+    x[:, 3] *= 1e-12
+    return x
+
+
+def test_semisup_truncates_a_full_rank_pool_at_the_cutoff(monkeypatch):
+    # a full-rank pool with a direction 1e-12 times the others: ||R||_F ||R^-1||_F
+    # fails the guard at DEFAULT_REL_TOL, and the SVD of R drops that direction
+    _check_whitening(monkeypatch, 20, 8, 100, _one_column_scaled_by_1e_12, 7)
+
+
+@pytest.mark.parametrize(
+    "spec", [Mnlr(), Pfld(), SemiSupPfld(unlabeled_count=40)], ids=["mnlr", "pfld", "semisup_pfld"]
+)
+def test_every_minimum_norm_fit_truncates_at_the_default_cutoff(spec):
+    # one column scaled by 1e-11 lies below DEFAULT_REL_TOL (1e-10) of the largest
+    # singular value and is dropped; scaled by 1e-9 it lies above and is fitted
+    weights = []
+    for scale in (1e-11, 1e-9):
+        rng = np.random.default_rng(0)
+        x, y = _balanced(rng, 30, 5)
+        pool = rng.standard_normal((40, 5))
+        x[:, 3] *= scale
+        pool[:, 3] *= scale
+        model = fit(spec, x, y, x_unlabeled=pool) if isinstance(spec, SemiSupPfld) else fit(spec, x, y)
+        weights.append(abs(model.weights[3]))
+    assert weights[0] < 1e-9 and weights[1] > 1e6, weights
 
 
 def test_semisup_dimension_mismatch():
@@ -556,15 +589,6 @@ def test_fit_dispatch_matches_direct_calls():
         assert via.bias == direct.bias
     with pytest.raises(TypeError, match="unknown learner spec"):
         fit(object(), x, y)
-
-
-@pytest.mark.parametrize(
-    "spec", [Mnlr, Pfld, partial(SemiSupPfld, unlabeled_count=2)], ids=["mnlr", "pfld", "semisup_pfld"]
-)
-@pytest.mark.parametrize("rel_tol", [True, 0.0, float("nan")])
-def test_public_fits_reject_the_rel_tol_their_spec_rejects(spec, rel_tol):
-    with pytest.raises(ValueError):
-        spec(rel_tol=rel_tol)
 
 
 def test_fit_checks_the_labels_once(monkeypatch):
