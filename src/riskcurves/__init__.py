@@ -31,11 +31,12 @@ _EXPORTS = {
         "run_learning_curve", "run_sweep", "square_system_threshold",
     ),
     "data": (
-        "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec",
+        "ColumnTransform", "CsvSource", "Dataset", "GaussianSpec", "SOURCES",
         "append_random_features", "gen_two_gaussians", "load_csv",
+        "split_indices", "subsample_indices",
     ),
     "learners": (
-        "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",
+        "LEARNERS", "LinearModel", "MaxMargin", "Mnlr", "Pfld", "Ridge", "SemiSupPfld",
         "decision_values", "fit", "hinge_objective", "predict", "squared_risk",
         "zero_one_risk",
     ),

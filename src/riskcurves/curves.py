@@ -321,17 +321,32 @@ class Provenance(_Checked):
 
 @dataclass(frozen=True)
 class CurveResult(_Checked):
-    """A finished sweep: one CurvePoint per grid value, in grid order.
+    """A finished sweep: one CurvePoint per grid value, in grid order, with
+    stats for exactly the spec's learner labels.
 
     ``rep_risks[learner][point_index][rep]`` holds the raw per-rep risks
     when the sweep ran with ``keep_reps=True``, else None.  The fields are
-    the keys of the result JSON, in order.
+    the keys of the result JSON, in order.  Building a result checks all
+    this against its spec, the one place that does (``ValueError``).
     """
 
     spec: SweepSpec
     points: tuple = field(metadata={"of": CurvePoint})
     provenance: Provenance = field(metadata={"of": Provenance})
     rep_risks: dict | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        grid, reps, labels = self.spec.grid, self.spec.reps, sorted(learner.label for learner in self.spec.learners)
+        if len(self.points) != len(grid):
+            raise ValueError(f"points must match the {len(grid)}-point grid, got {len(self.points)}")
+        for i, (point, x_value) in enumerate(zip(self.points, grid)):
+            if not isinstance(point, CurvePoint) or point.x_value != x_value or sorted(point.stats) != labels:
+                raise ValueError(f"points[{i}]: expected x_value {x_value:g} with stats for {labels}")
+        if self.rep_risks is not None and (sorted(self.rep_risks) != labels or any(
+            list(map(len, per_point)) != [reps] * len(grid) for per_point in self.rep_risks.values()
+        )):
+            raise ValueError(f"rep_risks: expected {reps} risks at each of {len(grid)} points for each of {labels}")
 
 
 @dataclass(frozen=True)
@@ -590,7 +605,7 @@ def detect_peak(result: CurveResult, learner: str) -> PeakReport:
     """Report the most prominent interior local maximum of a learner's curve."""
     if len(result.points) < 3:
         raise TooFewPoints(f"need >= 3 grid points, got {len(result.points)}")
-    known = list(result.points[0].stats)
+    known = [learner.label for learner in result.spec.learners]
     if learner not in known:
         raise ValueError(f"unknown learner {learner!r}; curve has {known}")
     xs = [p.x_value for p in result.points]

@@ -163,12 +163,13 @@ def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray
     ``y`` that covers every row, each part sorted ascending.
 
     Class proportions in the train part stay within one row of proportional.
+    ``n_train`` is an integer and ``seed`` :func:`_rng`'s, by the config's number rule.
     """
-    if not 1 <= n_train < len(y):
+    if not 1 <= (n_train := _check(n_train, int, "n_train")) < len(y):
         raise OutOfRange(
             f"n_train must be in 1..{len(y) - 1}, got {n_train}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     counts = _stratified_counts(y, n_train)
     train_idx, test_idx = [], []
     for cls in _CLASS_ORDER:
@@ -181,10 +182,11 @@ def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray
 
 def subsample_indices(y: "np.ndarray", n: int, seed: int) -> "np.ndarray":
     """Indices of n rows of labels ``y`` drawn stratified without
-    replacement, deterministic in seed, sorted ascending."""
-    if not 2 <= n <= len(y):
+    replacement, deterministic in seed, sorted ascending; ``n`` is an
+    integer and ``seed`` :func:`_rng`'s, by the config's number rule."""
+    if not 2 <= (n := _check(n, int, "n")) <= len(y):
         raise OutOfRange(f"n must be in 2..{len(y)}, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     counts = _stratified_counts(y, n)
     chosen = []
     for cls in _CLASS_ORDER:

@@ -235,8 +235,8 @@ def result_from_json_dict(d) -> CurveResult:
 
     The spec is read under the config's rules (an older file's Gaussian ``data``
     entry holds a ``seed``, dropped, and its learners a ``rel_tol``, see
-    :func:`_without_rel_tol`), the per-rep risks are checked here, and the
-    points and per-rep risks must match the spec's grid, learners and reps.
+    :func:`_without_rel_tol`) and each per-rep risk by the number rule; the
+    result checks its own match with the spec (:class:`CurveResult`).
     """
     _expect(d, dict, "result", "the result document")
     _check_keys(d, {f.name for f in dataclasses.fields(CurveResult)}, "result")
@@ -245,31 +245,18 @@ def result_from_json_dict(d) -> CurveResult:
         spec = {**spec, "data": {k: v for k, v in data.items() if k != "seed"}}  # an older file's seed, never read
     if isinstance(learners := spec.get("learners"), list):  # an older file's rank cutoffs
         spec = {**spec, "learners": [_without_rel_tol(e, f"result.spec.learners[{i}]") for i, e in enumerate(learners)]}
-    spec = _sweep_from_dict(spec, "result.spec")
-    result = _from_dict(CurveResult, {**d, "spec": spec, "rep_risks": None}, "result")
-    labels = sorted(learner.label for learner in spec.learners)
-    if len(result.points) != len(spec.grid):
-        raise InvariantViolation(f"result.points: {len(result.points)} points for a {len(spec.grid)}-point grid")
-    for i, (point, x_value) in enumerate(zip(result.points, spec.grid)):
-        if point.x_value != x_value or sorted(point.stats) != labels:
-            raise InvariantViolation(f"result.points[{i}]: expected x_value {x_value:g} with stats for {labels}")
-    if "rep_risks" not in d:
-        return result
-    rep_risks = {}
-    for name, per_point in _expect(d["rep_risks"], dict, "result.rep_risks", "'rep_risks'").items():
-        at = f"result.rep_risks[{name!r}]"
-        rep_risks[name] = tuple(
-            tuple(_check(r, float, f"{at}: each risk", InvariantViolation) for r in _expect(point, list, at, "each point"))
-            for point in _expect(per_point, list, at, "the entry")
-        )
-    if sorted(rep_risks) != labels or any(
-        len(per_point) != len(spec.grid) or any(len(point) != spec.reps for point in per_point)
-        for per_point in rep_risks.values()
-    ):
-        raise InvariantViolation(
-            f"result.rep_risks: expected {spec.reps} risks at each of {len(spec.grid)} points for each of {labels}"
-        )
-    return dataclasses.replace(result, rep_risks=rep_risks)
+    d = {**d, "spec": _sweep_from_dict(spec, "result.spec")}
+    if "rep_risks" in d:
+        rep_risks = {}
+        for name, per_point in _expect(d["rep_risks"], dict, "result.rep_risks", "'rep_risks'").items():
+            at = f"result.rep_risks[{name!r}]"
+            rep_risks[name] = tuple(
+                tuple(_check(r, float, f"{at}: each risk", InvariantViolation)
+                      for r in _expect(point, list, at, "each point"))
+                for point in _expect(per_point, list, at, "the entry")
+            )
+        d["rep_risks"] = rep_risks
+    return _from_dict(CurveResult, d, "result")
 
 
 def _without_rel_tol(entry, where: str):
@@ -320,16 +307,15 @@ def emit_csv(result: CurveResult, path) -> None:
 
     When the result carries per-rep risks a companion ``<path>.reps.csv``
     is written with header ``curve_kind,x_name,x_value,learner,rep,risk``.
+    Rows follow the points' grid order, and a :class:`CurveResult` holds
+    only its spec's labels, which need no quoting.
     """
     kind = result.spec.kind.value
     x_name = result.spec.x_name()
     seed = result.spec.base_seed
-    for label in result.points[0].stats if result.points else ():
-        if "," in label or "\n" in label:
-            raise ValueError(f"learner name {label!r} cannot appear in CSV output")
     columns = sorted(dataclasses.fields(LearnerStats), key=lambda f: f.name != "rep_count")
     lines = [f"curve_kind,x_name,x_value,learner,{','.join(f.name for f in columns)},base_seed"]
-    for point in sorted(result.points, key=lambda p: p.x_value):
+    for point in result.points:
         for name in sorted(point.stats):
             s = point.stats[name]
             cells = (_csv_cell(getattr(s, f.name)) for f in columns)
@@ -337,14 +323,11 @@ def emit_csv(result: CurveResult, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
     if result.rep_risks is not None:
         rep_lines = ["curve_kind,x_name,x_value,learner,rep,risk"]
-        order = sorted(
-            (p.x_value, i) for i, p in enumerate(result.points)
-        )
-        for x_value, pi in order:
+        for pi, point in enumerate(result.points):
             for name in sorted(result.rep_risks):
                 for rep, risk in enumerate(result.rep_risks[name][pi]):
                     rep_lines.append(
-                        f"{kind},{x_name},{_g17(x_value)},{name},{rep},{_g17(risk)}"
+                        f"{kind},{x_name},{_g17(point.x_value)},{name},{rep},{_g17(risk)}"
                     )
         _atomic_write(f"{path}.reps.csv", "\n".join(rep_lines) + "\n")
 
@@ -379,10 +362,8 @@ def emit_svg_plot(result: CurveResult, path) -> None:
 
     One polyline per learner with +-stderr whiskers, a legend, and a single
     dashed vertical rule at the interpolation threshold.  A one-point curve
-    renders markers only.
+    renders markers only; a :class:`CurveResult` has a point per grid value.
     """
-    if not result.points:
-        raise ValueError("cannot plot an empty result")
     spec = result.spec
     names = sorted(result.points[0].stats)
     threshold = interpolation_threshold(spec)

@@ -898,6 +898,27 @@ def _result_with_means(means, xs, threshold_x):
     return CurveResult(spec=spec, points=points, provenance=Provenance(0, "test"))
 
 
+def test_result_checks_its_points_and_rep_risks_against_its_spec():
+    result = _result_with_means([0.3, 0.2, 0.5], [10, 20, 30], threshold_x=30)
+    a, b, c = result.points
+    for points, message in (
+        ((a, b), "points must match the 3-point grid, got 2"),
+        ((a, c, b), "points[1]: expected x_value 20 with stats for ['m']"),
+        ((a, b, 30.0), "points[2]: expected x_value 30 with stats for ['m']"),
+        ((a, replace(b, x_value=21.0), c), "points[1]: expected x_value 20 with stats for ['m']"),
+        ((a, b, replace(c, stats={**c.stats, "n": c.stats["m"]})),
+         "points[2]: expected x_value 30 with stats for ['m']"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(result, points=points)
+    reps = ((0.3,), (0.2,), (0.5,))
+    assert replace(result, rep_risks={"m": reps}).rep_risks == {"m": reps}
+    message = "rep_risks: expected 1 risks at each of 3 points for each of ['m']"
+    for rep_risks in ({"n": reps}, {"m": reps, "n": reps}, {"m": reps[:2]}, {"m": (*reps[:2], (0.5, 0.5))}):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(result, rep_risks=rep_risks)
+
+
 def test_detect_peak_hand_case():
     result = _result_with_means([0.3, 0.2, 0.5, 0.1], [10, 20, 30, 40], threshold_x=30)
     report = detect_peak(result, "m")

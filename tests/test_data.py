@@ -137,10 +137,12 @@ def test_gen_seed_follows_the_number_rule():
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda seed: gen_two_gaussians(_spec(), 4, seed),
-        lambda seed: append_random_features(gen_two_gaussians(_spec(), 4), 2, 1.0, seed),
+        lambda seed: gen_two_gaussians(_spec(), 4, seed).x,
+        lambda seed: append_random_features(gen_two_gaussians(_spec(), 4), 2, 1.0, seed).x,
+        lambda seed: np.concatenate(split_indices(gen_two_gaussians(_spec(), 8).y, 3, seed)),
+        lambda seed: subsample_indices(gen_two_gaussians(_spec(), 8).y, 3, seed),
     ],
-    ids=["gen_two_gaussians", "append_random_features"],
+    ids=["gen_two_gaussians", "append_random_features", "split_indices", "subsample_indices"],
 )
 def test_public_draws_share_one_seed_rule(draw):
     # an integer >= 0, not a bool; no upper bound, as mix's seeds reach 2**64 - 1
@@ -148,7 +150,7 @@ def test_public_draws_share_one_seed_rule(draw):
         with pytest.raises(ValueError, match=r"^seed must be "):
             draw(bad)
     for good in (0, np.int64(7), 2**64 - 1, 2**70):
-        assert np.array_equal(draw(good).x, draw(int(good)).x)
+        assert np.array_equal(draw(good), draw(int(good)))
 
 
 def test_gen_draws_any_size_and_rejects_empty():
@@ -226,6 +228,9 @@ def test_split_determinism_and_edges():
         split_indices(y, 0, seed=0)
     with pytest.raises(OutOfRange):
         split_indices(y, 30, seed=0)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^n_train must be int, got {bad}$"):
+            split_indices(y, bad, seed=0)
 
 
 def test_subsample_stratified():
@@ -239,6 +244,9 @@ def test_subsample_stratified():
         subsample_indices(y, 1, seed=0)
     with pytest.raises(OutOfRange):
         subsample_indices(y, 41, seed=0)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^n must be int, got {bad}$"):
+            subsample_indices(y, bad, seed=0)
 
 
 def _transformed(tf, x):

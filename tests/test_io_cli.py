@@ -387,7 +387,8 @@ def test_result_json_spec_keys_in_order(kind, grid, pinned):
     spec = SweepSpec(
         kind=kind, grid=grid, learners=(Mnlr(),), data_source=GaussianSpec(dim=8, informative=2), test_size=94, **pinned
     )
-    doc = result_to_json_dict(CurveResult(spec=spec, points=(), provenance=Provenance(0, "test")))
+    points = tuple(CurvePoint(x_value=x, stats={"mnlr": LearnerStats(0.5, 0.0, 0.0, 0.5, 0.5, 1)}) for x in grid)
+    doc = result_to_json_dict(CurveResult(spec=spec, points=points, provenance=Provenance(0, "test")))
     assert list(doc["spec"]) == [
         "kind", "grid", "seed", "learners", *pinned, "test_size", "reps", "risk_metric", "data"
     ]
@@ -522,11 +523,10 @@ def test_svg_multi_learner(tmp_path):
     assert text.count('class="threshold"') == 1
 
 
-def test_svg_of_a_result_without_points_raises(tmp_path):
-    empty = dataclasses.replace(_tiny_result(), points=(), rep_risks=None)
-    with pytest.raises(ValueError, match="empty result"):
-        emit_svg_plot(empty, tmp_path / "empty.svg")
-    assert not (tmp_path / "empty.svg").exists()
+def test_svg_of_a_result_without_points_raises():
+    # a result holds one point per grid value, so no emitter meets an empty one
+    with pytest.raises(ValueError, match="^points must match the 3-point grid, got 0$"):
+        dataclasses.replace(_tiny_result(), points=(), rep_risks=None)
 
 
 def test_svg_escapes_names(tmp_path):
@@ -732,11 +732,11 @@ def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
     assert not out.exists()
     assert "'a,b'" in capsys.readouterr().err
-    # a hand-built result skips the spec's check; the CSV emitter has its own
+    # a hand-built result holds only its spec's labels, which the spec keeps free of ','
     tiny = _tiny_result(keep_reps=False)
     points = tuple(CurvePoint(x_value=p.x_value, stats={"a,b": p.stats["mnlr"]}) for p in tiny.points)
-    with pytest.raises(ValueError, match="cannot appear in CSV output"):
-        emit_csv(dataclasses.replace(tiny, points=points), out)
+    with pytest.raises(ValueError, match=re.escape("points[0]: expected x_value 2 with stats for ['mnlr']")):
+        dataclasses.replace(tiny, points=points)
     assert not out.exists()
 
 
