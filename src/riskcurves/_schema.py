@@ -3,11 +3,11 @@
 Learner specs (``learners``), data sources (``data``), sweep specs and
 results (``curves``) are frozen dataclasses whose field annotations are
 their type checks (``_Checked``); a field whose metadata names ``of``
-holds entries of another schema, and ``io_cli`` reads and writes all of
-them from their fields.  :func:`_check` is also the rule for every numeric
-argument of an exported function, from ``linalg``'s ``rel_tol`` up to the
-CLI's ``--workers``, so this module sits below ``linalg`` and imports
-neither numpy nor the rest of the package.
+holds entries of another schema, each checked to be exactly of it, and
+``io_cli`` reads and writes all of them from their fields.  :func:`_check`
+is also the rule for every numeric argument of an exported function, from
+``linalg``'s ``rel_tol`` up to the CLI's ``--workers``, so this module
+sits below ``linalg`` and imports neither numpy nor the rest of the package.
 """
 
 import math
@@ -21,12 +21,13 @@ def _param(op: str, low, default=MISSING, error=None):
     return field(default=default, metadata={"op": op, "low": low, "error": error})
 
 
-def _digits(value: int) -> int:
-    """Decimal digits of ``abs(value)``, counted without ``str``, which refuses
-    integers of more than 4300 digits."""
-    value = abs(value)
-    digits = int((value.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
-    return digits + (value >= 10**digits)
+def _shown(value) -> str:
+    """``value`` as an error message prints it: an integer of 2**63 or more by its
+    decimal digits, counted without ``str``, which refuses more than 4300."""
+    if not isinstance(value, int) or abs(value) < 2**63:
+        return str(value)
+    digits = int((value.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1), sign aside
+    return f"an integer with {digits + (abs(value) >= 10**digits)} digits"
 
 
 def _float(value, what: str, error: type = ValueError) -> float:
@@ -34,7 +35,7 @@ def _float(value, what: str, error: type = ValueError) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise error(f"{what} must be a finite float, got an integer with {_digits(value)} digits") from None
+        raise error(f"{what} must be a finite float, got {_shown(value)}") from None
 
 
 def _check(value, annotation, what: str, error: type = ValueError, op=None, low=None):
@@ -59,17 +60,17 @@ def _check(value, annotation, what: str, error: type = ValueError, op=None, low=
     if typ is float and not math.isfinite(value):
         raise error(f"{what} must be finite, got {value!r}")
     if op and not (value > low if op == ">" else value >= low):
-        raise error(f"{what} must be {op} {low}, got {value}")
+        raise error(f"{what} must be {op} {low}, got {_shown(value)}")
     if op and typ is int and value >= 2**63:
-        raise error(f"{what} must be < 2**63, got an integer with {_digits(value)} digits")
+        raise error(f"{what} must be < 2**63, got {_shown(value)}")
     return value
 
 
 class _Checked:
     """Base of the schema dataclasses: a field's annotation is its type
-    check (:func:`_check`), and :func:`_param` adds a lower bound.  A failed
-    check raises the class's ``_error`` unless the field's :func:`_param`
-    names another.
+    check (:func:`_check`), :func:`_param` adds a lower bound, and each entry
+    of an ``of`` field is exactly ``of`` or a class of its table.  A failed
+    check raises the class's ``_error`` unless the field's :func:`_param` names another.
     """
 
     config_keys: ClassVar[dict] = {}
@@ -88,5 +89,10 @@ class _Checked:
         for f in fields(cls):
             if f.name in values:
                 error, op, low = f.metadata.get("error") or cls._error, f.metadata.get("op"), f.metadata.get("low")
-                checked[f.name] = _check(values[f.name], f.type, f.name, error, op, low)
+                value = checked[f.name] = _check(values[f.name], f.type, f.name, error, op, low)
+                if of := f.metadata.get("of"):
+                    types = tuple(of.values()) if isinstance(of, dict) else (of,)
+                    for entry in value.values() if f.type is dict else value if f.type is tuple else (value,):
+                        if type(entry) not in types:
+                            raise error(f"{f.name}: {entry!r} is not a {' | '.join(t.__name__ for t in types)}")
         return checked

@@ -197,17 +197,14 @@ class SweepSpec(_Checked):
     def _validate_fields(self):
         if not self.learners:
             raise InvariantViolation("at least one learner is required")
-        for spec in self.learners:
-            if type(spec) not in LEARNERS.values():
-                raise InvariantViolation(f"unknown learner spec {spec!r}")
         labels = [spec.label for spec in self.learners]
         if len(set(labels)) != len(labels):
             raise InvariantViolation(
                 f"learner names must be unique, got {labels}; set name= to disambiguate"
             )
-        for label in labels:
-            if "," in label or "\n" in label:
-                raise InvariantViolation(f"learner name {label!r} may not contain ',' or a newline")
+        for label in labels:  # a cell of the result CSV, written unquoted
+            if any(c in label for c in ",\n\r") or label.startswith('"'):
+                raise InvariantViolation(f"learner name {label!r} may not hold ',' or a line break or start with '\"'")
         for name in ("fixed_n", "fixed_N"):
             pinned = name == self.kind._pinned
             if (getattr(self, name) is None) == pinned:
@@ -322,12 +319,12 @@ class Provenance(_Checked):
 @dataclass(frozen=True)
 class CurveResult(_Checked):
     """A finished sweep: one CurvePoint per grid value, in grid order, with
-    stats for exactly the spec's learner labels.
-
-    ``rep_risks[learner][point_index][rep]`` holds the raw per-rep risks
-    when the sweep ran with ``keep_reps=True``, else None.  The fields are
-    the keys of the result JSON, in order.  Building a result checks all
-    this against its spec, the one place that does (``ValueError``).
+    stats over ``spec.reps`` reps for exactly the spec's learner labels, and
+    a provenance of ``spec.base_seed``.  ``rep_risks[learner][point_index][rep]``
+    holds the raw per-rep risks (by the number rule, in tuples) when the
+    sweep ran with ``keep_reps=True``, else None.  The fields are the keys
+    of the result JSON, in order.  Building a result checks all this against
+    its spec, the one place that does (``ValueError``).
     """
 
     spec: SweepSpec
@@ -341,12 +338,21 @@ class CurveResult(_Checked):
         if len(self.points) != len(grid):
             raise ValueError(f"points must match the {len(grid)}-point grid, got {len(self.points)}")
         for i, (point, x_value) in enumerate(zip(self.points, grid)):
-            if not isinstance(point, CurvePoint) or point.x_value != x_value or sorted(point.stats) != labels:
+            if point.x_value != x_value or sorted(point.stats) != labels:
                 raise ValueError(f"points[{i}]: expected x_value {x_value:g} with stats for {labels}")
-        if self.rep_risks is not None and (sorted(self.rep_risks) != labels or any(
-            list(map(len, per_point)) != [reps] * len(grid) for per_point in self.rep_risks.values()
-        )):
-            raise ValueError(f"rep_risks: expected {reps} risks at each of {len(grid)} points for each of {labels}")
+            if any(stats.rep_count != reps for stats in point.stats.values()):
+                raise ValueError(f"points[{i}]: rep_count must be the spec's {reps} reps")
+        if self.provenance.base_seed != self.spec.base_seed:
+            raise ValueError("provenance: base_seed must be the spec's base_seed")
+        if self.rep_risks is not None:
+            risks = {}
+            for label, per_point in self.rep_risks.items():
+                at = f"rep_risks[{label!r}]"
+                rows = (_sequence(point, f"{at}: each point") for point in _sequence(per_point, at))
+                risks[label] = tuple(tuple(_check(r, float, f"{at}: each risk") for r in row) for row in rows)
+            if sorted(risks) != labels or any(list(map(len, rows)) != [reps] * len(grid) for rows in risks.values()):
+                raise ValueError(f"rep_risks: expected {reps} risks at each of {len(grid)} points for each of {labels}")
+            object.__setattr__(self, "rep_risks", risks)
 
 
 @dataclass(frozen=True)
@@ -509,7 +515,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
     cell (n, N) the sweep keeps the first N columns and, where n is below
     the train rows, a stratified subsample of n of them (a subsample of
     every row would be every row, in order).  Every learner is fit from one
-    context per cell, which checks the arrays once and factors the centred
+    context per cell, on the rep's checked arrays, which factors the centred
     features at most once.  Semi-supervised learners whiten with a pool of
     the rep's training rows and its first unlabeled rows, cut to the widest
     cell's columns; it is checked and factored once per rep and unlabeled
@@ -550,7 +556,7 @@ def run_sweep(spec: SweepSpec, *, keep_reps: bool = False, workers: int = 1) -> 
             if n_train < train_rows:
                 rows = subsample_indices(train_y, n_train, mix(spec.base_seed, rep, SEED_SUBSAMPLE, n_train))
                 unlabeled = unlab_x[:, :cols]
-            # contiguous, as BLAS may round differently on a strided view
+            # contiguous, as BLAS may round differently on a strided view; the rep's arrays are checked
             cell = _FitContext(np.ascontiguousarray(train_x[rows, :cols]), train_y[rows], unlabeled)
             out[pi] = _fit_cell(spec.learners, cell, test_blocks, test_y, spec.risk_metric, float(x_val), rep)
             del cell  # the cell's factorization goes before the next cell's

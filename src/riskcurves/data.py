@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from ._np import np
-from ._schema import _check, _Checked, _param
+from ._schema import _check, _Checked, _param, _shown
 from .errors import (
     MalformedCsv,
     MissingFile,
@@ -166,9 +166,7 @@ def split_indices(y: "np.ndarray", n_train: int, seed: int) -> tuple["np.ndarray
     ``n_train`` is an integer and ``seed`` :func:`_rng`'s, by the config's number rule.
     """
     if not 1 <= (n_train := _check(n_train, int, "n_train")) < len(y):
-        raise OutOfRange(
-            f"n_train must be in 1..{len(y) - 1}, got {n_train}"
-        )
+        raise OutOfRange(f"n_train must be in 1..{len(y) - 1}, got {_shown(n_train)}")
     rng = _rng(seed)
     counts = _stratified_counts(y, n_train)
     train_idx, test_idx = [], []
@@ -185,7 +183,7 @@ def subsample_indices(y: "np.ndarray", n: int, seed: int) -> "np.ndarray":
     replacement, deterministic in seed, sorted ascending; ``n`` is an
     integer and ``seed`` :func:`_rng`'s, by the config's number rule."""
     if not 2 <= (n := _check(n, int, "n")) <= len(y):
-        raise OutOfRange(f"n must be in 2..{len(y)}, got {n}")
+        raise OutOfRange(f"n must be in 2..{len(y)}, got {_shown(n)}")
     rng = _rng(seed)
     counts = _stratified_counts(y, n)
     chosen = []

@@ -235,8 +235,8 @@ def result_from_json_dict(d) -> CurveResult:
 
     The spec is read under the config's rules (an older file's Gaussian ``data``
     entry holds a ``seed``, dropped, and its learners a ``rel_tol``, see
-    :func:`_without_rel_tol`) and each per-rep risk by the number rule; the
-    result checks its own match with the spec (:class:`CurveResult`).
+    :func:`_without_rel_tol`); the result checks its own match with the
+    spec and its per-rep risks by the number rule (:class:`CurveResult`).
     """
     _expect(d, dict, "result", "the result document")
     _check_keys(d, {f.name for f in dataclasses.fields(CurveResult)}, "result")
@@ -245,18 +245,8 @@ def result_from_json_dict(d) -> CurveResult:
         spec = {**spec, "data": {k: v for k, v in data.items() if k != "seed"}}  # an older file's seed, never read
     if isinstance(learners := spec.get("learners"), list):  # an older file's rank cutoffs
         spec = {**spec, "learners": [_without_rel_tol(e, f"result.spec.learners[{i}]") for i, e in enumerate(learners)]}
-    d = {**d, "spec": _sweep_from_dict(spec, "result.spec")}
-    if "rep_risks" in d:
-        rep_risks = {}
-        for name, per_point in _expect(d["rep_risks"], dict, "result.rep_risks", "'rep_risks'").items():
-            at = f"result.rep_risks[{name!r}]"
-            rep_risks[name] = tuple(
-                tuple(_check(r, float, f"{at}: each risk", InvariantViolation)
-                      for r in _expect(point, list, at, "each point"))
-                for point in _expect(per_point, list, at, "the entry")
-            )
-        d["rep_risks"] = rep_risks
-    return _from_dict(CurveResult, d, "result")
+    _expect(d.get("rep_risks", {}), dict, "result.rep_risks", "'rep_risks'")
+    return _from_dict(CurveResult, {**d, "spec": _sweep_from_dict(spec, "result.spec")}, "result")
 
 
 def _without_rel_tol(entry, where: str):

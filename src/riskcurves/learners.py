@@ -284,7 +284,7 @@ def _require_both_classes(y: "np.ndarray"):
 
 # --------------------------------------------------------------------------
 # Fits.  The spec bodies above read a ``_FitContext``: float64 features and
-# int64 +-1 labels with one label per row, checked once per cell.
+# int64 +-1 labels with one label per row, checked once, where they enter.
 
 
 class _Pool:
@@ -322,13 +322,13 @@ class _Pool:
 
 
 class _FitContext:
-    """A training cell that all its learners fit from: the arrays, checked
-    once, their float targets ``yf`` and the :class:`_Pool` of the cell's
-    unlabeled rows.  ``unlabeled`` is those rows, or a rep's pool whose
-    training rows are this cell's rows, at least as wide."""
+    """A training cell that all its learners fit from: the arrays, trusted
+    (``fit`` checks a caller's, a sweep slices its rep's checked ones),
+    their float targets ``yf`` and the :class:`_Pool` of the cell's unlabeled
+    rows, or a rep's pool whose training rows are these rows, at least as wide."""
 
     def __init__(self, x, y, unlabeled=None):
-        self.x, self.y = _check_training_pair(x, y)
+        self.x, self.y = x, y
         self.yf, self._centred = self.y.astype(np.float64), None
         if unlabeled is not None and not isinstance(unlabeled, _Pool):
             unlabeled = _Pool(self.x, unlabeled)
@@ -401,14 +401,14 @@ def fit(spec, x, y, x_unlabeled=None) -> LinearModel:
     ``x_unlabeled`` is only consulted for :class:`SemiSupPfld`; the pool is
     truncated to ``spec.unlabeled_count`` rows (fewer are used if the pool
     is smaller, e.g. limited leftover rows of a fixed dataset).  A sweep
-    passes its cell's ``_FitContext`` instead, with that context's own (checked)
-    ``x`` and ``y``.
+    passes its cell's ``_FitContext`` instead, with that context's own
+    ``x`` and ``y``, which are not checked again.
     """
     if type(spec) not in LEARNERS.values():
         raise TypeError(f"unknown learner spec {spec!r}")
     cell = x_unlabeled
     if not (isinstance(cell, _FitContext) and x is cell.x and y is cell.y):
-        cell = _FitContext(x, y, cell)
+        cell = _FitContext(*_check_training_pair(x, y), cell)
     return spec._fit(cell)
 
 

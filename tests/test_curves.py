@@ -43,6 +43,7 @@ from riskcurves.errors import (
 )
 from riskcurves.io_cli import emit_json
 from riskcurves.learners import (
+    LEARNERS,
     MaxMargin,
     Mnlr,
     Pfld,
@@ -183,6 +184,14 @@ def test_spec_rejects_bad_counts_and_metric():
             _sweep(**bad)
     with pytest.raises(InvariantViolation, match="^learners must be a sequence, got 5$"):
         _sweep(learners=5)
+    # each entry of a field of another schema is exactly one of its classes, not a subclass
+    kinds = " | ".join(cls.__name__ for cls in LEARNERS.values())
+    with pytest.raises(InvariantViolation, match=f"^learners: 'mnlr' is not a {re.escape(kinds)}$"):
+        _sweep(learners=(Mnlr(), "mnlr"))
+    wider = type("Wider", (GaussianSpec,), {})(dim=12, informative=3)
+    message = f"data_source: {wider!r} is not a GaussianSpec | CsvSource"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        _sweep(data_source=wider)
     # the largest reps whose 3 x 1 x reps risks fit numpy's largest array; 2**63 - 1 passes the count rule, not that
     assert _sweep(reps=(2**63 - 1) // 24).reps == (2**63 - 1) // 24
     with pytest.raises(InvariantViolation, match=r"^reps=9223372036854775807 needs an array of 3 x 1 x "):
@@ -434,8 +443,8 @@ def test_sweep_cells_share_one_check_and_one_centred_svd(monkeypatch):
     _count_calls(monkeypatch, data.Dataset, "_hold", checks)
     result = run_feature_curve(spec, keep_reps=True)
 
-    # one label check per cell beyond the data steps' own, none inside a fit
-    assert checks["as_labels"] == cells + checks["_hold"]
+    # no label check beyond the data steps' own: a cell trusts its rep's checked arrays
+    assert checks["as_labels"] == checks["_hold"]
     assert None not in svds  # no SVD outside a fit
     # full-rank MNLR and whitened SemiSupPfld fits solve by QR and take no SVD,
     # and 8 + 8 pooled rows at 12 columns whiten with R's inverse, so take none;
@@ -904,17 +913,37 @@ def test_result_checks_its_points_and_rep_risks_against_its_spec():
     for points, message in (
         ((a, b), "points must match the 3-point grid, got 2"),
         ((a, c, b), "points[1]: expected x_value 20 with stats for ['m']"),
-        ((a, b, 30.0), "points[2]: expected x_value 30 with stats for ['m']"),
+        ((a, b, 30.0), "points: 30.0 is not a CurvePoint"),
         ((a, replace(b, x_value=21.0), c), "points[1]: expected x_value 20 with stats for ['m']"),
         ((a, b, replace(c, stats={**c.stats, "n": c.stats["m"]})),
          "points[2]: expected x_value 30 with stats for ['m']"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(result, points=points)
+    # each point's stats, their rep counts and the provenance's seed follow the spec
+    with pytest.raises(ValueError, match=re.escape("stats: 0.5 is not a LearnerStats")):
+        CurvePoint(2.0, {"m": 0.5})
+    with pytest.raises(ValueError, match=re.escape("points[1]: rep_count must be the spec's 1 reps")):
+        replace(result, points=(a, replace(b, stats={"m": replace(b.stats["m"], rep_count=7)}), c))
+    with pytest.raises(ValueError, match=re.escape("provenance: base_seed must be the spec's base_seed")):
+        replace(result, provenance=Provenance(99, "test"))
     reps = ((0.3,), (0.2,), (0.5,))
     assert replace(result, rep_risks={"m": reps}).rep_risks == {"m": reps}
+    # the number rule applies to each risk, and the risks are stored as tuples of floats
+    kept = replace(result, rep_risks={"m": [[0.3], [np.float64(0.2)], [1]]}).rep_risks["m"]
+    assert kept == reps[:2] + ((1.0,),) and [type(r) for row in kept for r in row] == [float] * 3
+    assert all(type(row) is tuple for row in (kept, *kept))
     message = "rep_risks: expected 1 risks at each of 3 points for each of ['m']"
     for rep_risks in ({"n": reps}, {"m": reps, "n": reps}, {"m": reps[:2]}, {"m": (*reps[:2], (0.5, 0.5))}):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(result, rep_risks=rep_risks)
+    for rep_risks, message in (
+        ({"m": (*reps[:2], ("0.5",))}, "rep_risks['m']: each risk must be float, got '0.5'"),
+        ({"m": (*reps[:2], (True,))}, "rep_risks['m']: each risk must be float, got True"),
+        ({"m": (*reps[:2], (float("nan"),))}, "rep_risks['m']: each risk must be finite, got nan"),
+        ({"m": (*reps[:2], 0.5)}, "rep_risks['m']: each point must be a sequence, got 0.5"),
+        ({"m": 0.5}, "rep_risks['m'] must be a sequence, got 0.5"),
+    ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(result, rep_risks=rep_risks)
 

@@ -231,6 +231,11 @@ def test_split_determinism_and_edges():
     for bad in (True, 2.0):
         with pytest.raises(ValueError, match=f"^n_train must be int, got {bad}$"):
             split_indices(y, bad, seed=0)
+    for huge in (10**5000, -(10**5000)):  # str refuses an integer of more than 4300 digits
+        with pytest.raises(OutOfRange, match="^n_train must be in 1..29, got an integer with 5001 digits$"):
+            split_indices(y, huge, seed=0)
+        with pytest.raises(OutOfRange, match="^n must be in 2..30, got an integer with 5001 digits$"):
+            subsample_indices(y, huge, seed=0)
 
 
 def test_subsample_stratified():

@@ -387,7 +387,8 @@ def test_result_json_spec_keys_in_order(kind, grid, pinned):
     spec = SweepSpec(
         kind=kind, grid=grid, learners=(Mnlr(),), data_source=GaussianSpec(dim=8, informative=2), test_size=94, **pinned
     )
-    points = tuple(CurvePoint(x_value=x, stats={"mnlr": LearnerStats(0.5, 0.0, 0.0, 0.5, 0.5, 1)}) for x in grid)
+    stats = LearnerStats(0.5, 0.0, 0.0, 0.5, 0.5, spec.reps)
+    points = tuple(CurvePoint(x_value=x, stats={"mnlr": stats}) for x in grid)
     doc = result_to_json_dict(CurveResult(spec=spec, points=points, provenance=Provenance(0, "test")))
     assert list(doc["spec"]) == [
         "kind", "grid", "seed", "learners", *pinned, "test_size", "reps", "risk_metric", "data"
@@ -732,6 +733,11 @@ def test_cli_rejects_learner_name_that_breaks_csv(tmp_path, capsys):
     assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
     assert not out.exists()
     assert "'a,b'" in capsys.readouterr().err
+    # a leading quote would open a quoted CSV field, and a carriage return end a row
+    for name in ('"x', "a\rb"):
+        cfg = _write_config(tmp_path, learners=[{"kind": "mnlr", "name": name}])
+        assert cli_main(["feature-curve", "--config", str(cfg), "--out-csv", str(out)]) == 2
+        assert repr(name) in capsys.readouterr().err
     # a hand-built result holds only its spec's labels, which the spec keeps free of ','
     tiny = _tiny_result(keep_reps=False)
     points = tuple(CurvePoint(x_value=p.x_value, stats={"a,b": p.stats["mnlr"]}) for p in tiny.points)
@@ -963,7 +969,7 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
     for doc, field in (
         (huge_mean, "result.points[0].stats['mnlr']: mean_risk"),
         (bad_numbers[-2], "result.points[1]: x_value"),
-        (bad_numbers[-1], "result.rep_risks['mnlr']: each risk"),
+        (bad_numbers[-1], "result: rep_risks['mnlr']: each risk"),
     ):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
@@ -972,8 +978,8 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         assert captured.out == ""
         assert f"{field} must be a finite float, got an integer with 401 digits" in captured.err
     # a malformed entry at any depth is named by its full path
-    unknown_key, no_x, list_stats, text_provenance, list_reps, huge_count = (
-        json.loads(json.dumps(good)) for _ in range(6)
+    unknown_key, no_x, list_stats, text_provenance, list_reps, huge_count, few_reps, other_seed = (
+        json.loads(json.dumps(good)) for _ in range(8)
     )
     unknown_key["points"][2]["median_risk"] = 0.5
     del no_x["points"][0]["x_value"]
@@ -981,6 +987,8 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
     text_provenance["provenance"] = "seed 3"
     list_reps["rep_risks"] = list(list_reps["rep_risks"].values())
     huge_count["spec"]["fixed_n"] = 10**400
+    few_reps["points"][2]["stats"]["mnlr"]["rep_count"] = 2
+    other_seed["provenance"]["base_seed"] = 99
     for doc, message in (
         (unknown_key, "result.points[2]: unknown key 'median_risk'"),
         (no_x, "result.points[0]: CurvePoint needs 'x_value'"),
@@ -988,6 +996,8 @@ def test_cli_report_malformed_result_exits_4(tmp_path, capsys):
         (text_provenance, "result.provenance: the entry must be dict, got str"),
         (list_reps, "result.rep_risks: 'rep_risks' must be dict, got list\n"),
         (huge_count, "result.spec: fixed_n must be < 2**63, got an integer with 401 digits"),
+        (few_reps, "result: points[2]: rep_count must be the spec's 3 reps\n"),
+        (other_seed, "result: provenance: base_seed must be the spec's base_seed\n"),
     ):
         out.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()

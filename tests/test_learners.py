@@ -524,6 +524,8 @@ def test_max_margin_validation():
             MaxMargin(**params)
     with pytest.raises(ValueError, match=r"^max_iters must be < 2\*\*63, got an integer with 5001 digits$"):
         MaxMargin(max_iters=10**5000)
+    with pytest.raises(ValueError, match=r"^max_iters must be >= 1, got an integer with 5001 digits$"):
+        MaxMargin(max_iters=-(10**5000))  # str refuses an integer of more than 4300 digits
 
 
 def test_hinge_objective_hand_case():
